@@ -16,6 +16,7 @@ mod stats;
 mod traced;
 mod workloads;
 
+use deepsplit_obs as obs;
 use stats::{
     beyond, host_ticks, median, peak_rss_mb, pin_to_one_cpu, put, quantile, result_line,
     steal_share_since, Metrics, Outcome,
@@ -79,7 +80,7 @@ fn measured(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outco
     let work = WorkDir::new(kind, "run")?;
     let host = host_ticks();
     let (mut loaded, setups) = setup_timed(kind, &work.0, seeds, plan)?;
-    let ops = measure(seconds, plan.min_ops(kind), usize::MAX, || loaded.op());
+    let ops = measure(seconds, plan.min_ops(kind), || loaded.op());
     loaded.shutdown();
     let steal = steal_share_since(host);
 
@@ -171,6 +172,14 @@ fn main() {
         Some(cpu) => eprintln!("perfbench: pinned to CPU {cpu}"),
         None => eprintln!("perfbench: could not pin to one CPU; expect more noise"),
     }
+    // The program reports each training epoch's loss to this recorder,
+    // which the output checks read. A measured run records a few events per
+    // op; the traced run records every span for its Chrome trace.
+    obs::install(if args.trace || args.self_check {
+        1 << 18
+    } else {
+        1 << 14
+    });
     if args.self_check {
         let ok = self_check(args.seed);
         eprintln!(

@@ -4,16 +4,20 @@
 //! that spent it.
 //!
 //! Span names are `<layer>.<call>`, with layers named after the crates:
-//! `netlist`, `layout`, `defense`, `core`, `flow`, `engine` and `serve`.
-//! Each span also opens a `deepsplit_obs` span, so the program's own
-//! `engine.*`, `train_epoch`, `serve.*` and `parallel_map` spans land in the
-//! same Chrome trace. `nn` runs inside `core`'s calls; it is measured by a
-//! kernel probe at the shape the workload's MLP runs.
+//! `netlist`, `layout`, `defense`, `core`, `flow` and `serve`; the two
+//! `bench.*` spans hold the rebuilt engine run and request handler. Each
+//! span also opens a `deepsplit_obs` span, so the program's own `engine.*`,
+//! `train_epoch`, `serve.*` and `parallel_map` spans land in the same Chrome
+//! trace. The rebuild's own glue is not the program's, so the self time of
+//! `engine` and `serve` comes from the program: its untraced `engine::run`
+//! and `AttackServer::handle` minus the time their children take. `nn` runs
+//! inside `core`'s calls; it is measured by a kernel probe at the shape the
+//! workload's MLP runs.
 
 use crate::stats::{beyond, median, process_cpu_ms, put, quantile, Metrics, Outcome};
 use crate::workloads::{
-    check_scores, parse_response, rankings_json, setup_timed, Kind, Loaded, Op, Plan, Seeds,
-    WarmAttack, WorkDir,
+    check_scores, measure, parse_response, rankings_json, setup_timed, trace_mark, ColdCell, Kind,
+    Loaded, Plan, Seeds, WarmAttack, WorkDir,
 };
 use deepsplit_core::attack::{attack_ranked, attack_with_threads};
 use deepsplit_core::config::AttackConfig;
@@ -185,6 +189,7 @@ fn forward_flops_per_row(config: &AttackConfig) -> f64 {
 }
 
 /// One traced op: span times, counts and wall time.
+#[derive(Default)]
 struct Traced {
     wall_ms: f64,
     inclusive: BTreeMap<&'static str, f64>,
@@ -192,10 +197,43 @@ struct Traced {
     counts: Counts,
     /// Store entry sizes this op read or wrote.
     model_bytes: f64,
+    /// The paired untraced `engine::run` minus its children: the program's
+    /// top-level `engine.*` spans and the base layouts it builds outside
+    /// them (timed in the rebuild).
+    engine_self_ms: f64,
     /// `warm_attack` only: HTTP round trip minus in-process handling.
     transport_ms: f64,
     handle_ms: f64,
+    /// `warm_attack` only: transport plus `AttackServer::handle` minus the
+    /// rebuilt handler's calls into other layers.
+    serve_self_ms: f64,
     response_bytes: f64,
+}
+
+impl Traced {
+    fn incl(&self, name: &str) -> f64 {
+        self.inclusive.get(name).copied().unwrap_or(0.0)
+    }
+
+    fn excl(&self, name: &str) -> f64 {
+        self.exclusive.get(name).copied().unwrap_or(0.0)
+    }
+}
+
+/// Time inside the program's own top-level `engine.*` spans on this thread
+/// since recorder event `mark`: model resolution and cell attacks, which is
+/// all of `engine::run` at one thread except its glue and base layouts.
+fn program_engine_spans_ms(mark: usize) -> f64 {
+    let tid = obs::thread_id();
+    obs::global().map_or(0.0, |r| {
+        r.events()
+            .iter()
+            .skip(mark)
+            .filter(|e| e.tid == tid && e.depth == 0 && e.name.starts_with("engine."))
+            .filter_map(|e| e.dur_us)
+            .map(|us| us as f64 / 1000.0)
+            .sum()
+    })
 }
 
 // ------------------------------------------------------------ engine rebuild
@@ -322,7 +360,7 @@ fn engine_run(
     store: &dyn ModelStore,
     counts: &mut Counts,
 ) -> Vec<EvalOutcome> {
-    t.call("engine.run", |t| {
+    t.call("bench.engine_run", |t| {
         let cells: Vec<Cell> = sweep.shard_cells().into_iter().map(|(_, c)| c).collect();
         let train_eval = canonical_train_eval(&sweep.eval);
         let mut bases: Vec<EvalBase> = Vec::new();
@@ -410,9 +448,7 @@ fn engine_op(
         exclusive,
         counts,
         model_bytes,
-        transport_ms: 0.0,
-        handle_ms: 0.0,
-        response_bytes: 0.0,
+        ..Traced::default()
     })
 }
 
@@ -426,7 +462,7 @@ fn attack_handler(
     w: &WarmAttack,
     counts: &mut Counts,
 ) -> Result<(AttackResponse, String), String> {
-    t.call("serve.route", |t| {
+    t.call("bench.attack_handler", |t| {
         let spec: AttackRequest = t.call("serve.parse", |_| {
             let text = std::str::from_utf8(&w.body).map_err(|e| e.to_string())?;
             let spec: AttackRequest = serde_json::from_str(text).map_err(|e| e.to_string())?;
@@ -551,16 +587,23 @@ fn attack_op(t: &mut Tracer, w: &WarmAttack, rebuilt_first: bool) -> Result<Trac
         return Err("traced op's rankings differ from in-process attack_ranked".to_string());
     }
     let transport_ms = rt_ms - handle_ms;
-    Ok(Traced {
+    let mut traced = Traced {
         wall_ms: wall_ms + transport_ms,
         inclusive,
         exclusive,
         counts,
-        model_bytes: 0.0,
         transport_ms,
         handle_ms,
         response_bytes: json.len() as f64,
-    })
+        ..Traced::default()
+    };
+    let handler = "bench.attack_handler";
+    let other_layers = traced.incl(handler)
+        - traced.excl(handler)
+        - traced.incl("serve.parse")
+        - traced.incl("serve.serialize");
+    traced.serve_self_ms = transport_ms + handle_ms - other_layers;
+    Ok(traced)
 }
 
 // ----------------------------------------------------------------- nn probe
@@ -637,7 +680,6 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
     // One untraced op, then the same op traced, and again: both halves see
     // the same host conditions. The recorder is on throughout, so the
     // untraced ops record the program's own few spans and nothing else.
-    obs::install(1 << 18);
     let traced_store = match kind {
         Kind::ColdCell => Some(
             DiskModelStore::open(work.0.join("store-traced"))
@@ -646,63 +688,61 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
         _ => None,
     };
     let mut tracer = Tracer::default();
-    let mut untraced: Vec<Op> = Vec::new();
     let mut traced: Vec<Traced> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut cpu_ms = 0.0;
-    let started = Instant::now();
-    while untraced.len() < plan.min_traced_ops(kind) || started.elapsed().as_secs_f64() < seconds {
-        let index = match &loaded {
-            Loaded::Cold(c) => c.next_index(),
+    let engine_workload = kind != Kind::WarmAttack;
+    let untraced = measure(seconds, plan.min_traced_ops(kind), || {
+        let cold_seed = match &loaded {
+            Loaded::Cold(c) => c.next_seed(),
             _ => 0,
         };
+        // Only the engine workloads read the recorder back; the serve
+        // workload records too many events to copy them per op.
+        let mark = if engine_workload { trace_mark() } else { 0 };
         let cpu_before = process_cpu_ms();
         let op = loaded.op();
         cpu_ms += process_cpu_ms() - cpu_before;
+        let program_ms = if engine_workload {
+            program_engine_spans_ms(mark)
+        } else {
+            0.0
+        };
         if let Err(e) = &op.check {
             failures.push(e.clone());
         }
         let result = match (&loaded, &traced_store) {
             // The untraced op's seed again, against a store of its own.
-            (Loaded::Cold(c), Some(store)) => {
-                engine_op(&mut tracer, &c.sweep(index), store, &op.output)
-            }
+            (Loaded::Cold(c), Some(store)) => engine_op(
+                &mut tracer,
+                &ColdCell::sweep(cold_seed, c.epochs),
+                store,
+                &op.output,
+            ),
             (Loaded::Sweep(s), _) => {
                 engine_op(&mut tracer, &s.config.sweep, &s.store, &s.reference)
             }
-            (Loaded::Attack(a), _) => attack_op(&mut tracer, a, untraced.len() % 2 == 1),
+            (Loaded::Attack(a), _) => attack_op(&mut tracer, a, traced.len() % 2 == 1),
             (Loaded::Cold(_), None) => Err("cold_cell without a traced store".to_string()),
         };
         match result {
-            Ok(t) => traced.push(t),
+            Ok(mut t) => {
+                if engine_workload {
+                    t.engine_self_ms = op.ms - program_ms - t.incl("defense.base");
+                }
+                traced.push(t);
+            }
             Err(e) => failures.push(e),
         }
-        untraced.push(op);
-    }
+        op
+    });
     let untraced_ms: Vec<f64> = untraced.iter().map(|o| o.ms).collect();
     let p50 = median(&untraced_ms);
 
     let n = untraced.len();
     let per_op = |f: &dyn Fn(&Traced) -> f64| median(&traced.iter().map(f).collect::<Vec<f64>>());
-    let inclusive =
-        |call: &'static str| move |t: &Traced| t.inclusive.get(call).copied().unwrap_or(0.0);
-    let layer_self = |t: &Traced, layer: &str| -> f64 {
-        let spans: f64 = t
-            .exclusive
-            .iter()
-            .filter(|(name, _)| name.split('.').next() == Some(layer))
-            .map(|(_, ms)| ms)
-            .sum();
-        // The HTTP round trip beyond the handler is the serve layer's too.
-        spans
-            + if layer == "serve" {
-                t.transport_ms
-            } else {
-                0.0
-            }
-    };
     let attack_config = match &loaded {
-        Loaded::Cold(c) => c.sweep(0).eval.attack,
+        Loaded::Cold(c) => ColdCell::sweep(0, c.epochs).eval.attack,
         Loaded::Sweep(s) => s.config.sweep.eval.attack.clone(),
         Loaded::Attack(a) => a.request.eval.attack.clone(),
     };
@@ -726,7 +766,7 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
         put(
             &mut metrics,
             format!("{call}_ms"),
-            per_op(&inclusive(call)),
+            per_op(&|t| t.incl(call)),
             "ms",
         );
     }
@@ -752,7 +792,7 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
         ),
         (
             "core.train_gflops",
-            rate(train_flops, per_op(&inclusive("core.train"))),
+            rate(train_flops, per_op(&|t| t.incl("core.train"))),
             "GFLOP/s",
         ),
         (
@@ -762,7 +802,7 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
         ),
         (
             "core.infer_gflops",
-            rate(infer_flops, per_op(&inclusive("core.infer"))),
+            rate(infer_flops, per_op(&|t| t.incl("core.infer"))),
             "GFLOP/s",
         ),
         (
@@ -825,15 +865,26 @@ pub fn run(kind: Kind, seeds: Seeds, seconds: f64, plan: &Plan) -> Result<Outcom
     for f in &failures {
         eprintln!("perfbench: {}: failed op: {f}", kind.name());
     }
-    if traced.is_empty() {
-        failures.push("no traced op completed".to_string());
-    }
     loaded.shutdown();
     Ok(Outcome {
         attempted: 2 * n,
         failed: failures.len(),
         metrics,
     })
+}
+
+/// A layer's self time in one traced op: `engine` and `serve` from the
+/// program (see [`Traced`]), the other layers from their spans.
+fn layer_self(t: &Traced, layer: &str) -> f64 {
+    match layer {
+        "engine" => t.engine_self_ms,
+        "serve" => t.serve_self_ms,
+        _ => t
+            .exclusive
+            .iter()
+            .filter(|(name, _)| name.split('.').next() == Some(layer))
+            .fold(0.0, |sum, (_, ms)| sum + ms),
+    }
 }
 
 fn rate(flops: f64, ms: f64) -> f64 {
@@ -898,6 +949,14 @@ fn report(
     for (name, ms) in rows {
         eprintln!("  {name:<22} {ms:>12.3} {:>7.1}%", 100.0 * ms / p50);
     }
+    let layers: Vec<String> = LAYERS
+        .iter()
+        .map(|&l| format!("{l} {:.3}", med(&|t| layer_self(t, l))))
+        .collect();
+    eprintln!(
+        "  layer self time, ms/op (bench.* glue not counted; engine and serve from the program): {}",
+        layers.join(", ")
+    );
     if kind == Kind::WarmAttack {
         eprintln!(
             "  rebuilt handler {:.3} ms vs AttackServer::handle {:.3} ms per op",

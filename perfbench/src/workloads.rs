@@ -18,6 +18,7 @@ use deepsplit_defense::sweep::SweepConfig;
 use deepsplit_defense::DefenseKind;
 use deepsplit_engine::{run, EngineConfig, MatrixReport, MatrixRun};
 use deepsplit_netlist::benchmarks::Benchmark;
+use deepsplit_obs as obs;
 use deepsplit_serve::{start, RunningServer, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -50,9 +51,8 @@ impl Kind {
     /// set-up is already fifteen cold cells, too long to repeat.
     pub fn setup_reps(self, plan: &Plan) -> usize {
         match self {
-            Kind::ColdCell => plan.cold_setup_reps,
             Kind::WarmSweep => 1,
-            Kind::WarmAttack => plan.attack_setup_reps,
+            _ => plan.setup_reps,
         }
     }
 }
@@ -62,13 +62,11 @@ impl Kind {
 pub struct Plan {
     /// Epochs of each `cold_cell` model.
     pub cold_epochs: usize,
-    /// Epochs of the model the `warm_attack` cold request trains.
-    pub attack_epochs: usize,
-    /// Requests in `warm_attack`'s untimed warm-up batch.
+    /// Requests in each `warm_attack` set-up's untimed warm-up batch.
     pub warmup_requests: usize,
-    /// Complete `cold_cell` and `warm_attack` set-ups per run.
-    pub cold_setup_reps: usize,
-    pub attack_setup_reps: usize,
+    /// Complete `cold_cell` and `warm_attack` set-ups per run. 21 leaves ten
+    /// set-up times on either side of the median `setup_s` reports.
+    pub setup_reps: usize,
     /// Timed rounds per kernel in the traced run's `nn` probe.
     pub probe_rounds: usize,
     /// The fast self-check: one op where a measured run needs several.
@@ -79,10 +77,8 @@ impl Plan {
     pub fn measured() -> Plan {
         Plan {
             cold_epochs: 10,
-            attack_epochs: 4,
-            warmup_requests: 100,
-            cold_setup_reps: 2,
-            attack_setup_reps: 3,
+            warmup_requests: 20,
+            setup_reps: 21,
             probe_rounds: 5,
             quick: false,
         }
@@ -90,11 +86,10 @@ impl Plan {
 
     pub fn self_check() -> Plan {
         Plan {
-            cold_epochs: 1,
-            attack_epochs: 1,
+            // Enough epochs for the training-loss check to apply.
+            cold_epochs: 4,
             warmup_requests: 3,
-            cold_setup_reps: 1,
-            attack_setup_reps: 1,
+            setup_reps: 1,
             probe_rounds: 1,
             quick: true,
         }
@@ -125,10 +120,22 @@ impl Plan {
 #[derive(Debug, Clone, Copy)]
 pub struct Seeds(pub u64);
 
+/// How long training takes depends on the model's seed, not only on the
+/// work: one epoch of the `cold_cell` model took 0.64 s from one seed and
+/// 1.6 s from another, on the same corpus. So the set-ups train from seeds
+/// of their own, the same in every run, and `setup_s` does not follow the
+/// run's seed; `cold_cell`'s ops each draw their own seed.
 impl Seeds {
-    /// `eval.attack.seed` of the `i`-th `cold_cell` cell (warm-up included).
+    /// `eval.attack.seed` of `cold_cell`'s `i`-th op.
     pub fn cold_attack(self, i: u64) -> u64 {
         1 + mix(self.0, 0xA77A_C000 + i) % 1_000_000_000
+    }
+
+    /// `eval.attack.seed` of set-up `r`'s training (the `cold_cell` warm-up
+    /// cell, the `warm_attack` cold request), whatever the run's seed. The
+    /// last `warm_attack` set-up trains [`Seeds::attack_model`] instead.
+    pub fn setup_model(r: usize) -> u64 {
+        1 + mix(0x5E70, r as u64) % 1_000_000_000
     }
 
     /// `defense_seed` of the `warm_sweep` matrix.
@@ -136,17 +143,17 @@ impl Seeds {
         1 + mix(self.0, 0xDEF0) % 1_000_000
     }
 
-    /// `eval.attack.seed` of the `warm_attack` request: the weights its
-    /// model is trained from. The victim layout stays the loadgen's, since
-    /// the tiny c432 victim's size, and so a request's work, varies about
-    /// threefold with its seed.
+    /// `eval.attack.seed` of the `warm_attack` request the ops send: the
+    /// weights its model is trained from. The victim layout stays the
+    /// loadgen's, since the tiny c432 victim's size, and so a request's
+    /// work, varies about threefold with its seed.
     pub fn attack_model(self) -> u64 {
         1 + mix(self.0, 0x5EED) % 1_000_000_000
     }
 
     pub fn describe(self) -> String {
         format!(
-            "seed {}: cold_cell attack seeds {}, {}, …; warm_sweep defense seed {}; warm_attack model seed {}",
+            "seed {}: cold_cell attack seeds {}, {}, … (one per op); warm_sweep defense seed {}; warm_attack model seed {}",
             self.0,
             self.cold_attack(0),
             self.cold_attack(1),
@@ -164,8 +171,104 @@ pub struct Op {
     pub output: String,
 }
 
+impl Op {
+    fn checked(ms: f64, output: Result<String, String>) -> Op {
+        match output {
+            Ok(output) => Op {
+                ms,
+                check: Ok(()),
+                output,
+            },
+            Err(e) => Op {
+                ms,
+                check: Err(e),
+                output: String::new(),
+            },
+        }
+    }
+}
+
 fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1000.0
+}
+
+/// Epochs of the warm-up cell that ends each `cold_cell` set-up: it runs
+/// every call an op makes (base, corpus, train, save, attack) at a sixth of
+/// an op's cost, so the set-up can be repeated enough times for a median.
+const WARMUP_EPOCHS: usize = 1;
+
+/// Epochs of the model the `warm_attack` cold request trains.
+const ATTACK_EPOCHS: usize = 4;
+
+/// A model that learned ends its training with a mean loss at most this
+/// share of its first epoch's. The share reached 0.51 over 60 seeds of the
+/// `warm_attack` model (4 epochs), 0.28 over 30 `cold_cell` models (10
+/// epochs) and 0.78 over 16 at the self-check's 4; a model whose weights do
+/// not move stays at 1.
+const LOSS_DROP: f64 = 0.9;
+
+/// Least DL-CCR (the share of broken pins its top picks connect right) a
+/// model trained for two or more epochs must reach. The lowest seen was
+/// 0.73 over 30 `cold_cell` models (10 epochs), 0.64 over 16 at the
+/// self-check's 4 and 0.75 over 60 `warm_attack` models; chance is 0.09
+/// and 0.25, and a model that ranks the farthest candidates first scores
+/// near 0.
+const MIN_DL_CCR: f64 = 0.5;
+
+/// Least `expected_ccr` (the pin-weighted confidence the model gives its
+/// top pick) a `warm_attack` response may report. Trained models gave
+/// 0.84–1.0 over 60 seeds; near-uniform scores over 8 candidates give about
+/// 1/8, and can still pass [`MIN_DL_CCR`] when ties fall to the nearest
+/// candidate.
+const MIN_EXPECTED_CCR: f64 = 0.5;
+
+fn check_dl_ccr(dl_ccr: f64) -> Result<(), String> {
+    if dl_ccr >= MIN_DL_CCR {
+        Ok(())
+    } else {
+        Err(format!(
+            "dl_ccr {dl_ccr:.4} below {MIN_DL_CCR}: the model's top picks are mostly wrong"
+        ))
+    }
+}
+
+/// The trace recorder's event count: pass it to [`epoch_losses_since`]
+/// after the work whose training losses should be read.
+pub fn trace_mark() -> usize {
+    obs::global().map_or(0, |r| r.events().len())
+}
+
+/// The mean loss of each training epoch since `mark`, as the program
+/// reports it in its `epoch_loss` trace events.
+pub fn epoch_losses_since(mark: usize) -> Result<Vec<f64>, String> {
+    let recorder = obs::global().ok_or("no trace recorder is installed")?;
+    if recorder.dropped() > 0 {
+        return Err("the trace recorder is full, so epoch losses were lost".to_string());
+    }
+    Ok(recorder
+        .events()
+        .iter()
+        .skip(mark)
+        .filter(|e| e.name == "epoch_loss")
+        .filter_map(|e| e.value)
+        .collect())
+}
+
+/// One finite loss per epoch and, over two or more epochs, a last loss at
+/// most [`LOSS_DROP`] of the first: zero gradients or a wrong kernel fail
+/// here even when every score stays in range.
+pub fn check_training(losses: &[f64], epochs: usize) -> Result<(), String> {
+    if losses.len() != epochs || losses.iter().any(|l| !l.is_finite()) {
+        return Err(format!(
+            "expected {epochs} finite epoch losses, got {losses:?}"
+        ));
+    }
+    match (losses.first(), losses.last()) {
+        (Some(&first), Some(&last)) if epochs >= 2 && last > LOSS_DROP * first => Err(format!(
+            "training loss fell only from {first:.4} to {last:.4} over {epochs} epochs"
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn report_json(outcomes: Vec<EvalOutcome>) -> Result<String, String> {
@@ -217,7 +320,8 @@ pub struct ColdCell {
 }
 
 impl ColdCell {
-    pub fn setup(work: &Path, seeds: Seeds, plan: &Plan) -> Result<ColdCell, String> {
+    /// Set-up `rep` of a run: a fresh store and a warm-up cell.
+    pub fn setup(work: &Path, seeds: Seeds, plan: &Plan, rep: usize) -> Result<ColdCell, String> {
         let dir = work.join("store");
         // A fresh store every set-up, so the warm-up cell trains.
         let _ = std::fs::remove_dir_all(&dir);
@@ -228,16 +332,16 @@ impl ColdCell {
             epochs: plan.cold_epochs,
             next: 0,
         };
-        cell.op()
+        cell.cell(Seeds::setup_model(rep), WARMUP_EPOCHS)
             .check
             .map_err(|e| format!("cold_cell warm-up: {e}"))?;
         Ok(cell)
     }
 
-    /// The one-cell matrix of op `i`.
-    pub fn sweep(&self, i: u64) -> SweepConfig {
-        let mut eval = one_core_eval(self.epochs);
-        eval.attack.seed = self.seeds.cold_attack(i);
+    /// The one-cell matrix whose model trains from `seed` for `epochs`.
+    pub fn sweep(seed: u64, epochs: usize) -> SweepConfig {
+        let mut eval = one_core_eval(epochs);
+        eval.attack.seed = seed;
         SweepConfig {
             eval,
             kinds: Vec::new(),
@@ -247,45 +351,47 @@ impl ColdCell {
         }
     }
 
-    /// Index of the next op's cell.
-    pub fn next_index(&self) -> u64 {
-        self.next
+    /// The attack seed of the next op's cell.
+    pub fn next_seed(&self) -> u64 {
+        self.seeds.cold_attack(self.next)
     }
 
     pub fn op(&mut self) -> Op {
-        let sweep = self.sweep(self.next);
+        let seed = self.next_seed();
         self.next += 1;
+        self.cell(seed, self.epochs)
+    }
+
+    /// Runs a cell whose model trains from `seed` for `epochs`.
+    fn cell(&mut self, seed: u64, epochs: usize) -> Op {
+        let sweep = Self::sweep(seed, epochs);
+        let mark = trace_mark();
         let started = Instant::now();
         let result = run(&EngineConfig::new(sweep), &self.store);
         let ms = ms_since(started);
         let checked = result
             .map_err(|e| format!("engine: {e}"))
-            .and_then(|r| self.check(&r).map(|()| r))
+            .and_then(|r| Self::check(&r, epochs, mark).map(|()| r))
             .and_then(|r| report_json(r.outcomes()));
-        match checked {
-            Ok(output) => Op {
-                ms,
-                check: Ok(()),
-                output,
-            },
-            Err(e) => Op {
-                ms,
-                check: Err(e),
-                output: String::new(),
-            },
-        }
+        Op::checked(ms, checked)
     }
 
-    fn check(&self, run: &MatrixRun) -> Result<(), String> {
+    fn check(run: &MatrixRun, epochs: usize, mark: usize) -> Result<(), String> {
         let s = &run.stats;
-        if s.models_trained != 1 || s.epochs_trained != self.epochs || run.cells.len() != 1 {
+        if s.models_trained != 1 || s.epochs_trained != epochs || run.cells.len() != 1 {
             return Err(format!(
-                "expected one cell and one model of {} epochs, got {}",
-                self.epochs,
+                "expected one cell and one model of {epochs} epochs, got {}",
                 s.summary()
             ));
         }
-        run.cells.iter().try_for_each(|c| check_scores(&c.outcome))
+        for c in &run.cells {
+            check_scores(&c.outcome)?;
+            // Like the loss rule: one epoch has not learned enough to judge.
+            if epochs >= 2 {
+                check_dl_ccr(c.outcome.scores.dl_ccr)?;
+            }
+        }
+        check_training(&epoch_losses_since(mark)?, epochs)
     }
 }
 
@@ -370,18 +476,7 @@ impl WarmSweep {
                     Err("warm report differs from the cold sweep's".to_string())
                 }
             });
-        match checked {
-            Ok(output) => Op {
-                ms,
-                check: Ok(()),
-                output,
-            },
-            Err(e) => Op {
-                ms,
-                check: Err(e),
-                output: String::new(),
-            },
-        }
+        Op::checked(ms, checked)
     }
 }
 
@@ -444,7 +539,8 @@ pub struct WarmAttack {
 pub const HTTP_TIMEOUT: Duration = Duration::from_secs(60);
 
 impl WarmAttack {
-    pub fn setup(seeds: Seeds, plan: &Plan) -> Result<WarmAttack, String> {
+    /// A fresh server and the model trained from `model_seed`.
+    pub fn setup(plan: &Plan, model_seed: u64) -> Result<WarmAttack, String> {
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 2,
@@ -454,21 +550,26 @@ impl WarmAttack {
         let store = Arc::new(MemoryModelStore::new());
         let server = start(&config, store.clone()).map_err(|e| format!("start server: {e}"))?;
         let url = format!("{}/attack", server.url());
-        let request = harvest_request(seeds.attack_model(), plan.attack_epochs);
+        let request = harvest_request(model_seed, ATTACK_EPOCHS);
         let body = serde_json::to_string(&request)
             .map_err(|e| format!("encode request: {e}"))?
             .into_bytes();
 
-        // The cold request trains the model.
+        // The cold request trains the model; the server reports its losses
+        // to the same trace recorder.
+        let mark = trace_mark();
         let cold =
             httpc::post(&url, &body, HTTP_TIMEOUT).map_err(|e| format!("cold request: {e}"))?;
         let cold: AttackResponse = parse_response(cold.status, &cold.body)?;
-        if cold.model_cached || cold.trained_epochs != plan.attack_epochs {
+        if cold.model_cached || cold.trained_epochs != ATTACK_EPOCHS {
             return Err(format!(
                 "cold request: model_cached {} trained_epochs {}",
                 cold.model_cached, cold.trained_epochs
             ));
         }
+        check_training(&epoch_losses_since(mark)?, ATTACK_EPOCHS)
+            .and_then(|()| check_answer(&cold))
+            .map_err(|e| format!("cold request: {e}"))?;
 
         let victim = request.victim().ok_or("unknown benchmark")?;
         let model = store
@@ -519,7 +620,8 @@ impl WarmAttack {
         }
     }
 
-    /// Status 200, a cached model, no training, and the in-process rankings.
+    /// Status 200, a cached model, no training, a model whose top picks are
+    /// mostly right and confident, and the in-process rankings.
     pub fn check(&self, status: u16, body: &[u8]) -> Result<(), String> {
         let response = parse_response(status, body)?;
         if !response.model_cached || response.trained_epochs != 0 {
@@ -528,6 +630,7 @@ impl WarmAttack {
                 response.model_cached, response.trained_epochs
             ));
         }
+        check_answer(&response)?;
         if serde_json::to_string(&response.rankings).map_err(|e| e.to_string())? != self.reference {
             return Err("rankings differ from in-process attack_ranked".to_string());
         }
@@ -536,6 +639,20 @@ impl WarmAttack {
 
     pub fn shutdown(self) {
         self.server.shutdown();
+    }
+}
+
+/// A trained model's answer: DL-CCR of at least [`MIN_DL_CCR`] and
+/// `expected_ccr` of at least [`MIN_EXPECTED_CCR`].
+fn check_answer(response: &AttackResponse) -> Result<(), String> {
+    check_dl_ccr(response.dl_ccr)?;
+    if response.expected_ccr >= MIN_EXPECTED_CCR {
+        Ok(())
+    } else {
+        Err(format!(
+            "expected_ccr {:.4} below {MIN_EXPECTED_CCR}: the model is not confident of its picks",
+            response.expected_ccr
+        ))
     }
 }
 
@@ -559,11 +676,26 @@ pub enum Loaded {
 }
 
 impl Loaded {
-    pub fn setup(kind: Kind, work: &Path, seeds: Seeds, plan: &Plan) -> Result<Loaded, String> {
+    /// Set-up `rep` of a run. The last `warm_attack` set-up trains the
+    /// model the ops query; the others train from set-up seeds.
+    pub fn setup(
+        kind: Kind,
+        work: &Path,
+        seeds: Seeds,
+        plan: &Plan,
+        rep: usize,
+    ) -> Result<Loaded, String> {
         Ok(match kind {
-            Kind::ColdCell => Loaded::Cold(ColdCell::setup(work, seeds, plan)?),
+            Kind::ColdCell => Loaded::Cold(ColdCell::setup(work, seeds, plan, rep)?),
             Kind::WarmSweep => Loaded::Sweep(WarmSweep::setup(work, seeds)?),
-            Kind::WarmAttack => Loaded::Attack(WarmAttack::setup(seeds, plan)?),
+            Kind::WarmAttack => {
+                let model_seed = if rep + 1 == kind.setup_reps(plan) {
+                    seeds.attack_model()
+                } else {
+                    Seeds::setup_model(rep)
+                };
+                Loaded::Attack(WarmAttack::setup(plan, model_seed)?)
+            }
         })
     }
 
@@ -593,12 +725,12 @@ pub fn setup_timed(
 ) -> Result<(Loaded, Vec<f64>), String> {
     let mut times = Vec::new();
     let mut loaded: Option<Loaded> = None;
-    for _ in 0..kind.setup_reps(plan) {
+    for rep in 0..kind.setup_reps(plan) {
         if let Some(previous) = loaded.take() {
             previous.shutdown();
         }
         let started = Instant::now();
-        loaded = Some(Loaded::setup(kind, work, seeds, plan)?);
+        loaded = Some(Loaded::setup(kind, work, seeds, plan, rep)?);
         times.push(started.elapsed().as_secs_f64());
     }
     loaded
@@ -606,18 +738,12 @@ pub fn setup_timed(
         .ok_or_else(|| "no set-up ran".to_string())
 }
 
-/// Starts ops until `seconds` have passed (the last one may overrun) — but
-/// at least `min_ops` and at most `max_ops`.
-pub fn measure(
-    seconds: f64,
-    min_ops: usize,
-    max_ops: usize,
-    mut op: impl FnMut() -> Op,
-) -> Vec<Op> {
+/// Starts ops until `seconds` have passed (the last one may overrun), and
+/// at least `min_ops`.
+pub fn measure(seconds: f64, min_ops: usize, mut op: impl FnMut() -> Op) -> Vec<Op> {
     let started = Instant::now();
     let mut ops: Vec<Op> = Vec::new();
-    while ops.len() < max_ops && (ops.len() < min_ops || started.elapsed().as_secs_f64() < seconds)
-    {
+    while ops.len() < min_ops || started.elapsed().as_secs_f64() < seconds {
         ops.push(op());
     }
     ops
@@ -645,5 +771,21 @@ impl Drop for WorkDir {
         // Leave no empty parent behind either; fails harmlessly while
         // another run still uses it.
         let _ = std::fs::remove_dir(".perfbench-work");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn training_must_lower_the_loss() {
+        assert!(check_training(&[6.1, 2.1, 0.4, 0.3], 4).is_ok());
+        // Weights that never move: the loss stays put.
+        assert!(check_training(&[20.9, 20.9, 20.9, 20.9], 4).is_err());
+        assert!(check_training(&[6.1, f64::NAN, 0.4, 0.3], 4).is_err());
+        assert!(check_training(&[6.1, 2.1], 4).is_err());
+        // One epoch has nothing to fall from.
+        assert!(check_training(&[6.1], 1).is_ok());
     }
 }
