@@ -131,9 +131,8 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
             // accumulates gradients over its shard, and returns them.
             let shard_size = batch.len().div_ceil(threads);
             let shards: Vec<&[(usize, usize)]> = batch.chunks(shard_size.max(1)).collect();
-            let worker_model = model.clone();
             let results = parallel_map(&shards, threads, |shard| {
-                let mut m = worker_model.clone();
+                let mut m = model.clone();
                 m.zero_grad();
                 let mut loss_sum = 0.0f64;
                 for &(di, qi) in shard.iter() {
@@ -312,6 +311,28 @@ mod tests {
         assert_eq!(store.counters().misses, 1);
         // The cached model carries the same weights: identical JSON encoding.
         assert_eq!(cold.to_json().unwrap(), warm.to_json().unwrap());
+    }
+
+    /// Pins the trained bits. The model store is content-addressed, so a
+    /// change to the kernels' numerics or the gradient order must show up
+    /// here rather than as a store silently serving stale weights.
+    #[test]
+    fn trained_weights_are_pinned() {
+        for (threads, pinned) in [
+            (1, "f6c131567cefb99aa558a1d333f468d8"),
+            (2, "697a65e6c88d116a8325dff641a69008"),
+        ] {
+            let config = AttackConfig {
+                epochs: 2,
+                threads,
+                ..tiny_config(false)
+            };
+            let designs = vec![prepared(Benchmark::C432, 1, &config)];
+            let (trained, _) = train(&designs, &config);
+            let mut h = crate::fingerprint::StableHasher::new();
+            h.write_str(&trained.to_json().unwrap());
+            assert_eq!(h.finish().to_hex(), pinned, "threads {threads}");
+        }
     }
 
     #[test]

@@ -5,6 +5,28 @@
 //! row-major buffer with just the operations the DAC'19 network needs:
 //! matrix multiplication (three transpose variants, used by dense layers and
 //! im2col convolution), element-wise maps, reductions and concatenation.
+//!
+//! # Accumulation contract
+//!
+//! All three matrix products run one register-blocked kernel, compiled
+//! twice: for the baseline instruction set and for AVX2, picked per call by
+//! runtime CPU detection. Both builds compute every output the same way:
+//!
+//! * it starts at `+0.0`;
+//! * it adds `a * b` over the inner index in ascending order, rounding the
+//!   product and then the sum (no fused multiply-add);
+//! * the blocking groups rows and columns of the output, never the inner
+//!   index, so no sum is split or reassociated.
+//!
+//! The builds differ only in how they copy operands into working buffers
+//! (the AVX2 one transposes in registers), and a copy moves values without
+//! touching them.
+//!
+//! The outputs are therefore the same bits on every x86-64 CPU and at every
+//! optimisation level. Trained weights inherit that, and they must: the
+//! model store is content-addressed, so a model trained on one machine is
+//! served wherever its fingerprint matches. A kernel change that moves a bit
+//! is a change to every stored model.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -175,24 +197,7 @@ impl Tensor {
     ///
     /// Panics unless both tensors are 2-D with compatible inner dimensions.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (m, k) = self.dims2();
-        let (k2, n) = other.dims2();
-        assert_eq!(k, k2, "matmul inner dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(&[m, n], out)
+        product(gemm, Product::AB, self, other)
     }
 
     /// `selfᵀ (k×m) × other (k×n) → (m×n)` without materialising the transpose.
@@ -201,49 +206,17 @@ impl Tensor {
     ///
     /// Panics unless both tensors are 2-D with matching first dimensions.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
-        let (k, m) = self.dims2();
-        let (k2, n) = other.dims2();
-        assert_eq!(k, k2, "t_matmul dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(&[m, n], out)
+        product(gemm, Product::AtB, self, other)
     }
 
-    /// `self (m×k) × otherᵀ (n×k) → (m×n)` without materialising the transpose.
+    /// `self (m×k) × otherᵀ (n×k) → (m×n)`; the kernel transposes `other`
+    /// block by block as it copies it into its working buffer.
     ///
     /// # Panics
     ///
     /// Panics unless both tensors are 2-D with matching second dimensions.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        let (m, k) = self.dims2();
-        let (n, k2) = other.dims2();
-        assert_eq!(k, k2, "matmul_t dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        Tensor::from_vec(&[m, n], out)
+        product(gemm, Product::ABt, self, other)
     }
 
     /// Concatenates 2-D tensors along the second (feature) axis.
@@ -349,6 +322,245 @@ impl Tensor {
     }
 }
 
+// ------------------------------------------------------------------ kernels
+
+/// The three matrix products [`Tensor`] offers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Product {
+    /// `x · y`.
+    AB,
+    /// `xᵀ · y`.
+    AtB,
+    /// `x · yᵀ`.
+    ABt,
+}
+
+/// One `(m×k) · (k×n)` product as the kernel sees it. `a` holds `A` row-major
+/// (`[m, k]`), or `Aᵀ` (`[k, m]`) when `a_t`; likewise `b` holds `B` (`[k, n]`),
+/// or `Bᵀ` (`[n, k]`) when `b_t`.
+#[derive(Debug, Clone, Copy)]
+struct Gemm<'a> {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &'a [f32],
+    a_t: bool,
+    b: &'a [f32],
+    b_t: bool,
+}
+
+/// Computes `which` of `x` and `y` with `kernel`.
+fn product(kernel: impl Fn(&Gemm, &mut [f32]), which: Product, x: &Tensor, y: &Tensor) -> Tensor {
+    let (a_t, b_t, mismatch) = match which {
+        Product::AB => (false, false, "matmul inner dimension mismatch"),
+        Product::AtB => (true, false, "t_matmul dimension mismatch"),
+        Product::ABt => (false, true, "matmul_t dimension mismatch"),
+    };
+    let (xr, xc) = x.dims2();
+    let (yr, yc) = y.dims2();
+    let (m, k) = if a_t { (xc, xr) } else { (xr, xc) };
+    let (k2, n) = if b_t { (yc, yr) } else { (yr, yc) };
+    assert_eq!(k, k2, "{mismatch}");
+    let g = Gemm {
+        m,
+        k,
+        n,
+        a: &x.data,
+        a_t,
+        b: &y.data,
+        b_t,
+    };
+    let mut out = vec![0.0f32; m * n];
+    kernel(&g, &mut out);
+    Tensor::from_vec(&[m, n], out)
+}
+
+/// `out = A · B` with the fastest kernel build this CPU runs.
+fn gemm(g: &Gemm, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if gemm_avx2(g, out) {
+        return;
+    }
+    gemm_portable(g, out);
+}
+
+/// The kernel built for AVX2. Returns `false`, leaving `out` untouched, when
+/// the CPU lacks AVX2.
+#[cfg(target_arch = "x86_64")]
+fn gemm_avx2(g: &Gemm, out: &mut [f32]) -> bool {
+    #[target_feature(enable = "avx2")]
+    fn build(g: &Gemm, out: &mut [f32]) {
+        gemm_core(g, out, |g, j, panel| transpose_block_avx2(g, j, panel));
+    }
+    if !std::is_x86_feature_detected!("avx2") {
+        return false;
+    }
+    // SAFETY: `build` needs nothing but AVX2, and the check above found it.
+    unsafe { build(g, out) };
+    true
+}
+
+/// Rows of the register tile.
+const MR: usize = 4;
+/// Columns of the register tile: two AVX2 vectors.
+const NR: usize = 16;
+
+/// The kernel built for the baseline instruction set.
+fn gemm_portable(g: &Gemm, out: &mut [f32]) {
+    gemm_core(g, out, transpose_block);
+}
+
+/// Register-blocked `out = A · B` (row-major `[m, n]`), built for the
+/// baseline instruction set in [`gemm_portable`] and for AVX2 inside
+/// [`gemm_avx2`]. `out` is computed in blocks of `NR` columns. Each block
+/// of B is first copied into a row-major panel (`transpose` does this for a
+/// transposed B; both copies only move values), then the block of `out` is
+/// computed in tiles of `MR` rows, then 2 and 1 for the last rows. A tile
+/// is summed in registers over the whole inner dimension, then stored;
+/// tiles never split the inner dimension, so every output is the module's
+/// ascending sum wherever its tile falls.
+#[inline(always)]
+fn gemm_core(g: &Gemm, out: &mut [f32], transpose: impl Fn(&Gemm, usize, &mut [[f32; NR]])) {
+    let Gemm { m, k, n, .. } = *g;
+    assert_eq!(g.a.len(), m * k, "gemm A size");
+    assert_eq!(g.b.len(), k * n, "gemm B size");
+    assert_eq!(out.len(), m * n, "gemm output size");
+    // Columns a last, narrower block lacks keep stale values in the panel;
+    // their sums are dropped.
+    let mut panel = vec![[0.0f32; NR]; k];
+    for j in (0..n).step_by(NR) {
+        let cols = NR.min(n - j);
+        if g.b_t {
+            transpose(g, j, &mut panel);
+        } else if cols == NR {
+            // A fixed-size copy compiles to vector moves; one of a run-time
+            // length calls `memcpy` per row.
+            for (dst, row) in panel.iter_mut().zip(g.b.chunks_exact(n)) {
+                *dst = *row[j..].first_chunk().expect("a full block");
+            }
+        } else {
+            for (dst, row) in panel.iter_mut().zip(g.b.chunks_exact(n)) {
+                dst[..cols].copy_from_slice(&row[j..]);
+            }
+        }
+        let mut i = 0;
+        while i + MR <= m {
+            gemm_tile::<MR>(g, i, j, &panel, out);
+            i += MR;
+        }
+        if i + 2 <= m {
+            gemm_tile::<2>(g, i, j, &panel, out);
+            i += 2;
+        }
+        if i < m {
+            gemm_tile::<1>(g, i, j, &panel, out);
+        }
+    }
+}
+
+/// Copies rows `j..` of a transposed B (`[n, k]`), up to `NR` of them, into
+/// `panel` as columns: `panel[p][c] = b[(j + c) * k + p]`.
+#[inline(always)]
+fn transpose_block(g: &Gemm, j: usize, panel: &mut [[f32; NR]]) {
+    let k = g.k;
+    for c in 0..NR.min(g.n - j) {
+        let column = &g.b[(j + c) * k..][..k];
+        for (dst, &v) in panel.iter_mut().zip(column) {
+            dst[c] = v;
+        }
+    }
+}
+
+/// [`transpose_block`] in 8×8 register transposes: eight rows of B load as
+/// vectors and leave as eight rows of `panel`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose_block_avx2(g: &Gemm, j: usize, panel: &mut [[f32; NR]]) {
+    use std::arch::x86_64::*;
+    let k = g.k;
+    if g.n - j < NR {
+        return transpose_block(g, j, panel);
+    }
+    let whole = k - k % 8;
+    for p in (0..whole).step_by(8) {
+        for half in (0..NR).step_by(8) {
+            let mut r = [_mm256_setzero_ps(); 8];
+            for (c, row) in r.iter_mut().enumerate() {
+                let src = &g.b[(j + half + c) * k + p..][..8];
+                // SAFETY: `src` holds the eight floats the load reads.
+                *row = unsafe { _mm256_loadu_ps(src.as_ptr()) };
+            }
+            // Interleave pairs of rows, then pairs of pairs, then swap
+            // 128-bit halves: `t[q]` ends up as column `q` of the block.
+            let u = [
+                _mm256_unpacklo_ps(r[0], r[1]),
+                _mm256_unpackhi_ps(r[0], r[1]),
+                _mm256_unpacklo_ps(r[2], r[3]),
+                _mm256_unpackhi_ps(r[2], r[3]),
+                _mm256_unpacklo_ps(r[4], r[5]),
+                _mm256_unpackhi_ps(r[4], r[5]),
+                _mm256_unpacklo_ps(r[6], r[7]),
+                _mm256_unpackhi_ps(r[6], r[7]),
+            ];
+            let v = [
+                _mm256_shuffle_ps::<0x44>(u[0], u[2]),
+                _mm256_shuffle_ps::<0xEE>(u[0], u[2]),
+                _mm256_shuffle_ps::<0x44>(u[1], u[3]),
+                _mm256_shuffle_ps::<0xEE>(u[1], u[3]),
+                _mm256_shuffle_ps::<0x44>(u[4], u[6]),
+                _mm256_shuffle_ps::<0xEE>(u[4], u[6]),
+                _mm256_shuffle_ps::<0x44>(u[5], u[7]),
+                _mm256_shuffle_ps::<0xEE>(u[5], u[7]),
+            ];
+            let t = [
+                _mm256_permute2f128_ps::<0x20>(v[0], v[4]),
+                _mm256_permute2f128_ps::<0x20>(v[1], v[5]),
+                _mm256_permute2f128_ps::<0x20>(v[2], v[6]),
+                _mm256_permute2f128_ps::<0x20>(v[3], v[7]),
+                _mm256_permute2f128_ps::<0x31>(v[0], v[4]),
+                _mm256_permute2f128_ps::<0x31>(v[1], v[5]),
+                _mm256_permute2f128_ps::<0x31>(v[2], v[6]),
+                _mm256_permute2f128_ps::<0x31>(v[3], v[7]),
+            ];
+            for (q, column) in t.into_iter().enumerate() {
+                let dst = &mut panel[p + q][half..][..8];
+                // SAFETY: `dst` has room for the eight floats the store writes.
+                unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), column) };
+            }
+        }
+    }
+    for (p, dst) in panel.iter_mut().enumerate().skip(whole) {
+        for (c, d) in dst.iter_mut().enumerate() {
+            *d = g.b[(j + c) * k + p];
+        }
+    }
+}
+
+/// Rows `i..i + R` of the block of `out` at column `j`.
+#[inline(always)]
+fn gemm_tile<const R: usize>(g: &Gemm, i: usize, j: usize, panel: &[[f32; NR]], out: &mut [f32]) {
+    let (a_rs, a_cs) = if g.a_t { (1, g.m) } else { (g.k, 1) };
+    let a_at: [usize; R] = std::array::from_fn(|r| (i + r) * a_rs);
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, bp) in panel.iter().enumerate() {
+        for r in 0..R {
+            let av = g.a[a_at[r] + p * a_cs];
+            for c in 0..NR {
+                acc[r][c] += av * bp[c];
+            }
+        }
+    }
+    let cols = NR.min(g.n - j);
+    for (r, sums) in acc.iter().enumerate() {
+        let row = &mut out[(i + r) * g.n + j..][..cols];
+        // A full row is stored with a fixed-size copy, as in `gemm_core`.
+        match row.first_chunk_mut::<NR>() {
+            Some(full) => *full = *sums,
+            None => row.copy_from_slice(&sums[..row.len()]),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +572,10 @@ mod tests {
         let c = a.matmul(&b);
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -374,10 +590,7 @@ mod tests {
                 at.data_mut()[j * 2 + i] = a.data()[i * 3 + j];
             }
         }
-        let via_t = at.t_matmul(&b);
-        for (x, y) in direct.data().iter().zip(via_t.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(bits(&direct), bits(&at.t_matmul(&b)));
         // a b = a (bᵀ)ᵀ via matmul_t.
         let mut bt = Tensor::zeros(&[4, 3]);
         for i in 0..3 {
@@ -385,9 +598,160 @@ mod tests {
                 bt.data_mut()[j * 3 + i] = b.data()[i * 4 + j];
             }
         }
-        let via_bt = a.matmul_t(&bt);
-        for (x, y) in direct.data().iter().zip(via_bt.data()) {
-            assert!((x - y).abs() < 1e-6);
+        assert_eq!(bits(&direct), bits(&a.matmul_t(&bt)));
+    }
+
+    // The loops the blocked kernel replaced, kept as its bitwise reference.
+    // They skip `a == 0.0` terms and the kernel does not. For finite inputs
+    // that changes no bit: a zero term adds ±0.0, and a sum that starts at
+    // +0.0 never becomes −0.0 (x + (−x) rounds to +0.0), so adding ±0.0
+    // leaves it as it was.
+
+    fn ref_matmul(x: &Tensor, y: &Tensor) -> Tensor {
+        let (m, k) = x.dims2();
+        let n = y.dims2().1;
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &x.data[i * k..(i + 1) * k];
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = &y.data[p * n..(p + 1) * n];
+                for (o, &b) in o_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    fn ref_t_matmul(x: &Tensor, y: &Tensor) -> Tensor {
+        let (k, m) = x.dims2();
+        let n = y.dims2().1;
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let a_row = &x.data[p * m..(p + 1) * m];
+            let b_row = &y.data[p * n..(p + 1) * n];
+            for (i, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let o_row = &mut out[i * n..(i + 1) * n];
+                for (o, &b) in o_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    fn ref_matmul_t(x: &Tensor, y: &Tensor) -> Tensor {
+        let (m, k) = x.dims2();
+        let n = y.dims2().0;
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &x.data[i * k..(i + 1) * k];
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (j, o) in o_row.iter_mut().enumerate() {
+                let b_row = &y.data[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&a, &b) in a_row.iter().zip(b_row) {
+                    acc += a * b;
+                }
+                *o = acc;
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    type Kernel = fn(&Gemm, &mut [f32]);
+
+    /// Every kernel build this CPU runs: the portable one, and AVX2 if present.
+    fn kernel_builds() -> Vec<(&'static str, Kernel)> {
+        let mut builds: Vec<(&'static str, Kernel)> = vec![("portable", gemm_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            builds.push(("avx2", |g, out| assert!(gemm_avx2(g, out))));
+        } else {
+            eprintln!("this CPU lacks AVX2: only the portable kernel is tested");
+        }
+        builds
+    }
+
+    /// Normal values mixed with +0.0, −0.0 and subnormals of either sign.
+    fn awkward(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (state >> 33) as u32;
+                let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+                match r % 10 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => sign * f32::from_bits(1 + (r >> 8) % 0x007f_ffff),
+                    _ => sign * (r >> 8) as f32 / (1u32 << 23) as f32 * 2.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Checks every product at `(m, k, n)` on every kernel build against the
+    /// reference loops, bit for bit.
+    fn assert_bitwise(m: usize, k: usize, n: usize) {
+        let seed = (m * 31 + k) as u64 * 31 + n as u64;
+        let cases = [
+            (Product::AB, [m, k], [k, n]),
+            (Product::AtB, [k, m], [k, n]),
+            (Product::ABt, [m, k], [n, k]),
+        ];
+        for (which, xs, ys) in cases {
+            let x = Tensor::from_vec(&xs, awkward(m * k, seed));
+            let y = Tensor::from_vec(&ys, awkward(k * n, seed + 1));
+            let want = match which {
+                Product::AB => ref_matmul(&x, &y),
+                Product::AtB => ref_t_matmul(&x, &y),
+                Product::ABt => ref_matmul_t(&x, &y),
+            };
+            for (build, kernel) in kernel_builds() {
+                let got = product(kernel, which, &x, &y);
+                assert_eq!(got.shape(), want.shape());
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{build} {which:?} at m={m} k={k} n={n} differs from the reference"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_at_tile_edges() {
+        for m in [1, MR - 1, MR, MR + 1] {
+            for n in [1, NR - 1, NR, NR + 1] {
+                // The AVX2 transpose works in 8×8 blocks along the inner
+                // index, so 7, 8 and 9 check its edges too.
+                for k in [1, 7, 8, 9, NR - 1, NR, NR + 1] {
+                    assert_bitwise(m, k, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_at_model_shapes() {
+        assert_bitwise(12, 27, 128);
+        assert_bitwise(8, 128, 128);
+        assert_bitwise(2601, 162, 16);
+    }
+
+    #[test]
+    fn kernels_handle_empty_dimensions() {
+        for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0)] {
+            assert_bitwise(m, k, n);
         }
     }
 

@@ -12,6 +12,17 @@ fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |v| Tensor::from_vec(&[rows, cols], v))
 }
 
+fn transposed(t: &Tensor) -> Tensor {
+    let (rows, cols) = t.dims2();
+    let mut out = Tensor::zeros(&[cols, rows]);
+    for i in 0..rows {
+        for j in 0..cols {
+            out.data_mut()[j * rows + i] = t.data()[i * cols + j];
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -28,22 +39,18 @@ proptest! {
         }
     }
 
-    /// Transposed matmul variants agree with the direct product.
+    /// Transposed matmul variants agree with the direct product bit for bit:
+    /// all three add the same products in the same order.
     #[test]
     fn matmul_transpose_identities(a in arb_tensor(3, 4), b in arb_tensor(4, 2)) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let direct = a.matmul(&b);
         // a = (aᵀ)ᵀ: build aᵀ explicitly and use t_matmul.
-        let (m, k) = a.dims2();
-        let mut at = Tensor::zeros(&[k, m]);
-        for i in 0..m {
-            for j in 0..k {
-                at.data_mut()[j * m + i] = a.data()[i * k + j];
-            }
-        }
-        let via_t = at.t_matmul(&b);
-        for (x, y) in direct.data().iter().zip(via_t.data()) {
-            prop_assert!((x - y).abs() < 1e-3);
-        }
+        let at = transposed(&a);
+        prop_assert_eq!(bits(&direct), bits(&at.t_matmul(&b)));
+        // b = (bᵀ)ᵀ: build bᵀ explicitly and use matmul_t.
+        let bt = transposed(&b);
+        prop_assert_eq!(bits(&direct), bits(&a.matmul_t(&bt)));
     }
 
     /// concat_cols ∘ split_cols is the identity.
