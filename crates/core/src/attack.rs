@@ -2,11 +2,20 @@
 //!
 //! The image tower embeddings are computed once per unique virtual-pin image
 //! and reused across queries (source fragments appear in many candidate
-//! lists), then each sink fragment's candidates are scored and the argmax VPP
-//! is selected (paper Eq. 2).
+//! lists). The candidate rows of many sink fragments are then stacked and
+//! scored in one forward pass per chunk of whole queries, and each sink's
+//! argmax VPP is selected (paper Eq. 2). The model is only read, never
+//! cloned.
+//!
+//! Stacking keeps every score's bits. Under the accumulation contract of
+//! `deepsplit_nn::tensor`, each output row of a matrix product depends only
+//! on its own input row; bias, LReLU, the residual add and column
+//! concatenation work row by row too. So a candidate scores the same bits
+//! alone, in its own query, or stacked with any others, and the result is
+//! the same at every thread count and chunk split.
 
 use crate::dataset::{stack_batch, ImageKey, PreparedDesign};
-use crate::model::ModelKind;
+use crate::model::{embedding_pairs, AttackModel, ModelKind};
 use crate::train::TrainedAttack;
 use deepsplit_flow::metrics::Assignment;
 use deepsplit_layout::split::FragId;
@@ -14,7 +23,16 @@ use deepsplit_nn::parallel::parallel_map;
 use deepsplit_nn::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::{Duration, Instant};
+
+/// Most candidate rows one stacked forward pass takes (unless one query
+/// alone has more). Each row holds a few kB of activations, so this bounds
+/// inference memory on large designs.
+const MAX_CHUNK_ROWS: usize = 1024;
+
+/// Images embedded per tower pass.
+const EMBED_BATCH: usize = 8;
 
 /// Result of attacking one design.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,111 +48,120 @@ pub fn attack(trained: &TrainedAttack, prepared: &PreparedDesign) -> AttackOutco
     attack_with_threads(trained, prepared, trained.config.effective_threads())
 }
 
-/// [`attack`] with an explicit worker-thread count.
+/// [`attack`] with an explicit worker-thread count: the top-1 of
+/// [`attack_ranked`].
 ///
-/// Inference is thread-count invariant (every query is scored independently
-/// and `parallel_map` preserves order), so a sweep may run a cached model
-/// with however many threads its scheduler has to spare — unlike training,
-/// where the thread count shapes gradient-accumulation order and is part of
-/// the model's identity.
+/// Inference is thread-count invariant (see the module doc), so a sweep may
+/// run a cached model with however many threads its scheduler has to spare —
+/// unlike training, where the thread count shapes gradient-accumulation
+/// order and is part of the model's identity.
 pub fn attack_with_threads(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
     threads: usize,
 ) -> AttackOutcome {
-    let start = Instant::now();
-    let threads = threads.max(1);
-    let use_images = trained.model.kind == ModelKind::VecImg && prepared.channels > 0;
-    let embeddings = embed_unique_images(trained, prepared, threads, use_images);
-
-    // Phase 2: score all queries.
-    let indices: Vec<usize> = (0..prepared.num_queries()).collect();
-    let shard = indices.len().div_ceil(threads).max(1);
-    let shards: Vec<&[usize]> = indices.chunks(shard).collect();
-    let picks = parallel_map(&shards, threads, |shard| {
-        let mut m = trained.model.clone();
-        let mut out: Vec<(FragId, FragId)> = Vec::with_capacity(shard.len());
-        for &qi in shard.iter() {
-            let set = &prepared.sets[qi];
-            if set.candidates.is_empty() {
-                continue;
-            }
-            let scores = query_scores(&mut m, trained, prepared, &embeddings, qi, use_images);
-            let best = scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.push((set.sink, set.candidates[best].source));
-        }
-        out
-    });
-
-    let assignment: Assignment = picks.into_iter().flatten().collect();
+    let ranked = attack_ranked(trained, prepared, 1, threads);
     AttackOutcome {
-        assignment,
-        inference: start.elapsed(),
+        assignment: ranked.assignment(),
+        inference: ranked.inference,
     }
 }
 
-/// Phase 1 of inference: embed every unique virtual-pin image once (batched
-/// per worker). Empty when the model or design carries no images.
-fn embed_unique_images(
+/// Raw per-candidate scores of every query with candidates, in query order:
+/// logits for the softmax-regression head, independent probabilities for
+/// the two-class head. This is the argmax input — pass it through
+/// [`confidence_distribution`] before reporting values as probabilities.
+fn score_queries(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
     threads: usize,
-    use_images: bool,
-) -> HashMap<ImageKey, Tensor> {
-    if !use_images {
-        return HashMap::new();
+) -> Vec<(usize, Vec<f32>)> {
+    let threads = threads.max(1);
+    let model = &trained.model;
+    let use_images = model.kind == ModelKind::VecImg && prepared.channels > 0;
+    let embeddings = use_images.then(|| embed_unique_images(model, prepared, threads));
+    let queries: Vec<usize> = (0..prepared.num_queries())
+        .filter(|&qi| !prepared.sets[qi].candidates.is_empty())
+        .collect();
+    let rows: Vec<usize> = queries
+        .iter()
+        .map(|&qi| prepared.sets[qi].candidates.len())
+        .collect();
+    let chunks: Vec<&[usize]> = chunk_queries(&rows, threads, MAX_CHUNK_ROWS)
+        .into_iter()
+        .map(|range| &queries[range])
+        .collect();
+    let scored = parallel_map(&chunks, threads, |chunk| {
+        let vectors = prepared.stacked_vectors(chunk, &trained.normalizer);
+        let pairs = embeddings.as_ref().map(|(row_of, table)| {
+            let table_rows = chunk.iter().flat_map(|&qi| {
+                let (sink, sources) = &prepared.image_keys[qi];
+                sources.iter().map(|src| (row_of[src], row_of[sink]))
+            });
+            embedding_pairs(table, table_rows)
+        });
+        let scores = model.candidate_scores(&model.score_rows(&vectors, pairs.as_ref()));
+        let mut at = 0;
+        chunk
+            .iter()
+            .map(|&qi| {
+                let n = prepared.sets[qi].candidates.len();
+                at += n;
+                (qi, scores[at - n..at].to_vec())
+            })
+            .collect::<Vec<_>>()
+    });
+    scored.into_iter().flatten().collect()
+}
+
+/// Splits queries of `rows[i]` candidate rows each into runs of whole
+/// queries: at most `threads` runs of about equal row counts, each closed
+/// early rather than grow past `cap` rows (a query of more rows than `cap`
+/// runs alone).
+fn chunk_queries(rows: &[usize], threads: usize, cap: usize) -> Vec<Range<usize>> {
+    let share = rows.iter().sum::<usize>().div_ceil(threads.max(1)).max(1);
+    let mut chunks = Vec::new();
+    let (mut start, mut filled) = (0, 0);
+    for (i, &n) in rows.iter().enumerate() {
+        if filled > 0 && filled + n > cap {
+            chunks.push(start..i);
+            (start, filled) = (i, 0);
+        }
+        filled += n;
+        if filled >= share {
+            chunks.push(start..i + 1);
+            (start, filled) = (i + 1, 0);
+        }
     }
-    // Sorted so batch composition (and thus batch-norm-free embedding
-    // order) is identical run to run regardless of HashMap seed.
+    if start < rows.len() {
+        chunks.push(start..rows.len());
+    }
+    chunks
+}
+
+/// Phase 1 of inference: embeds every unique virtual-pin image once, in
+/// batches over `threads` workers. Returns each image's row in the
+/// `[images, 128]` embedding table, and the table.
+fn embed_unique_images(
+    model: &AttackModel,
+    prepared: &PreparedDesign,
+    threads: usize,
+) -> (HashMap<ImageKey, usize>, Tensor) {
+    // Sorted so the table's layout is identical run to run regardless of
+    // HashMap seed.
     // splint::allow(D1, "keys are sorted on the next line before any use")
     let mut keys: Vec<ImageKey> = prepared.images.keys().copied().collect();
     keys.sort_unstable();
-    let chunk = 8usize;
-    let batches: Vec<&[ImageKey]> = keys.chunks(chunk).collect();
-    let results = parallel_map(&batches, threads, |batch| {
-        let mut m = trained.model.clone();
+    let batches: Vec<&[ImageKey]> = keys.chunks(EMBED_BATCH).collect();
+    let embedded = parallel_map(&batches, threads, |batch| {
         let imgs: Vec<&Tensor> = batch.iter().map(|k| &prepared.images[k]).collect();
-        let stacked = stack_batch(&imgs);
-        let emb = m.embed_images(&stacked, false);
-        let (rows, d) = emb.dims2();
-        (0..rows)
-            .map(|r| Tensor::from_vec(&[1, d], emb.data()[r * d..(r + 1) * d].to_vec()))
-            .collect::<Vec<_>>()
+        model.embed(&stack_batch(&imgs))
     });
-    keys.into_iter()
-        .zip(results.into_iter().flatten())
-        .collect()
-}
-
-/// Raw per-candidate scores of query `qi`, in candidate order: logits for
-/// the softmax-regression head, independent probabilities for the
-/// two-class head. This is the argmax input — pass it through
-/// [`confidence_distribution`] before reporting values as probabilities.
-fn query_scores(
-    m: &mut crate::model::AttackModel,
-    trained: &TrainedAttack,
-    prepared: &PreparedDesign,
-    embeddings: &HashMap<ImageKey, Tensor>,
-    qi: usize,
-    use_images: bool,
-) -> Vec<f32> {
-    let vectors = prepared.vectors(qi, &trained.normalizer);
-    let scores = if use_images {
-        let (sink_key, cand_keys) = &prepared.image_keys[qi];
-        let sink_emb = embeddings[sink_key].clone();
-        let src_rows: Vec<Tensor> = cand_keys.iter().map(|k| embeddings[k].clone()).collect();
-        let src_refs: Vec<&Tensor> = src_rows.iter().collect();
-        let src = stack_rows2(&src_refs);
-        m.score_from_embeddings(&vectors, Some((&src, &sink_emb)), false)
-    } else {
-        m.score_from_embeddings(&vectors, None, false)
-    };
-    m.candidate_scores(&scores)
+    let width = embedded.first().map_or(0, |e| e.dims2().1);
+    let table: Vec<f32> = embedded.iter().flat_map(|e| e.data()).copied().collect();
+    let table = Tensor::from_vec(&[keys.len(), width], table);
+    let row_of = keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
+    (row_of, table)
 }
 
 /// Turns the model's per-candidate scores into a probability distribution
@@ -197,9 +224,9 @@ impl RankedOutcome {
 /// Ranked inference: scores every sink fragment's candidates and keeps the
 /// `top_k` best per sink (`0` = all), sorted by descending confidence.
 ///
-/// The ordering is total and deterministic, so the first entry of each
-/// query reproduces [`attack_with_threads`]'s pick bit-for-bit and the
-/// result is thread-count invariant like the rest of inference.
+/// The ordering is total and deterministic: the first entry of each query
+/// is the argmax of the raw scores, ties going to the earlier candidate,
+/// and the result is thread-count invariant like the rest of inference.
 pub fn attack_ranked(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
@@ -207,58 +234,34 @@ pub fn attack_ranked(
     threads: usize,
 ) -> RankedOutcome {
     let start = Instant::now();
-    let threads = threads.max(1);
-    let use_images = trained.model.kind == ModelKind::VecImg && prepared.channels > 0;
-    let embeddings = embed_unique_images(trained, prepared, threads, use_images);
-
-    let indices: Vec<usize> = (0..prepared.num_queries()).collect();
-    let shard = indices.len().div_ceil(threads).max(1);
-    let shards: Vec<&[usize]> = indices.chunks(shard).collect();
-    let ranked = parallel_map(&shards, threads, |shard| {
-        let mut m = trained.model.clone();
-        let mut out: Vec<RankedQuery> = Vec::with_capacity(shard.len());
-        for &qi in shard.iter() {
+    let queries = score_queries(trained, prepared, threads)
+        .into_iter()
+        .map(|(qi, scores)| {
             let set = &prepared.sets[qi];
-            if set.candidates.is_empty() {
-                continue;
-            }
-            let scores = query_scores(&mut m, trained, prepared, &embeddings, qi, use_images);
             let probs = confidence_distribution(trained.model.loss, &scores);
             // Sort on the RAW scores with candidate-list position as the
-            // tie-break — exactly the argmax path's rule. Sorting on the
-            // normalised probabilities instead could disagree on candidates
-            // whose distinct scores round to one probability.
+            // tie-break. Sorting on the normalised probabilities instead
+            // could disagree with the argmax on candidates whose distinct
+            // scores round to one probability.
             let mut order: Vec<usize> = (0..scores.len()).collect();
             order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
             if top_k > 0 {
                 order.truncate(top_k);
             }
-            out.push(RankedQuery {
+            RankedQuery {
                 sink: set.sink,
                 sink_pins: prepared.view.fragment(set.sink).sink_count,
                 ranked: order
                     .into_iter()
                     .map(|i| (set.candidates[i].source, probs[i]))
                     .collect(),
-            });
-        }
-        out
-    });
-
+            }
+        })
+        .collect();
     RankedOutcome {
-        queries: ranked.into_iter().flatten().collect(),
+        queries,
         inference: start.elapsed(),
     }
-}
-
-/// Stacks `[1, d]` rows into `[n, d]`.
-fn stack_rows2(parts: &[&Tensor]) -> Tensor {
-    let d = parts[0].dims2().1;
-    let mut data = Vec::with_capacity(parts.len() * d);
-    for p in parts {
-        data.extend_from_slice(p.data());
-    }
-    Tensor::from_vec(&[parts.len(), d], data)
 }
 
 #[cfg(test)]
@@ -399,6 +402,139 @@ mod tests {
         // Thread-count invariance extends to the full ranking (the wall
         // clock obviously varies, the queries must not).
         assert_eq!(full.queries, attack_ranked(&trained, &victim, 0, 7).queries);
+    }
+
+    /// The per-query path inference took before candidates were stacked:
+    /// one forward pass per sink fragment, on a clone of the model. Raw
+    /// scores of every query with candidates, in query order.
+    fn reference_scores(
+        trained: &TrainedAttack,
+        prepared: &PreparedDesign,
+    ) -> Vec<(usize, Vec<f32>)> {
+        let mut model = trained.model.clone();
+        let use_images = model.kind == ModelKind::VecImg && prepared.channels > 0;
+        (0..prepared.num_queries())
+            .filter(|&qi| !prepared.sets[qi].candidates.is_empty())
+            .map(|qi| {
+                let vectors = prepared.vectors(qi, &trained.normalizer);
+                let images = prepared.images(qi).filter(|_| use_images);
+                let raw = model.forward_query(&vectors, images.as_ref());
+                (qi, model.candidate_scores(&raw))
+            })
+            .collect()
+    }
+
+    /// The argmax rule of the per-query path: the highest raw score, ties
+    /// to the earlier candidate.
+    fn reference_argmax(prepared: &PreparedDesign, scored: &[(usize, Vec<f32>)]) -> Assignment {
+        scored
+            .iter()
+            .map(|(qi, scores)| {
+                let best = scores
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                let set = &prepared.sets[*qi];
+                (set.sink, set.candidates[best].source)
+            })
+            .collect()
+    }
+
+    /// Drops the candidates of every fifth query, so that some queries have
+    /// none and chunks must skip them.
+    fn empty_some_queries(prepared: &mut PreparedDesign) {
+        for qi in (0..prepared.num_queries()).step_by(5) {
+            prepared.sets[qi].candidates.clear();
+            prepared.sets[qi].positive = None;
+            prepared.raw_features[qi].clear();
+            if let Some((_, sources)) = prepared.image_keys.get_mut(qi) {
+                sources.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_scores_match_per_query_reference_bitwise() {
+        for use_images in [false, true] {
+            for two_class in [false, true] {
+                let config = AttackConfig {
+                    epochs: 1,
+                    two_class,
+                    ..tiny(use_images)
+                };
+                let train_d = vec![prepared(Benchmark::C880, 3, &config)];
+                let (trained, _) = train(&train_d, &config);
+                for (bench, seed) in [(Benchmark::C432, 4), (Benchmark::C1355, 5)] {
+                    let mut victim = prepared(bench, seed, &config);
+                    empty_some_queries(&mut victim);
+                    let case = format!("images={use_images} two_class={two_class} {bench:?}");
+                    let reference = reference_scores(&trained, &victim);
+                    assert!(
+                        reference.len() < victim.num_queries(),
+                        "{case}: no empty query"
+                    );
+                    let want = reference_argmax(&victim, &reference);
+                    for threads in [1, 2, 3, 7] {
+                        let ranked = attack_ranked(&trained, &victim, 0, threads);
+                        assert_eq!(ranked.queries.len(), reference.len(), "{case}");
+                        for (q, (qi, scores)) in ranked.queries.iter().zip(&reference) {
+                            let set = &victim.sets[*qi];
+                            assert_eq!(q.sink, set.sink, "{case}");
+                            let probs = confidence_distribution(trained.model.loss, scores);
+                            for &(source, p) in &q.ranked {
+                                let i = set
+                                    .candidates
+                                    .iter()
+                                    .position(|c| c.source == source)
+                                    .expect("a ranked source is a candidate");
+                                assert_eq!(
+                                    p.to_bits(),
+                                    probs[i].to_bits(),
+                                    "{case} threads={threads}: confidence bits differ"
+                                );
+                            }
+                        }
+                        assert_eq!(ranked.assignment(), want, "{case} threads={threads}");
+                        let top1 = attack_with_threads(&trained, &victim, threads);
+                        assert_eq!(top1.assignment, want, "{case} threads={threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_hold_whole_queries_within_the_cap() {
+        let rows: Vec<usize> = (0..40).map(|i| 1 + (i * 7) % 9).collect();
+        let total: usize = rows.iter().sum();
+        for threads in [1, 2, 3, 7, 64] {
+            for cap in [1, 5, 9, 30, total] {
+                let chunks = chunk_queries(&rows, threads, cap);
+                // Contiguous, non-empty runs covering every query once.
+                let mut next = 0;
+                for c in &chunks {
+                    assert_eq!(c.start, next);
+                    assert!(c.end > c.start);
+                    next = c.end;
+                    let filled: usize = rows[c.clone()].iter().sum();
+                    assert!(
+                        filled <= cap || c.len() == 1,
+                        "{filled} rows over cap {cap}"
+                    );
+                }
+                assert_eq!(next, rows.len());
+                if cap == total {
+                    assert!(
+                        chunks.len() <= threads,
+                        "{} chunks for {threads}",
+                        chunks.len()
+                    );
+                }
+            }
+        }
+        assert!(chunk_queries(&[], 3, 8).is_empty());
     }
 
     #[test]

@@ -123,14 +123,24 @@ impl PreparedDesign {
     ///
     /// Panics if `i` is out of range.
     pub fn vectors(&self, i: usize, norm: &Normalizer) -> Tensor {
-        let feats = &self.raw_features[i];
-        let mut data = Vec::with_capacity(feats.len() * VECTOR_DIM);
-        for f in feats {
+        self.stacked_vectors(&[i], norm)
+    }
+
+    /// The normalised vector rows of `queries`, stacked in order into
+    /// `[Σ nᵢ, 27]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query index is out of range.
+    pub(crate) fn stacked_vectors(&self, queries: &[usize], norm: &Normalizer) -> Tensor {
+        let rows: usize = queries.iter().map(|&i| self.raw_features[i].len()).sum();
+        let mut data = Vec::with_capacity(rows * VECTOR_DIM);
+        for f in queries.iter().flat_map(|&i| &self.raw_features[i]) {
             let mut row = *f;
             norm.apply(&mut row);
             data.extend_from_slice(&row);
         }
-        Tensor::from_vec(&[feats.len(), VECTOR_DIM], data)
+        Tensor::from_vec(&[rows, VECTOR_DIM], data)
     }
 
     /// Assembles the image stack `[n+1, C, px, px]` of query `i` (sink image

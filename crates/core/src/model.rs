@@ -82,17 +82,26 @@ impl ConvTower {
     }
 
     /// Embeds a batch of images `[k, C, H, W]` into `[k, 128]`.
-    pub fn forward(&mut self, imgs: &Tensor, train: bool) -> Tensor {
+    pub fn infer(&self, imgs: &Tensor) -> Tensor {
         let mut h = imgs.clone();
-        for i in 0..self.convs.len() {
-            h = self.convs[i].forward(&h, train);
-            h = self.acts[i].forward(&h, train);
+        for (conv, act) in self.convs.iter().zip(&self.acts) {
+            h = act.infer(&conv.infer(&h));
         }
-        let mut h = self.pool.forward(&h, train);
-        h = self.fc3.forward(&h, train);
-        h = self.act3.forward(&h, train);
-        h = self.fc4.forward(&h, train);
-        self.act4.forward(&h, train)
+        let h = self.pool.infer(&h);
+        let h = self.act3.infer(&self.fc3.infer(&h));
+        self.act4.infer(&self.fc4.infer(&h))
+    }
+
+    /// [`ConvTower::infer`] for training: caches what
+    /// [`ConvTower::backward`] needs.
+    pub fn forward(&mut self, imgs: &Tensor) -> Tensor {
+        let mut h = imgs.clone();
+        for (conv, act) in self.convs.iter_mut().zip(&mut self.acts) {
+            h = act.forward(&conv.forward(&h));
+        }
+        let h = self.pool.forward(&h);
+        let h = self.act3.forward(&self.fc3.forward(&h));
+        self.act4.forward(&self.fc4.forward(&h))
     }
 
     /// Backpropagates `[k, 128]` gradients through the tower.
@@ -205,82 +214,104 @@ impl AttackModel {
         }
     }
 
-    /// Embeds a batch of images (inference-time reuse across queries).
+    /// Embeds a batch of images `[k, C, H, W]` into `[k, 128]` for
+    /// inference.
     ///
     /// # Panics
     ///
     /// Panics for [`ModelKind::VecOnly`] models.
-    pub fn embed_images(&mut self, imgs: &Tensor, train: bool) -> Tensor {
+    pub fn embed(&self, imgs: &Tensor) -> Tensor {
+        self.tower
+            .as_ref()
+            .expect("VecOnly model has no image tower")
+            .infer(imgs)
+    }
+
+    /// [`AttackModel::embed`] for training: caches what
+    /// [`AttackModel::backward_query`] needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`ModelKind::VecOnly`] models.
+    pub fn embed_images(&mut self, imgs: &Tensor) -> Tensor {
         self.tower
             .as_mut()
             .expect("VecOnly model has no image tower")
-            .forward(imgs, train)
+            .forward(imgs)
     }
 
-    /// Scores a query from vector features `[n, 27]` and (for `VecImg`)
-    /// image embeddings: source embeddings `[n, 128]` plus sink embedding
-    /// `[1, 128]`. Returns `[n, 1]` or `[n, 2]` scores.
-    pub fn score_from_embeddings(
-        &mut self,
-        vectors: &Tensor,
-        embeddings: Option<(&Tensor, &Tensor)>,
-        train: bool,
-    ) -> Tensor {
+    /// Scores stacked candidate rows for inference: vector features
+    /// `[r, 27]` and, for `VecImg`, embedding pairs `[r, 256]` (each row's
+    /// source embedding, then its sink's; see [`embedding_pairs`]). Returns
+    /// `[r, 1]` or `[r, 2]` scores.
+    ///
+    /// Every output row depends only on its own input rows, so rows of any
+    /// number of queries may share one call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `VecImg` model gets no pairs, or a pair count that is
+    /// not the row count.
+    pub fn score_rows(&self, vectors: &Tensor, pairs: Option<&Tensor>) -> Tensor {
+        let mut v = self.act1.infer(&self.fc1.infer(vectors));
+        for b in &self.vec_blocks {
+            v = b.infer(&v);
+        }
+        let merged_in = match (self.kind, pairs) {
+            (ModelKind::VecOnly, _) => v,
+            (ModelKind::VecImg, Some(pairs)) => {
+                assert_eq!(pairs.dims2().0, v.dims2().0, "one pair per candidate");
+                let f = self.fc5_img.as_ref().expect("VecImg has fc5_img");
+                let h = self.act5_img.infer(&f.infer(pairs));
+                Tensor::concat_cols(&[&v, &h])
+            }
+            (ModelKind::VecImg, None) => panic!("VecImg model requires image embeddings"),
+        };
+        let mut h = self.act5.infer(&self.fc5.infer(&merged_in));
+        for b in &self.merged_blocks {
+            h = b.infer(&h);
+        }
+        let h = self.act6.infer(&self.fc6.infer(&h));
+        self.fc7.infer(&h)
+    }
+
+    /// Training forward pass of one query: vectors `[n, 27]` and, for
+    /// `VecImg`, the image stack `[n+1, C, H, W]` with the **sink image
+    /// first**. Returns the scores [`AttackModel::score_rows`] gives the same
+    /// query, and caches what [`AttackModel::backward_query`] needs.
+    pub fn forward_query(&mut self, vectors: &Tensor, images: Option<&Tensor>) -> Tensor {
         let (n, _) = vectors.dims2();
         self.cache_n = n;
         // Vector part.
-        let mut v = self.fc1.forward(vectors, train);
-        v = self.act1.forward(&v, train);
+        let mut v = self.act1.forward(&self.fc1.forward(vectors));
         for b in &mut self.vec_blocks {
-            v = b.forward(&v, train);
+            v = b.forward(&v);
         }
         // Image part (pair fusion).
-        let merged_in = match (self.kind, embeddings) {
-            (ModelKind::VecImg, Some((src, sink))) => {
-                let (sn, _) = src.dims2();
-                assert_eq!(sn, n, "one source embedding per candidate");
-                // Broadcast the sink embedding across the n rows.
-                let sink_rows = broadcast_rows(sink, n);
-                let pairs = Tensor::concat_cols(&[src, &sink_rows]);
-                let f = self.fc5_img.as_mut().expect("VecImg has fc5_img");
-                let h = f.forward(&pairs, train);
-                let h = self.act5_img.forward(&h, train);
-                Tensor::concat_cols(&[&v, &h])
-            }
-            (ModelKind::VecOnly, _) => v,
-            (ModelKind::VecImg, None) => panic!("VecImg model requires image embeddings"),
-        };
-        // Merged part.
-        let mut h = self.fc5.forward(&merged_in, train);
-        h = self.act5.forward(&h, train);
-        for b in &mut self.merged_blocks {
-            h = b.forward(&h, train);
-        }
-        h = self.fc6.forward(&h, train);
-        h = self.act6.forward(&h, train);
-        self.fc7.forward(&h, train)
-    }
-
-    /// Full forward pass: vectors `[n, 27]` and, for `VecImg`, the image
-    /// stack `[n+1, C, H, W]` with the **sink image first**.
-    pub fn forward_query(
-        &mut self,
-        vectors: &Tensor,
-        images: Option<&Tensor>,
-        train: bool,
-    ) -> Tensor {
-        match self.kind {
-            ModelKind::VecOnly => self.score_from_embeddings(vectors, None, train),
+        let merged_in = match self.kind {
+            ModelKind::VecOnly => v,
             ModelKind::VecImg => {
                 let imgs = images.expect("VecImg model requires images");
-                let emb = self.embed_images(imgs, train);
-                let (k, d) = emb.dims2();
-                let n = k - 1;
-                let sink = emb.row(0);
-                let src = Tensor::from_vec(&[n, d], emb.data()[d..].to_vec());
-                self.score_from_embeddings(vectors, Some((&src, &sink)), train)
+                let emb = self.embed_images(imgs);
+                assert_eq!(
+                    emb.dims2().0,
+                    n + 1,
+                    "one image per candidate, plus the sink's"
+                );
+                // The sink embedding (row 0) is paired with every source.
+                let pairs = embedding_pairs(&emb, (1..=n).map(|src| (src, 0)));
+                let f = self.fc5_img.as_mut().expect("VecImg has fc5_img");
+                let h = self.act5_img.forward(&f.forward(&pairs));
+                Tensor::concat_cols(&[&v, &h])
             }
+        };
+        // Merged part.
+        let mut h = self.act5.forward(&self.fc5.forward(&merged_in));
+        for b in &mut self.merged_blocks {
+            h = b.forward(&h);
         }
+        let h = self.act6.forward(&self.fc6.forward(&h));
+        self.fc7.forward(&h)
     }
 
     /// Backward pass for the most recent training [`AttackModel::forward_query`].
@@ -372,14 +403,23 @@ impl Params for AttackModel {
     }
 }
 
-/// Repeats a `[1, d]` row `n` times into `[n, d]`.
-fn broadcast_rows(row: &Tensor, n: usize) -> Tensor {
-    let (_, d) = row.dims2();
-    let mut out = Tensor::zeros(&[n, d]);
-    for r in 0..n {
-        out.data_mut()[r * d..(r + 1) * d].copy_from_slice(row.data());
+/// The image part's fusion input: one `[source | sink]` row per
+/// `(source, sink)` pair of row indices into the embedding `table`
+/// (`[k, d]`), stacked into `[pairs, 2d]`.
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+pub fn embedding_pairs(table: &Tensor, pairs: impl IntoIterator<Item = (usize, usize)>) -> Tensor {
+    let (_, d) = table.dims2();
+    let row = |r: usize| &table.data()[r * d..(r + 1) * d];
+    let (mut data, mut rows) = (Vec::new(), 0);
+    for (src, sink) in pairs {
+        data.extend_from_slice(row(src));
+        data.extend_from_slice(row(sink));
+        rows += 1;
     }
-    out
+    Tensor::from_vec(&[rows, 2 * d], data)
 }
 
 /// Sums `[n, d]` rows into `[1, d]`.
@@ -412,30 +452,31 @@ mod tests {
 
     #[test]
     fn vec_only_shapes() {
-        let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 1);
+        let model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let x = rand_tensor(&[5, VD], &mut rng);
-        let y = model.forward_query(&x, None, false);
+        let y = model.score_rows(&x, None);
         assert_eq!(y.shape(), &[5, 1]);
     }
 
     #[test]
     fn vec_img_shapes() {
-        let mut model = AttackModel::new(ModelKind::VecImg, LossKind::SoftmaxRegression, 6, 1);
+        let model = AttackModel::new(ModelKind::VecImg, LossKind::SoftmaxRegression, 6, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let n = 4;
         let x = rand_tensor(&[n, VD], &mut rng);
-        let imgs = rand_tensor(&[n + 1, 6, 9, 9], &mut rng);
-        let y = model.forward_query(&x, Some(&imgs), false);
+        let emb = model.embed(&rand_tensor(&[n + 1, 6, 9, 9], &mut rng));
+        let pairs = embedding_pairs(&emb, (1..=n).map(|src| (src, 0)));
+        let y = model.score_rows(&x, Some(&pairs));
         assert_eq!(y.shape(), &[n, 1]);
     }
 
     #[test]
     fn two_class_head_shapes() {
-        let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::TwoClass, 0, 1);
+        let model = AttackModel::new(ModelKind::VecOnly, LossKind::TwoClass, 0, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let x = rand_tensor(&[3, VD], &mut rng);
-        let y = model.forward_query(&x, None, false);
+        let y = model.score_rows(&x, None);
         assert_eq!(y.shape(), &[3, 2]);
         let probs = model.candidate_scores(&y);
         assert_eq!(probs.len(), 3);
@@ -463,7 +504,7 @@ mod tests {
         for step in 0..60 {
             let t = step % 6;
             let x = make(t, &mut rng);
-            let y = model.forward_query(&x, None, true);
+            let y = model.forward_query(&x, None);
             let (loss, grad) = softmax_regression(&y, t);
             model.zero_grad();
             model.backward_query(&grad);
@@ -483,7 +524,7 @@ mod tests {
         let n = 3;
         let x = rand_tensor(&[n, VD], &mut rng);
         let imgs = rand_tensor(&[n + 1, 2, 9, 9], &mut rng);
-        let y = model.forward_query(&x, Some(&imgs), true);
+        let y = model.forward_query(&x, Some(&imgs));
         let (_, grad) = softmax_regression(&y, 1);
         model.zero_grad();
         model.backward_query(&grad);
@@ -509,7 +550,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let x = rand_tensor(&[4, VD], &mut rng);
         for m in [&mut a, &mut b] {
-            let y = m.forward_query(&x, None, true);
+            let y = m.forward_query(&x, None);
             let (_, grad) = softmax_regression(&y, 2);
             m.zero_grad();
             m.backward_query(&grad);

@@ -140,7 +140,7 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
                     let vectors = d.vectors(qi, &normalizer);
                     let images = d.images(qi);
                     let target = d.target(qi).expect("trainable query");
-                    let scores = m.forward_query(&vectors, images.as_ref(), true);
+                    let scores = m.forward_query(&vectors, images.as_ref());
                     let (loss, grad) = match loss_kind {
                         LossKind::SoftmaxRegression => softmax_regression(&scores, target),
                         LossKind::TwoClass => two_class(&scores, target),

@@ -94,13 +94,13 @@ proptest! {
     /// output shape always matches the head.
     #[test]
     fn model_scoring_pure(seed in any::<u64>(), n in 2usize..12) {
-        let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, seed);
+        let model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, seed);
         let x = Tensor::from_vec(
             &[n, VECTOR_DIM],
             (0..n * VECTOR_DIM).map(|i| ((i * 37 + 11) % 97) as f32 / 97.0 - 0.5).collect(),
         );
-        let a = model.forward_query(&x, None, false);
-        let b = model.forward_query(&x, None, false);
+        let a = model.score_rows(&x, None);
+        let b = model.score_rows(&x, None);
         prop_assert_eq!(a.clone(), b);
         prop_assert_eq!(a.shape(), &[n, 1]);
     }

@@ -1,8 +1,16 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Every layer caches its forward inputs when called with `train = true` and
-//! consumes the cache in `backward`, accumulating parameter gradients locally.
-//! The optimizer then visits all parameters through [`Params::visit_params`].
+//! Every layer has two passes over the same arithmetic:
+//!
+//! * [`Layer::infer`] takes `&self` and caches nothing, so one model serves
+//!   any number of concurrent inference calls without a clone;
+//! * [`Layer::forward`] takes `&mut self` and caches what [`Layer::backward`]
+//!   needs. `backward` consumes that cache and accumulates parameter
+//!   gradients locally; the optimizer then visits all parameters through
+//!   [`Params::visit_params`].
+//!
+//! `forward` computes its output with the same code as `infer`, so the two
+//! return the same bits.
 //!
 //! The set of layers is exactly what the DAC'19 network (paper Table 2) needs:
 //! dense ([`Linear`]), 3×3 convolution ([`Conv2d`], stride 1 or 3), leaky ReLU
@@ -41,10 +49,14 @@ pub trait Params {
 
 /// A differentiable single-input layer.
 pub trait Layer: Params {
-    /// Forward pass; caches activations when `train` is true.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Inference pass: the layer's output, caching nothing.
+    fn infer(&self, x: &Tensor) -> Tensor;
 
-    /// Backward pass for the most recent `forward(.., true)` call. Returns the
+    /// Training pass: the same output as [`Layer::infer`], with the
+    /// activations [`Layer::backward`] needs cached.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
+
+    /// Backward pass for the most recent `forward` call. Returns the
     /// gradient with respect to the input and accumulates parameter gradients.
     ///
     /// # Panics
@@ -78,6 +90,17 @@ pub fn add_grads(model: &mut dyn Params, grads: &[Tensor]) {
 /// Multiplies all gradients by `s` (e.g. `1 / batch` after accumulation).
 pub fn scale_grads(model: &mut dyn Params, s: f32) {
     model.visit_params(&mut |p| p.grad.scale(s));
+}
+
+/// Adds the bias `b` (`[cols]`) to every row of `y` (`[rows, cols]`).
+fn add_bias(y: &mut Tensor, b: &Tensor) {
+    let (rows, cols) = y.dims2();
+    let (yd, b) = (y.data_mut(), b.data());
+    for r in 0..rows {
+        for c in 0..cols {
+            yd[r * cols + c] += b[c];
+        }
+    }
 }
 
 /// Fully connected layer `y = x W + b` with `x: [rows, in]`, `W: [in, out]`.
@@ -140,20 +163,15 @@ impl Params for Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = x.matmul(&self.w);
-        let (rows, out) = y.dims2();
-        let b = self.b.data();
-        let yd = y.data_mut();
-        for r in 0..rows {
-            for c in 0..out {
-                yd[r * out + c] += b[c];
-            }
-        }
-        if train {
-            self.cache_x = Some(x.clone());
-        }
+        add_bias(&mut y, &self.b);
         y
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cache_x = Some(x.clone());
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -203,12 +221,14 @@ impl Params for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         let alpha = self.alpha;
-        if train {
-            self.cache_x = Some(x.clone());
-        }
         x.map(|v| if v > 0.0 { v } else { alpha * v })
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cache_x = Some(x.clone());
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -360,6 +380,29 @@ impl Conv2d {
         }
         out
     }
+
+    /// The output `(n, oc, oh, ow)` for the im2col matrix `col` of an input
+    /// shaped `(n, c, h, w)`.
+    fn convolve(&self, col: &Tensor, (n, _, h, w): (usize, usize, usize, usize)) -> Tensor {
+        let (oh, ow) = (self.out_size(h), self.out_size(w));
+        let mut y = col.matmul(&self.w); // (n*oh*ow, oc)
+        add_bias(&mut y, &self.b);
+        // (n*oh*ow, oc) → (n, oc, oh, ow)
+        let oc = self.out_ch;
+        let mut out = vec![0.0f32; n * oc * oh * ow];
+        let yd = y.data();
+        for b in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((b * oh + oy) * ow + ox) * oc;
+                    for c in 0..oc {
+                        out[((b * oc + c) * oh + oy) * ow + ox] = yd[row + c];
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(&[n, oc, oh, ow], out)
+    }
 }
 
 impl Params for Conv2d {
@@ -377,42 +420,19 @@ impl Params for Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.convolve(&self.im2col(x), x.dims4())
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let (n, _, h, w) = x.dims4();
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
         let col = self.im2col(x);
-        let mut y = col.matmul(&self.w); // (n*oh*ow, oc)
-        let b = self.b.data();
-        {
-            let oc = self.out_ch;
-            let yd = y.data_mut();
-            for r in 0..n * oh * ow {
-                for c in 0..oc {
-                    yd[r * oc + c] += b[c];
-                }
-            }
-        }
-        if train {
-            self.cache = Some(ConvCache {
-                col,
-                in_shape: [n, self.in_ch, h, w],
-            });
-        }
-        // (n*oh*ow, oc) → (n, oc, oh, ow)
-        let oc = self.out_ch;
-        let mut out = vec![0.0f32; n * oc * oh * ow];
-        let yd = y.data();
-        for b in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((b * oh + oy) * ow + ox) * oc;
-                    for c in 0..oc {
-                        out[((b * oc + c) * oh + oy) * ow + ox] = yd[row + c];
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(&[n, oc, oh, ow], out)
+        let y = self.convolve(&col, x.dims4());
+        self.cache = Some(ConvCache {
+            col,
+            in_shape: [n, self.in_ch, h, w],
+        });
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -480,11 +500,19 @@ impl Params for ResBlock {
 }
 
 impl Layer for ResBlock {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
-        for i in 0..3 {
-            h = self.fc[i].forward(&h, train);
-            h = self.act[i].forward(&h, train);
+        for (fc, act) in self.fc.iter().zip(&self.act) {
+            h = act.infer(&fc.infer(&h));
+        }
+        h.add_assign(x);
+        h
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut h = x.clone();
+        for (fc, act) in self.fc.iter_mut().zip(&mut self.act) {
+            h = act.forward(&fc.forward(&h));
         }
         h.add_assign(x);
         h
@@ -520,7 +548,7 @@ impl Params for GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (n, c, h, w) = x.dims4();
         let mut out = Tensor::zeros(&[n, c]);
         let xd = x.data();
@@ -533,10 +561,13 @@ impl Layer for GlobalAvgPool {
                 od[b * c + ch] = s * inv;
             }
         }
-        if train {
-            self.cache_shape = Some([n, c, h, w]);
-        }
         out
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (n, c, h, w) = x.dims4();
+        self.cache_shape = Some([n, c, h, w]);
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -599,13 +630,25 @@ impl Params for MlpStack {
 }
 
 impl Layer for MlpStack {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         let n = self.layers.len();
         let mut h = x.clone();
         for i in 0..n {
-            h = self.layers[i].forward(&h, train);
+            h = self.layers[i].infer(&h);
             if i + 1 < n || self.activate_last {
-                h = self.acts[i].forward(&h, train);
+                h = self.acts[i].infer(&h);
+            }
+        }
+        h
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let n = self.layers.len();
+        let mut h = x.clone();
+        for i in 0..n {
+            h = self.layers[i].forward(&h);
+            if i + 1 < n || self.activate_last {
+                h = self.acts[i].forward(&h);
             }
         }
         h
@@ -632,7 +675,7 @@ mod tests {
     /// gradients against backprop.
     fn grad_check<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol: f32) {
         // Loss = sum of outputs (gradient of loss wrt output = ones).
-        let y = layer.forward(x, true);
+        let y = layer.forward(x);
         let ones = y.map(|_| 1.0);
         layer.zero_grad();
         let gx = layer.backward(&ones);
@@ -641,10 +684,10 @@ mod tests {
         for idx in [0, x.numel() / 2, x.numel() - 1] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let fp = layer.forward(&xp, false).sum();
+            let fp = layer.infer(&xp).sum();
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let fm = layer.forward(&xm, false).sum();
+            let fm = layer.infer(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = gx.data()[idx];
             assert!(
@@ -673,7 +716,7 @@ mod tests {
                         first = false;
                     }
                 });
-                let out = layer.forward(x, false).sum();
+                let out = layer.infer(x).sum();
                 let mut first = true;
                 layer.visit_params(&mut |p| {
                     if first {
@@ -745,14 +788,14 @@ mod tests {
     #[test]
     fn conv_same_padding_shapes() {
         let mut init = Initializer::new(1);
-        let mut conv = Conv2d::new(1, 4, 3, 1, &mut init);
+        let conv = Conv2d::new(1, 4, 3, 1, &mut init);
         let x = Tensor::zeros(&[1, 1, 99, 99]);
-        assert_eq!(conv.forward(&x, false).shape(), &[1, 4, 99, 99]);
-        let mut conv3 = Conv2d::new(1, 4, 3, 3, &mut init);
-        assert_eq!(conv3.forward(&x, false).shape(), &[1, 4, 33, 33]);
+        assert_eq!(conv.infer(&x).shape(), &[1, 4, 99, 99]);
+        let conv3 = Conv2d::new(1, 4, 3, 3, &mut init);
+        assert_eq!(conv3.infer(&x).shape(), &[1, 4, 33, 33]);
         // The paper's tower: 99 → 33 → 11 → 4.
         let x = Tensor::zeros(&[1, 1, 11, 11]);
-        assert_eq!(conv3.forward(&x, false).shape(), &[1, 4, 4, 4]);
+        assert_eq!(conv3.infer(&x).shape(), &[1, 4, 4, 4]);
     }
 
     #[test]
@@ -762,16 +805,56 @@ mod tests {
         // Zero all parameters: output must equal input exactly.
         block.visit_params(&mut |p| p.value.fill_zero());
         let x = Tensor::from_vec(&[1, 4], vec![1., -2., 3., -4.]);
-        let y = block.forward(&x, false);
+        let y = block.infer(&x);
         assert_eq!(y, x);
     }
 
     #[test]
     fn leaky_relu_values() {
-        let mut act = LeakyRelu::new();
+        let act = LeakyRelu::new();
         let x = Tensor::from_vec(&[4], vec![-2.0, -0.5, 0.5, 2.0]);
-        let y = act.forward(&x, false);
+        let y = act.infer(&x);
         assert_eq!(y.data(), &[-0.02, -0.005, 0.5, 2.0]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `infer` and `forward` return the same bits. The parameters are
+    /// shifted first so that no bias is zero.
+    fn assert_infer_is_forward<L: Layer>(name: &str, layer: &mut L, x: &Tensor) {
+        layer.visit_params(&mut |p| p.value.map_inplace(|v| v + 0.125));
+        let trained = layer.forward(x);
+        let inferred = layer.infer(x);
+        assert_eq!(trained.shape(), inferred.shape(), "{name}");
+        assert!(
+            bits(&trained) == bits(&inferred),
+            "{name}: infer differs from forward"
+        );
+    }
+
+    #[test]
+    fn infer_matches_forward_bitwise() {
+        let mut init = Initializer::new(21);
+        // Mixed signs so every LReLU branch is taken.
+        let rows = init.uniform(&[5 * 6], 1.0).reshape(&[5, 6]);
+        let image = init
+            .uniform(&[2 * 3 * 10 * 10], 1.0)
+            .reshape(&[2, 3, 10, 10]);
+        assert_infer_is_forward("Linear", &mut Linear::new(6, 4, &mut init), &rows);
+        assert_infer_is_forward("LeakyRelu", &mut LeakyRelu::new(), &rows);
+        assert_infer_is_forward("ResBlock", &mut ResBlock::new(6, &mut init), &rows);
+        assert_infer_is_forward("GlobalAvgPool", &mut GlobalAvgPool::new(), &image);
+        assert_infer_is_forward(
+            "MlpStack",
+            &mut MlpStack::new(&[6, 8, 3], false, &mut init),
+            &rows,
+        );
+        for stride in [1, 3] {
+            let mut conv = Conv2d::new(3, 5, 3, stride, &mut init);
+            assert_infer_is_forward(&format!("Conv2d stride {stride}"), &mut conv, &image);
+        }
     }
 
     #[test]

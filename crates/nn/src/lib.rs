@@ -6,8 +6,9 @@
 //!
 //! * [`tensor`] — dense `f32` tensors with the matmul variants backprop needs.
 //! * [`layers`] — `Linear`, `Conv2d` (im2col), `LeakyRelu`, residual MLP
-//!   blocks, global average pooling, each with a hand-derived backward pass
-//!   (validated against finite differences in the test suite).
+//!   blocks, global average pooling, each with an `&self` inference pass and
+//!   a caching training pass with a hand-derived backward pass (validated
+//!   against finite differences in the test suite).
 //! * [`loss`] — the paper's softmax regression loss (Eq. 6) and the two-class
 //!   baseline (Eq. 3) it ablates against.
 //! * [`optim`] — SGD/Adam plus the paper's step-decay schedule
@@ -28,7 +29,7 @@
 //! let mut model = Linear::new(8, 1, &mut init);
 //! let mut opt = Adam::new(1e-2);
 //! let x = Tensor::zeros(&[4, 8]);
-//! let scores = model.forward(&x, true);
+//! let scores = model.forward(&x);
 //! let (_loss, grad) = softmax_regression(&scores, 0);
 //! model.zero_grad();
 //! model.backward(&grad);

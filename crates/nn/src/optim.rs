@@ -194,7 +194,7 @@ mod tests {
         for step in 0..200 {
             let t = step % 4;
             let x = make_batch(t);
-            let y = model.forward(&x, true);
+            let y = model.forward(&x);
             let (loss, grad) = softmax_regression(&y, t);
             model.zero_grad();
             model.backward(&grad);

@@ -106,13 +106,13 @@ proptest! {
     #[test]
     fn linear_layer_linearity(x in arb_tensor(2, 5), y in arb_tensor(2, 5), seed in any::<u64>()) {
         let mut init = Initializer::new(seed);
-        let mut layer = Linear::new(5, 3, &mut init);
+        let layer = Linear::new(5, 3, &mut init);
         let mut xy = x.clone();
         xy.add_assign(&y);
-        let f_xy = layer.forward(&xy, false);
-        let f_y = layer.forward(&y, false);
-        let f_x = layer.forward(&x, false);
-        let f_0 = layer.forward(&Tensor::zeros(&[2, 5]), false);
+        let f_xy = layer.infer(&xy);
+        let f_y = layer.infer(&y);
+        let f_x = layer.infer(&x);
+        let f_0 = layer.infer(&Tensor::zeros(&[2, 5]));
         for i in 0..f_xy.numel() {
             let lhs = f_xy.data()[i] - f_y.data()[i];
             let rhs = f_x.data()[i] - f_0.data()[i];
@@ -126,7 +126,7 @@ proptest! {
         let mut init = Initializer::new(seed);
         let mut block = ResBlock::new(6, &mut init);
         block.visit_params(&mut |p| p.value.fill_zero());
-        let y = block.forward(&x, false);
+        let y = block.infer(&x);
         prop_assert_eq!(y, x);
     }
 
@@ -136,7 +136,7 @@ proptest! {
         let mut init = Initializer::new(seed);
         let mut conv = Conv2d::new(2, 2, 3, 1, &mut init);
         let x = init.uniform(&[2 * 5 * 5], 1.0).reshape(&[1, 2, 5, 5]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         let ones = y.map(|_| 1.0);
         conv.zero_grad();
         let gx = conv.backward(&ones);
@@ -146,7 +146,7 @@ proptest! {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let num = (conv.forward(&xp, false).sum() - conv.forward(&xm, false).sum()) / (2.0 * eps);
+            let num = (conv.infer(&xp).sum() - conv.infer(&xm).sum()) / (2.0 * eps);
             let ana = gx.data()[idx];
             prop_assert!((num - ana).abs() < 2e-2 * (1.0 + num.abs()), "{} vs {}", num, ana);
         }

@@ -27,6 +27,7 @@ use crate::http::{self, Request, Response, Server};
 use crate::lru::ModelLru;
 use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
 use deepsplit_core::attack::attack_ranked;
+use deepsplit_core::config::AttackConfig;
 use deepsplit_core::dataset::PreparedDesign;
 use deepsplit_core::fingerprint::{CorpusFingerprint, StableHasher};
 use deepsplit_core::store::ModelStore;
@@ -54,7 +55,8 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Deserialized-model LRU capacity (`0` disables it).
     pub lru_capacity: usize,
-    /// Threads each `/attack` request may spend on inference. Inference is
+    /// Threads each `/attack` request may spend preparing the victim and
+    /// on inference, whatever the request's `attack.threads` says. Both are
     /// thread-count invariant, so this is purely a scheduling choice; `1`
     /// keeps concurrent requests from oversubscribing the worker pool.
     pub inference_threads: usize,
@@ -314,7 +316,7 @@ impl AttackServer {
         }
         let (candidates, sinks) = response_ids(&response);
         self.detect.enrich(&client, &candidates, &sinks);
-        match serde_json::to_string_pretty(&response) {
+        match serde_json::to_string(&response) {
             Ok(json) => Response::json(200, json),
             Err(e) => Response::error(500, format!("serialise attack response: {e}")),
         }
@@ -337,10 +339,16 @@ impl AttackServer {
         };
         let resolve_ms = resolve_started.elapsed().as_secs_f64() * 1000.0;
 
-        // Defend the victim exactly as a matrix cell would, then rank.
+        // Defend the victim exactly as a matrix cell would, then rank. The
+        // server, not the request, sets how many threads that takes; the
+        // prepared design is the same at every thread count.
         let defended =
             deepsplit_defense::apply(&base.victim, &spec.eval.implement, layer, &spec.defense);
-        let victim = PreparedDesign::prepare(&defended.design, layer, &spec.eval.attack);
+        let prepare_config = AttackConfig {
+            threads: self.inference_threads,
+            ..spec.eval.attack.clone()
+        };
+        let victim = PreparedDesign::prepare(&defended.design, layer, &prepare_config);
         let ranked = {
             let _span = obs::span("serve.infer");
             attack_ranked(&resolved.model, &victim, spec.top_k, self.inference_threads)
