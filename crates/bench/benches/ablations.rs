@@ -1,5 +1,5 @@
-//! Ablation benches beyond the paper's figures, probing the design choices
-//! called out in DESIGN.md:
+//! Ablation benches beyond the paper's figures, probing design choices of
+//! this reproduction:
 //!
 //! * candidate-count sweep (`n` of §4.1) — cost of candidate selection per `n`;
 //! * image-resolution sweep — rendering cost per pixel budget;

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 /// Most candidate rows one stacked forward pass takes (unless one query
 /// alone has more). Each row holds a few kB of activations, so this bounds
-/// inference memory on large designs.
-const MAX_CHUNK_ROWS: usize = 1024;
+/// inference memory on large designs, and training's tapes.
+pub(crate) const MAX_CHUNK_ROWS: usize = 1024;
 
 /// Images embedded per tower pass.
 const EMBED_BATCH: usize = 8;
@@ -51,10 +51,9 @@ pub fn attack(trained: &TrainedAttack, prepared: &PreparedDesign) -> AttackOutco
 /// [`attack`] with an explicit worker-thread count: the top-1 of
 /// [`attack_ranked`].
 ///
-/// Inference is thread-count invariant (see the module doc), so a sweep may
-/// run a cached model with however many threads its scheduler has to spare —
-/// unlike training, where the thread count shapes gradient-accumulation
-/// order and is part of the model's identity.
+/// Inference is thread-count invariant (see the module doc), as training
+/// is, so a sweep may run a cached model with however many threads its
+/// scheduler has to spare.
 pub fn attack_with_threads(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
@@ -118,7 +117,7 @@ fn score_queries(
 /// queries: at most `threads` runs of about equal row counts, each closed
 /// early rather than grow past `cap` rows (a query of more rows than `cap`
 /// runs alone).
-fn chunk_queries(rows: &[usize], threads: usize, cap: usize) -> Vec<Range<usize>> {
+pub(crate) fn chunk_queries(rows: &[usize], threads: usize, cap: usize) -> Vec<Range<usize>> {
     let share = rows.iter().sum::<usize>().div_ceil(threads.max(1)).max(1);
     let mut chunks = Vec::new();
     let (mut start, mut filled) = (0, 0);
@@ -405,20 +404,22 @@ mod tests {
     }
 
     /// The per-query path inference took before candidates were stacked:
-    /// one forward pass per sink fragment, on a clone of the model. Raw
-    /// scores of every query with candidates, in query order.
+    /// one forward pass per sink fragment, here the training pass on a
+    /// one-query chunk. Raw scores of every query with candidates, in query
+    /// order.
     fn reference_scores(
         trained: &TrainedAttack,
         prepared: &PreparedDesign,
     ) -> Vec<(usize, Vec<f32>)> {
-        let mut model = trained.model.clone();
+        let model = &trained.model;
         let use_images = model.kind == ModelKind::VecImg && prepared.channels > 0;
         (0..prepared.num_queries())
             .filter(|&qi| !prepared.sets[qi].candidates.is_empty())
             .map(|qi| {
                 let vectors = prepared.vectors(qi, &trained.normalizer);
                 let images = prepared.images(qi).filter(|_| use_images);
-                let raw = model.forward_query(&vectors, images.as_ref());
+                let n = vectors.dims2().0;
+                let (raw, _) = model.forward(vectors, images, &[n]);
                 (qi, model.candidate_scores(&raw))
             })
             .collect()

@@ -64,7 +64,7 @@ impl AttackConfig {
 
     /// A CPU-friendly profile: smaller images, fewer candidates and epochs.
     /// Architecture, losses and schedule are identical; only resolution and
-    /// scale shrink. EXPERIMENTS.md records which profile produced each table.
+    /// scale shrink. The bench binaries print the profile behind each table.
     pub fn fast() -> AttackConfig {
         AttackConfig {
             candidates: 15,

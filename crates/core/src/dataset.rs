@@ -146,14 +146,19 @@ impl PreparedDesign {
     /// Assembles the image stack `[n+1, C, px, px]` of query `i` (sink image
     /// first), or `None` when images are disabled.
     pub fn images(&self, i: usize) -> Option<Tensor> {
-        if self.channels == 0 {
-            return None;
-        }
+        (self.channels > 0).then(|| stack_batch(&self.image_parts(i).collect::<Vec<_>>()))
+    }
+
+    /// The `[1, C, px, px]` images of query `i`, sink first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if images are disabled or `i` is out of range.
+    pub(crate) fn image_parts(&self, i: usize) -> impl Iterator<Item = &Tensor> {
         let (sink_key, cand_keys) = &self.image_keys[i];
-        let parts: Vec<&Tensor> = std::iter::once(&self.images[sink_key])
-            .chain(cand_keys.iter().map(|k| &self.images[k]))
-            .collect();
-        Some(stack_batch(&parts))
+        std::iter::once(sink_key)
+            .chain(cand_keys)
+            .map(|k| &self.images[k])
     }
 
     /// The training target (index of the positive VPP) of query `i`.

@@ -2,10 +2,9 @@
 //!
 //! A [`CorpusFingerprint`] is a 128-bit stable hash over everything that
 //! determines the bits of a [`crate::train::TrainedAttack`]: the attack
-//! configuration (including the *effective* thread count — gradient
-//! accumulation order, and therefore the trained weights, depends on it), the
-//! defense applied to the corpus, the corpus designs themselves, and the
-//! split layer. Two cells with equal fingerprints train bit-identical models,
+//! configuration, the defense applied to the corpus, the corpus designs
+//! themselves, and the split layer. The training thread count is not among
+//! them: training gives the same bits at every thread count. Two cells with equal fingerprints train bit-identical models,
 //! so a [`crate::store::ModelStore`] keyed by fingerprint can skip training
 //! entirely on a hit.
 //!

@@ -20,10 +20,62 @@
 
 use deepsplit_nn::init::Initializer;
 use deepsplit_nn::layers::{
-    Conv2d, GlobalAvgPool, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
+    Conv2d, ConvTape, Fold, GlobalAvgPool, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
 };
 use deepsplit_nn::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+
+/// The tapes of a dense layer and the activation after it.
+type DenseTape = (Tensor, Vec<bool>);
+
+/// `act(fc(x))` for training: the output and both tapes.
+fn dense(fc: &Linear, act: &LeakyRelu, x: Tensor) -> (Tensor, DenseTape) {
+    let (y, fc_tape) = fc.forward(x);
+    let (h, act_tape) = act.forward(y);
+    (h, (fc_tape, act_tape))
+}
+
+/// Backward pass through [`dense`].
+fn dense_back(
+    fc: &Linear,
+    act: &LeakyRelu,
+    (fc_tape, act_tape): DenseTape,
+    g: Tensor,
+    segments: &[usize],
+    folds: &mut Vec<Fold>,
+) -> Tensor {
+    let g = act.backward(act_tape, g, segments, folds);
+    fc.backward(fc_tape, g, segments, folds)
+}
+
+/// Training pass through residual blocks in order.
+fn blocks_forward(blocks: &[ResBlock], x: Tensor) -> (Tensor, Vec<<ResBlock as Layer>::Tape>) {
+    let mut h = x;
+    let tapes = blocks
+        .iter()
+        .map(|b| {
+            let tape;
+            (h, tape) = b.forward(std::mem::take(&mut h));
+            tape
+        })
+        .collect();
+    (h, tapes)
+}
+
+/// Backward pass through [`blocks_forward`].
+fn blocks_back(
+    blocks: &[ResBlock],
+    tapes: Vec<<ResBlock as Layer>::Tape>,
+    g: Tensor,
+    segments: &[usize],
+    folds: &mut Vec<Fold>,
+) -> Tensor {
+    blocks
+        .iter()
+        .zip(tapes)
+        .rev()
+        .fold(g, |g, (b, tape)| b.backward(tape, g, segments, folds))
+}
 
 /// Which feature families the model consumes (Fig. 5 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,29 +144,52 @@ impl ConvTower {
         self.act4.infer(&self.fc4.infer(&h))
     }
 
-    /// [`ConvTower::infer`] for training: caches what
-    /// [`ConvTower::backward`] needs.
-    pub fn forward(&mut self, imgs: &Tensor) -> Tensor {
-        let mut h = imgs.clone();
-        for (conv, act) in self.convs.iter_mut().zip(&mut self.acts) {
-            h = act.forward(&conv.forward(&h));
-        }
-        let h = self.pool.forward(&h);
-        let h = self.act3.forward(&self.fc3.forward(&h));
-        self.act4.forward(&self.fc4.forward(&h))
+    /// [`ConvTower::infer`] for training: the same embeddings, and the
+    /// tape [`ConvTower::backward`] needs.
+    pub fn forward(&self, imgs: Tensor) -> (Tensor, TowerTape) {
+        let mut h = imgs;
+        let convs = self
+            .convs
+            .iter()
+            .zip(&self.acts)
+            .map(|(conv, act)| {
+                let (y, conv_tape) = conv.forward(std::mem::take(&mut h));
+                let act_tape;
+                (h, act_tape) = act.forward(y);
+                (conv_tape, act_tape)
+            })
+            .collect();
+        let (h, pool) = self.pool.forward(h);
+        let (h, fc3) = dense(&self.fc3, &self.act3, h);
+        let (h, fc4) = dense(&self.fc4, &self.act4, h);
+        let tape = TowerTape {
+            convs,
+            pool,
+            fc3,
+            fc4,
+        };
+        (h, tape)
     }
 
-    /// Backpropagates `[k, 128]` gradients through the tower.
-    pub fn backward(&mut self, grad: &Tensor) {
-        let mut g = self.act4.backward(grad);
-        g = self.fc4.backward(&g);
-        g = self.act3.backward(&g);
-        g = self.fc3.backward(&g);
-        let mut g = self.pool.backward(&g);
-        for i in (0..self.convs.len()).rev() {
-            g = self.acts[i].backward(&g);
-            g = self.convs[i].backward(&g);
-        }
+    /// Backpropagates `[k, 128]` embedding gradients through the tower.
+    /// `segments` splits the `k` images into queries.
+    pub fn backward(
+        &self,
+        tape: TowerTape,
+        grad: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) {
+        let g = dense_back(&self.fc4, &self.act4, tape.fc4, grad, segments, folds);
+        let g = dense_back(&self.fc3, &self.act3, tape.fc3, g, segments, folds);
+        let g = self.pool.backward(tape.pool, g, segments, folds);
+        let layers = self.convs.iter().zip(&self.acts).zip(tape.convs);
+        layers
+            .rev()
+            .fold(g, |g, ((conv, act), (conv_tape, act_tape))| {
+                let g = act.backward(act_tape, g, segments, folds);
+                conv.backward(conv_tape, g, segments, folds)
+            });
     }
 
     /// Layer shape description for the Table 2 printout.
@@ -147,6 +222,29 @@ impl Params for ConvTower {
     }
 }
 
+/// What [`ConvTower::forward`] keeps for [`ConvTower::backward`].
+#[derive(Debug)]
+pub struct TowerTape {
+    convs: Vec<(ConvTape, Vec<bool>)>,
+    pool: [usize; 4],
+    fc3: DenseTape,
+    fc4: DenseTape,
+}
+
+/// What [`AttackModel::forward`] keeps for [`AttackModel::backward`]: every
+/// layer's tape, and the candidate rows of each query.
+#[derive(Debug)]
+pub struct ModelTape {
+    rows: Vec<usize>,
+    fc1: DenseTape,
+    vec_blocks: Vec<<ResBlock as Layer>::Tape>,
+    image: Option<(TowerTape, DenseTape)>,
+    fc5: DenseTape,
+    merged_blocks: Vec<<ResBlock as Layer>::Tape>,
+    fc6: DenseTape,
+    fc7: Tensor,
+}
+
 /// The complete attack network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AttackModel {
@@ -169,9 +267,6 @@ pub struct AttackModel {
     fc6: Linear,
     act6: LeakyRelu,
     fc7: Linear,
-    // Backward bookkeeping.
-    #[serde(skip)]
-    cache_n: usize,
 }
 
 impl AttackModel {
@@ -210,7 +305,6 @@ impl AttackModel {
             fc6: Linear::new(128, 32, &mut init),
             act6: LeakyRelu::new(),
             fc7: Linear::new(32, out_dim, &mut init),
-            cache_n: 0,
         }
     }
 
@@ -225,19 +319,6 @@ impl AttackModel {
             .as_ref()
             .expect("VecOnly model has no image tower")
             .infer(imgs)
-    }
-
-    /// [`AttackModel::embed`] for training: caches what
-    /// [`AttackModel::backward_query`] needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`ModelKind::VecOnly`] models.
-    pub fn embed_images(&mut self, imgs: &Tensor) -> Tensor {
-        self.tower
-            .as_mut()
-            .expect("VecOnly model has no image tower")
-            .forward(imgs)
     }
 
     /// Scores stacked candidate rows for inference: vector features
@@ -275,81 +356,129 @@ impl AttackModel {
         self.fc7.infer(&h)
     }
 
-    /// Training forward pass of one query: vectors `[n, 27]` and, for
-    /// `VecImg`, the image stack `[n+1, C, H, W]` with the **sink image
-    /// first**. Returns the scores [`AttackModel::score_rows`] gives the same
-    /// query, and caches what [`AttackModel::backward_query`] needs.
-    pub fn forward_query(&mut self, vectors: &Tensor, images: Option<&Tensor>) -> Tensor {
-        let (n, _) = vectors.dims2();
-        self.cache_n = n;
+    /// Training forward pass over a chunk of whole queries, stacked:
+    /// `rows[i]` is query `i`'s candidate count, `vectors` is `[Σ rows, 27]`
+    /// and, for `VecImg`, `images` is `[Σ (rows + 1), C, H, W]` with each
+    /// query's **sink image first**. The inputs are taken by value: the
+    /// tape keeps `vectors`. Returns the scores
+    /// [`AttackModel::score_rows`] gives the same rows, and the tape
+    /// [`AttackModel::backward`] needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `VecImg` model gets no images, or the row or image
+    /// counts do not match `rows`.
+    pub fn forward(
+        &self,
+        vectors: Tensor,
+        images: Option<Tensor>,
+        rows: &[usize],
+    ) -> (Tensor, ModelTape) {
+        assert_eq!(
+            vectors.dims2().0,
+            rows.iter().sum::<usize>(),
+            "one vector row per candidate"
+        );
         // Vector part.
-        let mut v = self.act1.forward(&self.fc1.forward(vectors));
-        for b in &mut self.vec_blocks {
-            v = b.forward(&v);
-        }
+        let (v, fc1) = dense(&self.fc1, &self.act1, vectors);
+        let (v, vec_blocks) = blocks_forward(&self.vec_blocks, v);
         // Image part (pair fusion).
-        let merged_in = match self.kind {
-            ModelKind::VecOnly => v,
-            ModelKind::VecImg => {
+        let (merged_in, image) = match (self.kind, &self.tower, &self.fc5_img) {
+            (ModelKind::VecOnly, ..) => (v, None),
+            (ModelKind::VecImg, Some(tower), Some(fc5_img)) => {
                 let imgs = images.expect("VecImg model requires images");
-                let emb = self.embed_images(imgs);
+                let (emb, tower_tape) = tower.forward(imgs);
                 assert_eq!(
                     emb.dims2().0,
-                    n + 1,
+                    rows.iter().map(|n| n + 1).sum::<usize>(),
                     "one image per candidate, plus the sink's"
                 );
-                // The sink embedding (row 0) is paired with every source.
-                let pairs = embedding_pairs(&emb, (1..=n).map(|src| (src, 0)));
-                let f = self.fc5_img.as_mut().expect("VecImg has fc5_img");
-                let h = self.act5_img.forward(&f.forward(&pairs));
-                Tensor::concat_cols(&[&v, &h])
+                // Each query's sink embedding (its first row) is paired
+                // with every one of its sources.
+                let mut first = 0;
+                let pairs = rows.iter().flat_map(|&n| {
+                    let sink = first;
+                    first += n + 1;
+                    (sink + 1..=sink + n).map(move |src| (src, sink))
+                });
+                let pairs = embedding_pairs(&emb, pairs);
+                let (h, fc5_img_tape) = dense(fc5_img, &self.act5_img, pairs);
+                (
+                    Tensor::concat_cols(&[&v, &h]),
+                    Some((tower_tape, fc5_img_tape)),
+                )
             }
+            (ModelKind::VecImg, ..) => unreachable!("VecImg model has a tower and fc5_img"),
         };
         // Merged part.
-        let mut h = self.act5.forward(&self.fc5.forward(&merged_in));
-        for b in &mut self.merged_blocks {
-            h = b.forward(&h);
-        }
-        let h = self.act6.forward(&self.fc6.forward(&h));
-        self.fc7.forward(&h)
+        let (h, fc5) = dense(&self.fc5, &self.act5, merged_in);
+        let (h, merged_blocks) = blocks_forward(&self.merged_blocks, h);
+        let (h, fc6) = dense(&self.fc6, &self.act6, h);
+        let (scores, fc7) = self.fc7.forward(h);
+        let tape = ModelTape {
+            rows: rows.to_vec(),
+            fc1,
+            vec_blocks,
+            image,
+            fc5,
+            merged_blocks,
+            fc6,
+            fc7,
+        };
+        (scores, tape)
     }
 
-    /// Backward pass for the most recent training [`AttackModel::forward_query`].
-    pub fn backward_query(&mut self, grad_scores: &Tensor) {
-        let mut g = self.fc7.backward(grad_scores);
-        g = self.act6.backward(&g);
-        g = self.fc6.backward(&g);
-        for b in self.merged_blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        g = self.act5.backward(&g);
-        g = self.fc5.backward(&g);
-        let g_vec = match self.kind {
-            ModelKind::VecOnly => g,
-            ModelKind::VecImg => {
-                let parts = g.split_cols(&[128, 128]);
-                let (g_vec, g_img) = (parts[0].clone(), parts[1].clone());
-                let g_img = self.act5_img.backward(&g_img);
-                let g_pairs = self.fc5_img.as_mut().expect("VecImg").backward(&g_img);
+    /// Backward pass through the [`AttackModel::forward`] call that made
+    /// `tape`, for score gradients `[Σ rows, out]`. Returns every weight
+    /// layer's [`Fold`] in backward order, ready for
+    /// [`deepsplit_nn::layers::Grads::fold`]: each weight gradient sums its
+    /// queries one at a time, in order.
+    pub fn backward(&self, tape: ModelTape, grad_scores: Tensor) -> Vec<Fold> {
+        let rows = &tape.rows[..];
+        let mut folds = Vec::new();
+        let f = &mut folds;
+        let g = self.fc7.backward(tape.fc7, grad_scores, rows, f);
+        let g = dense_back(&self.fc6, &self.act6, tape.fc6, g, rows, f);
+        let g = blocks_back(&self.merged_blocks, tape.merged_blocks, g, rows, f);
+        let g = dense_back(&self.fc5, &self.act5, tape.fc5, g, rows, f);
+        let g_vec = match (tape.image, &self.tower, &self.fc5_img) {
+            (None, ..) => g,
+            (Some((tower_tape, fc5_img_tape)), Some(tower), Some(fc5_img)) => {
+                let [g_vec, g_img]: [Tensor; 2] = g
+                    .split_cols(&[128, 128])
+                    .try_into()
+                    .expect("two column blocks");
+                let g_pairs = dense_back(fc5_img, &self.act5_img, fc5_img_tape, g_img, rows, f);
                 let pair_parts = g_pairs.split_cols(&[128, 128]);
                 let (g_src, g_sink_rows) = (&pair_parts[0], &pair_parts[1]);
-                // The sink embedding was broadcast: sum its row gradients.
-                let g_sink = sum_rows(g_sink_rows);
-                // Tower saw [sink; sources]: stack gradients the same way.
-                let n = self.cache_n;
-                let mut stacked = Tensor::zeros(&[n + 1, 128]);
-                stacked.data_mut()[..128].copy_from_slice(g_sink.data());
-                stacked.data_mut()[128..].copy_from_slice(g_src.data());
-                self.tower.as_mut().expect("VecImg").backward(&stacked);
+                // The tower saw [sink; sources] per query: stack gradients
+                // the same way. A sink embedding was broadcast to each of
+                // its query's pairs, so its gradient sums their rows.
+                let mut stacked =
+                    Vec::with_capacity((rows.iter().sum::<usize>() + rows.len()) * 128);
+                let mut first = 0;
+                for &n in rows {
+                    let at = stacked.len();
+                    stacked.extend_from_slice(&[0.0; 128]);
+                    for r in first..first + n {
+                        let row = &g_sink_rows.data()[r * 128..(r + 1) * 128];
+                        for (s, v) in stacked[at..].iter_mut().zip(row) {
+                            *s += v;
+                        }
+                    }
+                    stacked.extend_from_slice(&g_src.data()[first * 128..(first + n) * 128]);
+                    first += n;
+                }
+                let images: Vec<usize> = rows.iter().map(|n| n + 1).collect();
+                let stacked = Tensor::from_vec(&[first + rows.len(), 128], stacked);
+                tower.backward(tower_tape, stacked, &images, f);
                 g_vec
             }
+            (Some(_), ..) => unreachable!("an image tape comes from a VecImg model"),
         };
-        let mut g = g_vec;
-        for b in self.vec_blocks.iter_mut().rev() {
-            g = b.backward(&g);
-        }
-        g = self.act1.backward(&g);
-        let _ = self.fc1.backward(&g);
+        let g = blocks_back(&self.vec_blocks, tape.vec_blocks, g_vec, rows, f);
+        let _ = dense_back(&self.fc1, &self.act1, tape.fc1, g, rows, f);
+        folds
     }
 
     /// Ranking probability per candidate (implements paper Eq. 2).
@@ -422,22 +551,10 @@ pub fn embedding_pairs(table: &Tensor, pairs: impl IntoIterator<Item = (usize, u
     Tensor::from_vec(&[rows, 2 * d], data)
 }
 
-/// Sums `[n, d]` rows into `[1, d]`.
-fn sum_rows(t: &Tensor) -> Tensor {
-    let (n, d) = t.dims2();
-    let mut out = Tensor::zeros(&[1, d]);
-    for r in 0..n {
-        for c in 0..d {
-            out.data_mut()[c] += t.data()[r * d + c];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepsplit_nn::layers::{export_grads, Params};
+    use deepsplit_nn::layers::{Grads, Params};
     use deepsplit_nn::loss::softmax_regression;
     use deepsplit_nn::optim::{Adam, Optimizer};
     use rand::rngs::StdRng;
@@ -483,9 +600,25 @@ mod tests {
         assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
     }
 
+    /// Forward and backward passes of one query, its gradients folded into
+    /// `grads`. Returns the loss.
+    fn backprop(
+        model: &AttackModel,
+        x: &Tensor,
+        imgs: Option<&Tensor>,
+        target: usize,
+        grads: &mut Grads,
+    ) -> f32 {
+        let (y, tape) = model.forward(x.clone(), imgs.cloned(), &[x.dims2().0]);
+        let (loss, grad) = softmax_regression(&y, target);
+        grads.fold(&[model.backward(tape, grad)], 1);
+        loss
+    }
+
     #[test]
     fn training_reduces_loss_vec_only() {
         let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 3);
+        let mut grads = Grads::zeros(&mut model);
         let mut opt = Adam::new(1e-3);
         let mut rng = StdRng::seed_from_u64(3);
         // Fixed toy task: target candidate has a distinctive feature pattern.
@@ -504,11 +637,9 @@ mod tests {
         for step in 0..60 {
             let t = step % 6;
             let x = make(t, &mut rng);
-            let y = model.forward_query(&x, None);
-            let (loss, grad) = softmax_regression(&y, t);
-            model.zero_grad();
-            model.backward_query(&grad);
-            opt.step(&mut model);
+            grads.fill_zero();
+            let loss = backprop(&model, &x, None, t, &mut grads);
+            opt.step(&mut model, &grads);
             if step == 0 {
                 first = loss;
             }
@@ -524,11 +655,9 @@ mod tests {
         let n = 3;
         let x = rand_tensor(&[n, VD], &mut rng);
         let imgs = rand_tensor(&[n + 1, 2, 9, 9], &mut rng);
-        let y = model.forward_query(&x, Some(&imgs));
-        let (_, grad) = softmax_regression(&y, 1);
-        model.zero_grad();
-        model.backward_query(&grad);
-        let grads = export_grads(&mut model);
+        let mut grads = Grads::zeros(&mut model);
+        backprop(&model, &x, Some(&imgs), 1, &mut grads);
+        let grads = grads.tensors();
         let nonzero = grads
             .iter()
             .filter(|g| g.data().iter().any(|&x| x != 0.0))
@@ -543,19 +672,71 @@ mod tests {
 
     #[test]
     fn clone_train_produces_same_grads() {
-        // Data-parallel soundness: clones computing the same sample produce
-        // identical gradients.
+        // A clone and its original, computing the same sample, produce
+        // identical gradients: the passes read the model and write only
+        // the gradient buffer.
         let mut a = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 7);
-        let mut b = a.clone();
+        let b = a.clone();
         let mut rng = StdRng::seed_from_u64(9);
         let x = rand_tensor(&[4, VD], &mut rng);
-        for m in [&mut a, &mut b] {
-            let y = m.forward_query(&x, None);
-            let (_, grad) = softmax_regression(&y, 2);
-            m.zero_grad();
-            m.backward_query(&grad);
+        let mut ga = Grads::zeros(&mut a);
+        let mut gb = ga.clone();
+        backprop(&a, &x, None, 2, &mut ga);
+        backprop(&b, &x, None, 2, &mut gb);
+        assert_eq!(ga, gb);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Queries run one by one, each folded in turn, give the bits of the
+    /// same queries stacked into one chunk: the scores, and every weight's
+    /// gradient.
+    #[test]
+    fn stacked_chunk_matches_per_query_bitwise() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let rows = [3, 1, 4];
+        for (kind, loss) in [
+            (ModelKind::VecOnly, LossKind::SoftmaxRegression),
+            (ModelKind::VecOnly, LossKind::TwoClass),
+            (ModelKind::VecImg, LossKind::SoftmaxRegression),
+        ] {
+            let mut model = AttackModel::new(kind, loss, 2, 13);
+            let images = kind == ModelKind::VecImg;
+            let queries: Vec<(Tensor, Option<Tensor>)> = rows
+                .iter()
+                .map(|&n| {
+                    let x = rand_tensor(&[n, VD], &mut rng);
+                    (x, images.then(|| rand_tensor(&[n + 1, 2, 9, 9], &mut rng)))
+                })
+                .collect();
+            let dy = |v: f32| 0.5 * v - 0.125;
+            let mut want = Grads::zeros(&mut model);
+            let mut want_scores = Vec::new();
+            for (x, imgs) in &queries {
+                let (y, tape) = model.forward(x.clone(), imgs.clone(), &[x.dims2().0]);
+                want_scores.extend(bits(&y));
+                want.fold(&[model.backward(tape, y.map(dy))], 1);
+            }
+            let stack = |parts: Vec<&Tensor>| {
+                let mut shape = parts[0].shape().to_vec();
+                shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
+                Tensor::from_vec(
+                    &shape,
+                    parts.iter().flat_map(|p| p.data()).copied().collect(),
+                )
+            };
+            let x = stack(queries.iter().map(|(x, _)| x).collect());
+            let imgs = images.then(|| stack(queries.iter().flat_map(|(_, i)| i).collect()));
+            let (y, tape) = model.forward(x, imgs, &rows);
+            assert!(bits(&y) == want_scores, "{kind:?} {loss:?}: scores differ");
+            let mut got = Grads::zeros(&mut model);
+            got.fold(&[model.backward(tape, y.map(dy))], 1);
+            for (g, w) in got.tensors().iter().zip(want.tensors()) {
+                assert!(bits(g) == bits(w), "{kind:?} {loss:?}: gradients differ");
+            }
         }
-        assert_eq!(export_grads(&mut a), export_grads(&mut b));
     }
 
     #[test]

@@ -1,17 +1,28 @@
 //! Training loop (paper §4.3 / §5): softmax-regression (or two-class) loss,
-//! Adam, learning rate 0.001 decayed to 60 % every 20 epochs, data-parallel
-//! gradient accumulation over CPU threads.
+//! Adam, learning rate 0.001 decayed to 60 % every 20 epochs.
+//!
+//! Training is batch-major. A mini-batch's queries are stacked into chunks
+//! of whole queries, and each chunk runs one forward and one backward pass;
+//! the chunks of a batch run on separate threads against the one model,
+//! which nothing clones. Each weight gradient is then folded over the
+//! chunks in batch order, one query segment at a time
+//! ([`deepsplit_nn::layers::Grads::fold`]), and losses are summed query by
+//! query in batch order. Every layer but that fold works row by row, so the
+//! trained bits, and the reported losses, are those of running the batch's
+//! queries one by one: the same at every thread count and chunk split.
 
+use crate::attack::{chunk_queries, MAX_CHUNK_ROWS};
 use crate::config::AttackConfig;
-use crate::dataset::{fit_normalizer, PreparedDesign};
+use crate::dataset::{fit_normalizer, stack_batch, PreparedDesign};
 use crate::fingerprint::CorpusFingerprint;
 use crate::model::{AttackModel, LossKind, ModelKind};
 use crate::store::ModelStore;
-use crate::vector_features::Normalizer;
-use deepsplit_nn::layers::{add_grads, export_grads, scale_grads, Params};
+use crate::vector_features::{Normalizer, VECTOR_DIM};
+use deepsplit_nn::layers::{Fold, Grads};
 use deepsplit_nn::loss::{softmax_regression, two_class};
 use deepsplit_nn::optim::{Adam, Optimizer, StepDecay};
 use deepsplit_nn::parallel::parallel_map;
+use deepsplit_nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -60,7 +71,8 @@ pub struct TrainReport {
     pub total_queries: usize,
 }
 
-/// Trains the attack network on the given prepared designs.
+/// Trains the attack network on the given prepared designs, with
+/// `config.threads` worker threads.
 ///
 /// Only queries whose positive VPP survived candidate selection are trainable
 /// (the paper notes the prediction is "definitely wrong" otherwise); the rest
@@ -71,6 +83,23 @@ pub struct TrainReport {
 /// Panics if no design provides a trainable query, or if image channel counts
 /// disagree across designs.
 pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttack, TrainReport) {
+    train_with_threads(designs, config, config.effective_threads())
+}
+
+/// [`train`] with an explicit worker-thread count, whatever `config.threads`
+/// says. The weights and the report are the same bits at every thread
+/// count; the returned [`TrainedAttack`] records `config` as given, so a
+/// caller that stores models can record one canonical config however many
+/// threads trained it.
+///
+/// # Panics
+///
+/// Panics as [`train`] does.
+pub fn train_with_threads(
+    designs: &[PreparedDesign],
+    config: &AttackConfig,
+    threads: usize,
+) -> (TrainedAttack, TrainReport) {
     let normalizer = fit_normalizer(designs);
     let channels = designs.iter().map(|d| d.channels).max().unwrap_or(0);
     for d in designs {
@@ -111,7 +140,24 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
     };
     let mut opt = Adam::new(schedule.initial);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7ea1);
-    let threads = config.effective_threads();
+    let threads = threads.max(1);
+    let mut grads = Grads::zeros(&mut model);
+    let corpus = Corpus {
+        designs,
+        normalizer: &normalizer,
+        kind,
+        loss: loss_kind,
+    };
+    // A chunk's widest product: its candidate rows, or for image models
+    // the im2col rows of conv1, one per pixel of every image.
+    let pixels = config.image_px * config.image_px;
+    let chunk_rows = |&(di, qi): &(usize, usize)| {
+        let n = designs[di].sets[qi].candidates.len();
+        match kind {
+            ModelKind::VecOnly => n,
+            ModelKind::VecImg => (n + 1) * pixels,
+        }
+    };
     let mut report = TrainReport {
         epoch_loss: Vec::with_capacity(config.epochs),
         trainable_queries: queries.len(),
@@ -125,45 +171,29 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
         opt.set_lr(schedule.lr_at(epoch));
         queries.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
-        let mut steps = 0usize;
         for batch in queries.chunks(config.batch_size.max(1)) {
-            // Shard the batch over threads; each worker clones the model,
-            // accumulates gradients over its shard, and returns them.
-            let shard_size = batch.len().div_ceil(threads);
-            let shards: Vec<&[(usize, usize)]> = batch.chunks(shard_size.max(1)).collect();
-            let results = parallel_map(&shards, threads, |shard| {
-                let mut m = model.clone();
-                m.zero_grad();
-                let mut loss_sum = 0.0f64;
-                for &(di, qi) in shard.iter() {
-                    let d = &designs[di];
-                    let vectors = d.vectors(qi, &normalizer);
-                    let images = d.images(qi);
-                    let target = d.target(qi).expect("trainable query");
-                    let scores = m.forward_query(&vectors, images.as_ref());
-                    let (loss, grad) = match loss_kind {
-                        LossKind::SoftmaxRegression => softmax_regression(&scores, target),
-                        LossKind::TwoClass => two_class(&scores, target),
-                    };
-                    m.backward_query(&grad);
-                    loss_sum += loss as f64;
-                }
-                (export_grads(&mut m), loss_sum, shard.len())
-            });
-            model.zero_grad();
+            let rows: Vec<usize> = batch.iter().map(chunk_rows).collect();
+            let chunks: Vec<&[(usize, usize)]> = chunk_queries(&rows, threads, MAX_CHUNK_ROWS)
+                .into_iter()
+                .map(|range| &batch[range])
+                .collect();
+            grads.fill_zero();
             let mut batch_loss = 0.0f64;
-            let mut count = 0usize;
-            for (grads, loss_sum, n) in results {
-                add_grads(&mut model, &grads);
-                batch_loss += loss_sum;
-                count += n;
+            // One group of chunks at a time, so that at most `threads`
+            // chunks' tapes are alive at once.
+            for group in chunks.chunks(threads) {
+                let passes = parallel_map(group, threads, |chunk| corpus.backprop(&model, chunk));
+                let (losses, folds): (Vec<Vec<f32>>, Vec<Vec<Fold>>) = passes.into_iter().unzip();
+                grads.fold(&folds, threads);
+                for loss in losses.into_iter().flatten() {
+                    batch_loss += loss as f64;
+                }
             }
-            scale_grads(&mut model, 1.0 / count.max(1) as f32);
-            opt.step(&mut model);
+            grads.scale(1.0 / batch.len() as f32);
+            opt.step(&mut model, &grads);
             epoch_loss += batch_loss;
-            steps += count;
         }
-        let mean_loss = (epoch_loss / steps.max(1) as f64) as f32;
+        let mean_loss = (epoch_loss / queries.len() as f64) as f32;
         deepsplit_obs::event("epoch_loss", Some(f64::from(mean_loss)));
         report.epoch_loss.push(mean_loss);
     }
@@ -178,10 +208,62 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
     )
 }
 
+/// The training queries' inputs, as one chunk's passes read them.
+struct Corpus<'a> {
+    designs: &'a [PreparedDesign],
+    normalizer: &'a Normalizer,
+    kind: ModelKind,
+    loss: LossKind,
+}
+
+impl Corpus<'_> {
+    /// Forward and backward passes of one chunk of whole queries, stacked:
+    /// each query's loss, and the folds of its weight gradients.
+    fn backprop(&self, model: &AttackModel, chunk: &[(usize, usize)]) -> (Vec<f32>, Vec<Fold>) {
+        let rows: Vec<usize> = chunk
+            .iter()
+            .map(|&(di, qi)| self.designs[di].sets[qi].candidates.len())
+            .collect();
+        let mut vectors = Vec::new();
+        for &(di, qi) in chunk {
+            let v = self.designs[di].vectors(qi, self.normalizer);
+            vectors.extend_from_slice(v.data());
+        }
+        let vectors = Tensor::from_vec(&[rows.iter().sum(), VECTOR_DIM], vectors);
+        let images = (self.kind == ModelKind::VecImg).then(|| {
+            let parts: Vec<&Tensor> = chunk
+                .iter()
+                .flat_map(|&(di, qi)| self.designs[di].image_parts(qi))
+                .collect();
+            stack_batch(&parts)
+        });
+        let (scores, tape) = model.forward(vectors, images, &rows);
+        let width = scores.dims2().1;
+        let mut grad = Vec::with_capacity(scores.numel());
+        let mut losses = Vec::with_capacity(chunk.len());
+        let mut at = 0;
+        for (&(di, qi), &n) in chunk.iter().zip(&rows) {
+            let query = &scores.data()[at * width..(at + n) * width];
+            let query = Tensor::from_vec(&[n, width], query.to_vec());
+            let target = self.designs[di].target(qi).expect("trainable query");
+            let (loss, g) = match self.loss {
+                LossKind::SoftmaxRegression => softmax_regression(&query, target),
+                LossKind::TwoClass => two_class(&query, target),
+            };
+            losses.push(loss);
+            grad.extend_from_slice(g.data());
+            at += n;
+        }
+        let grad = Tensor::from_vec(scores.shape(), grad);
+        (losses, model.backward(tape, grad))
+    }
+}
+
 /// Content-addressed training: returns the model stored under `key` when the
 /// store has one, otherwise builds the corpus (the closure runs only on a
-/// miss — a hit skips corpus preparation entirely), trains, and stores the
-/// result.
+/// miss — a hit skips corpus preparation entirely), trains on `threads`
+/// worker threads ([`train_with_threads`]), and stores the result. The
+/// stored bytes are the same at every thread count.
 ///
 /// `Some(report)` is returned only when training actually ran, so
 /// `report.is_none()` (equivalently, the store's hit counter) witnesses that
@@ -194,6 +276,7 @@ pub fn train_or_load<F>(
     key: &CorpusFingerprint,
     store: &dyn ModelStore,
     config: &AttackConfig,
+    threads: usize,
     corpus: F,
 ) -> (TrainedAttack, Option<TrainReport>)
 where
@@ -203,7 +286,7 @@ where
         return (model, None);
     }
     let designs = corpus();
-    let (trained, report) = train(&designs, config);
+    let (trained, report) = train_with_threads(&designs, config, threads);
     store.save(key, &trained);
     (trained, Some(report))
 }
@@ -299,11 +382,11 @@ mod tests {
         let store = MemoryModelStore::new();
         let key = CorpusFingerprint([41, 42]);
 
-        let (cold, report) = train_or_load(&key, &store, &config, move || designs);
+        let (cold, report) = train_or_load(&key, &store, &config, 2, move || designs);
         assert!(report.is_some(), "cold run must train");
 
         // Warm run: the corpus closure must not even be called.
-        let (warm, report) = train_or_load(&key, &store, &config, || {
+        let (warm, report) = train_or_load(&key, &store, &config, 2, || {
             panic!("cache hit must not rebuild the corpus")
         });
         assert!(report.is_none(), "warm run must not train");
@@ -315,23 +398,76 @@ mod tests {
 
     /// Pins the trained bits. The model store is content-addressed, so a
     /// change to the kernels' numerics or the gradient order must show up
-    /// here rather than as a store silently serving stale weights.
+    /// here rather than as a store silently serving stale weights. Every
+    /// thread count trains the pinned bits; `to_json` also records
+    /// `config.threads`, so the other counts compare the model and the
+    /// normaliser alone.
     #[test]
     fn trained_weights_are_pinned() {
-        for (threads, pinned) in [
-            (1, "f6c131567cefb99aa558a1d333f468d8"),
-            (2, "697a65e6c88d116a8325dff641a69008"),
+        let two_class = AttackConfig {
+            two_class: true,
+            ..tiny_config(false)
+        };
+        for (case, base, pinned) in [
+            (
+                "VecOnly",
+                tiny_config(false),
+                "f6c131567cefb99aa558a1d333f468d8",
+            ),
+            (
+                "VecImg",
+                tiny_config(true),
+                "1643c63ee65e109539f8edef05c71c3f",
+            ),
+            ("TwoClass", two_class, "c04dedb435d3f04b6e010984edfff345"),
         ] {
             let config = AttackConfig {
                 epochs: 2,
-                threads,
-                ..tiny_config(false)
+                threads: 1,
+                ..base
             };
             let designs = vec![prepared(Benchmark::C432, 1, &config)];
             let (trained, _) = train(&designs, &config);
             let mut h = crate::fingerprint::StableHasher::new();
             h.write_str(&trained.to_json().unwrap());
-            assert_eq!(h.finish().to_hex(), pinned, "threads {threads}");
+            assert_eq!(h.finish().to_hex(), pinned, "{case}");
+            let weights = |t: &TrainedAttack| {
+                let model = serde_json::to_string(&t.model).unwrap();
+                (model, serde_json::to_string(&t.normalizer).unwrap())
+            };
+            for threads in [2, 3] {
+                let (other, _) = train_with_threads(&designs, &config, threads);
+                assert!(
+                    weights(&other) == weights(&trained),
+                    "{case}: {threads} threads train other weights"
+                );
+            }
+        }
+    }
+
+    /// Chunk edges move with the thread count; no trained bit and no
+    /// reported loss may move with them.
+    #[test]
+    fn training_is_thread_count_invariant() {
+        let config = AttackConfig {
+            epochs: 2,
+            ..tiny_config(false)
+        };
+        let designs = vec![
+            prepared(Benchmark::C432, 1, &config),
+            prepared(Benchmark::C880, 2, &config),
+        ];
+        let (one, one_report) = train_with_threads(&designs, &config, 1);
+        let model = serde_json::to_string(&one.model).unwrap();
+        for threads in [2, 3, 7] {
+            let (many, report) = train_with_threads(&designs, &config, threads);
+            assert!(
+                serde_json::to_string(&many.model).unwrap() == model,
+                "{threads} threads train other weights"
+            );
+            let bits =
+                |r: &TrainReport| r.epoch_loss.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&report), bits(&one_report), "{threads} threads");
         }
     }
 

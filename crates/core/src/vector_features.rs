@@ -2,7 +2,7 @@
 //! paper's `fc1: 27 × 128` input width.
 //!
 //! Reconstruction of the 27 dimensions (the paper lists the feature families
-//! but not the exact ordering; DESIGN.md documents this mapping):
+//! but not the exact ordering; this table is the mapping used here):
 //!
 //! | # | feature |
 //! |---|---------|

@@ -214,10 +214,14 @@ pub fn defended_corpus(
 }
 
 /// Content address of the corpus a cell's model is trained on: everything
-/// that shapes the trained weights — the attack configuration (with the
-/// thread count *resolved*, since gradient-accumulation order depends on
-/// it), the physical-implementation settings, the defense, the split layer,
-/// and the exact `(benchmark, seed)` corpus list after victim exclusion.
+/// that shapes the trained weights — the attack configuration, the
+/// physical-implementation settings, the defense, the split layer, and the
+/// exact `(benchmark, seed)` corpus list after victim exclusion.
+///
+/// The thread count is hashed as 1, whatever `cfg` says: training gives the
+/// same bits at every thread count, so it cannot key a model. Hashing it as
+/// 1 keeps the keys of stores filled when training was pinned to one
+/// thread.
 ///
 /// Equal fingerprints train bit-identical models, so this keys the
 /// [`deepsplit_core::store::ModelStore`]: cells of *different* victims that
@@ -230,7 +234,7 @@ pub fn corpus_fingerprint(
     cfg: &EvalConfig,
 ) -> CorpusFingerprint {
     let mut attack = cfg.attack.clone();
-    attack.threads = attack.effective_threads();
+    attack.threads = 1;
     let json = |label: &str, s: serde_json::Result<String>| -> String {
         s.unwrap_or_else(|e| panic!("serialise {label} for fingerprint: {e}"))
     };
@@ -351,6 +355,26 @@ mod tests {
         assert!(s.dl_ccr > 2.0 * s.chance_ccr);
     }
 
+    /// Pins the store keys of two default-sweep cells, c432/M3 undefended
+    /// and lifted at 0.5. A key that moves orphans every stored model, so
+    /// it must only ever move on purpose.
+    #[test]
+    fn store_keys_are_pinned() {
+        let eval = crate::service::canonical_train_eval(&EvalConfig::fast());
+        let lift = DefenseConfig {
+            kind: DefenseKind::Lift,
+            strength: 0.5,
+            seed: 11,
+        };
+        for (defense, pinned) in [
+            (DefenseConfig::none(), "2c86b60226a51efb2e3340772983ec49"),
+            (lift, "421d322e63886d4c9148b35f7238519a"),
+        ] {
+            let fp = corpus_fingerprint(Benchmark::C432, Layer(3), &defense, &eval);
+            assert_eq!(fp.to_hex(), pinned, "{:?}", defense.kind);
+        }
+    }
+
     #[test]
     fn fingerprint_tracks_everything_that_shapes_the_model() {
         let cfg = tiny();
@@ -404,10 +428,10 @@ mod tests {
         );
         let mut threads = cfg.clone();
         threads.attack.threads = 5;
-        assert_ne!(
+        assert_eq!(
             base,
             corpus_fingerprint(Benchmark::C432, Layer(3), &DefenseConfig::none(), &threads),
-            "training thread count shapes the weights, so it must be keyed"
+            "training thread count shapes no weight, so it must not be keyed"
         );
         // Victims outside the training list leave the corpus — and therefore
         // the model — unchanged: the fingerprints coincide and one training

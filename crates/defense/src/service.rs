@@ -10,10 +10,10 @@
 //! adds transport, not vocabulary.
 //!
 //! Model identity is shared with the sweep engine through
-//! [`canonical_train_eval`]: both canonicalise the training thread count
-//! before fingerprinting, so a model trained by a `defense_matrix` shard and
-//! one trained by the server for the same cell resolve to the *same*
-//! [`CorpusFingerprint`] — a sweep can warm the cache an online service
+//! [`canonical_train_eval`]: both record and fingerprint the same canonical
+//! config, so a model trained by a `defense_matrix` shard and one trained by
+//! the server for the same cell resolve to the *same* [`CorpusFingerprint`]
+//! and store the same bytes — a sweep can warm the cache an online service
 //! then answers from, and vice versa.
 
 use crate::eval::{corpus_fingerprint, EvalConfig};
@@ -27,16 +27,28 @@ use deepsplit_netlist::benchmarks::Benchmark;
 use serde::{Deserialize, Serialize};
 
 /// The training-time evaluation protocol of a cell: `eval` with the attack
-/// thread count pinned to one. Gradient-accumulation order — and therefore
-/// the trained weights — depends on the thread count, so a cacheable model
-/// must be trained identically regardless of which machine, sweep shape or
-/// server resolves it. Every component that fingerprints or trains a model
-/// goes through this one definition.
+/// thread count set to one. Training gives the same weights at every
+/// thread count, but a stored model records its config, so a cacheable
+/// model records this canonical one and trains on whatever threads its
+/// resolver has (`deepsplit_core::train::train_with_threads`): its blob is
+/// then the same bytes whichever machine, sweep shape or server trained
+/// it. Every component that fingerprints or trains a model goes through
+/// this one definition.
 pub fn canonical_train_eval(eval: &EvalConfig) -> EvalConfig {
     let mut train_eval = eval.clone();
     train_eval.attack.threads = 1;
     train_eval
 }
+
+/// Most training epochs a request may ask for (the paper trains 60).
+pub const MAX_EPOCHS: usize = 100;
+/// Most candidate VPPs per sink a request may ask for (the paper uses 31).
+/// At least two are needed: a query with one candidate trains nothing.
+pub const MAX_CANDIDATES: usize = 64;
+/// Largest mini-batch a request may ask for (the paper uses 16).
+pub const MAX_BATCH_SIZE: usize = 64;
+/// Largest image side a request may ask for, in pixels (the paper uses 99).
+pub const MAX_IMAGE_PX: usize = 128;
 
 /// A serialized FEOL cell spec: what `POST /attack` accepts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,6 +134,23 @@ impl AttackRequest {
                 "eval scale {} outside [0.01, 100]",
                 self.eval.scale
             ));
+        }
+        // The knobs that set what a cold resolve trains: too few candidates
+        // leave no trainable query, and the rest bound its cost.
+        let attack = &self.eval.attack;
+        for (knob, value, range) in [
+            ("epochs", attack.epochs, 1..=MAX_EPOCHS),
+            ("candidates", attack.candidates, 2..=MAX_CANDIDATES),
+            ("batch_size", attack.batch_size, 1..=MAX_BATCH_SIZE),
+            ("image_px", attack.image_px, 1..=MAX_IMAGE_PX),
+        ] {
+            if !range.contains(&value) {
+                return Err(format!(
+                    "attack {knob} {value} outside [{}, {}]",
+                    range.start(),
+                    range.end()
+                ));
+            }
         }
         Ok(())
     }
@@ -261,6 +290,7 @@ pub fn expected_ccr(rankings: &[SinkRanking], total_sink_pins: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::DefenseKind;
+    use deepsplit_core::config::AttackConfig;
 
     #[test]
     fn requests_round_trip_through_json() {
@@ -290,6 +320,27 @@ mod tests {
     fn validation_catches_bad_specs() {
         let good = AttackRequest::fast(Benchmark::C432);
         assert_eq!(good.validate(), Ok(()));
+        let mut paper = good.clone();
+        paper.eval.attack = AttackConfig::paper();
+        assert_eq!(paper.validate(), Ok(()));
+
+        let refused = |set: fn(&mut AttackConfig)| {
+            let mut bad = good.clone();
+            set(&mut bad.eval.attack);
+            bad.validate().unwrap_err()
+        };
+        for (problem, knob) in [
+            (refused(|a| a.candidates = 1), "candidates"),
+            (refused(|a| a.candidates = MAX_CANDIDATES + 1), "candidates"),
+            (refused(|a| a.epochs = 0), "epochs"),
+            (refused(|a| a.epochs = MAX_EPOCHS + 1), "epochs"),
+            (refused(|a| a.batch_size = 0), "batch_size"),
+            (refused(|a| a.batch_size = MAX_BATCH_SIZE + 1), "batch_size"),
+            (refused(|a| a.image_px = 0), "image_px"),
+            (refused(|a| a.image_px = MAX_IMAGE_PX + 1), "image_px"),
+        ] {
+            assert!(problem.contains(knob), "{knob}: {problem}");
+        }
 
         let mut bad = good.clone();
         bad.benchmark = "c999".into();
@@ -317,7 +368,7 @@ mod tests {
     #[test]
     fn fingerprint_matches_the_engine_convention() {
         // The request fingerprint must equal what the engine computes for
-        // the same cell: corpus_fingerprint over the thread-pinned eval.
+        // the same cell: corpus_fingerprint over the canonical eval.
         let req = AttackRequest::fast(Benchmark::C432);
         let direct = corpus_fingerprint(
             Benchmark::C432,
@@ -327,7 +378,7 @@ mod tests {
         );
         assert_eq!(req.fingerprint(), direct);
 
-        // And the canonicalisation makes it thread-budget independent.
+        // And it is thread-budget independent.
         let mut threads = req.clone();
         threads.eval.attack.threads = 7;
         assert_eq!(threads.fingerprint(), req.fingerprint());

@@ -7,15 +7,15 @@
 //!    computed; one model per *unique* fingerprint is resolved through the
 //!    [`ModelStore`] — loaded on a hit, trained (and stored) on a miss.
 //!    Cells sharing a corpus share one training run, and repeated sweeps
-//!    against a disk store skip training entirely. Training always runs
-//!    with one inner thread: gradient-accumulation order depends on the
-//!    thread count, so a cacheable model must be trained identically
-//!    regardless of matrix shape, shard count or machine.
+//!    against a disk store skip training entirely. Training gives the same
+//!    bits at every thread count, so the thread budget left over by the
+//!    fan-out ([`split_budget`]) flows into each model's training, and a
+//!    stored model is the same bytes whatever the matrix shape, shard
+//!    count or machine.
 //! 2. **Attack evaluation.** Each cell defends its victim and runs all
 //!    three attackers with the resolved model. Inference is thread-count
-//!    invariant, so the thread budget left over by the fan-out
-//!    ([`split_budget`]) flows into per-cell inference — cells resolved
-//!    from cache are no longer forced onto a single thread.
+//!    invariant too, so the budget left over by this fan-out flows into
+//!    per-cell inference.
 //!
 //! Both phases preserve cell order, so a run is bit-deterministic for a
 //! fixed spec: cold, warm (cached), resumed and sharded-then-merged runs
@@ -284,10 +284,11 @@ pub fn run(config: &EngineConfig, store: &dyn ModelStore) -> Result<MatrixRun, E
     let cells_resumed = results.len();
     let counters_before = store.counters();
 
-    // Canonical training config: see the module docs on why inner training
-    // parallelism is pinned to one thread. The same canonicalisation is used
-    // by the serving layer, so sweep shards and `POST /attack` requests
-    // resolve identical cells to identical store keys.
+    // Canonical training config: it records one thread whatever trains the
+    // model, so a stored blob is the same bytes at every thread budget. The
+    // same canonicalisation is used by the serving layer, so sweep shards
+    // and `POST /attack` requests resolve identical cells to identical
+    // store keys and blobs.
     let train_eval = canonical_train_eval(&config.sweep.eval);
 
     // One base implementation per benchmark still pending.
@@ -321,14 +322,15 @@ pub fn run(config: &EngineConfig, store: &dyn ModelStore) -> Result<MatrixRun, E
     let record_timings = config.record_timings;
     // (fingerprint, model, epochs-if-trained, (corpus_ms, train_ms)).
     type Resolved = (CorpusFingerprint, TrainedAttack, Option<usize>, (f64, f64));
-    let resolved: Vec<Resolved> =
-        parallel_map(&unique, threads.min(unique.len().max(1)), |(fp, cell)| {
-            let fp = *fp;
-            let base = base_of(cell.0);
-            let _resolve_span = obs::span("engine.resolve");
-            let corpus_ms = std::cell::Cell::new(0.0);
-            let resolve_started = record_timings.then(Instant::now);
-            let (model, report) = train::train_or_load(&fp, store, &train_eval.attack, || {
+    let resolve_plan = split_budget(unique.len(), threads);
+    let resolved: Vec<Resolved> = parallel_map(&unique, resolve_plan.outer, |(fp, cell)| {
+        let fp = *fp;
+        let base = base_of(cell.0);
+        let _resolve_span = obs::span("engine.resolve");
+        let corpus_ms = std::cell::Cell::new(0.0);
+        let resolve_started = record_timings.then(Instant::now);
+        let (model, report) =
+            train::train_or_load(&fp, store, &train_eval.attack, resolve_plan.inner, || {
                 let _span = obs::span("engine.corpus");
                 let started = record_timings.then(Instant::now);
                 let corpus = defended_corpus(base, cell.1, &cell.2, &train_eval);
@@ -337,19 +339,19 @@ pub fn run(config: &EngineConfig, store: &dyn ModelStore) -> Result<MatrixRun, E
                 }
                 corpus
             });
-            let resolve_ms = resolve_started
-                .map(|s| s.elapsed().as_secs_f64() * 1000.0)
-                .unwrap_or(0.0);
-            // Training cost only exists when this run actually trained;
-            // on a store hit `resolve_ms` is just the load, not training.
-            let train_ms = if report.is_some() {
-                (resolve_ms - corpus_ms.get()).max(0.0)
-            } else {
-                0.0
-            };
-            let phase1 = (corpus_ms.get(), train_ms);
-            (fp, model, report.map(|r| r.epoch_loss.len()), phase1)
-        });
+        let resolve_ms = resolve_started
+            .map(|s| s.elapsed().as_secs_f64() * 1000.0)
+            .unwrap_or(0.0);
+        // Training cost only exists when this run actually trained;
+        // on a store hit `resolve_ms` is just the load, not training.
+        let train_ms = if report.is_some() {
+            (resolve_ms - corpus_ms.get()).max(0.0)
+        } else {
+            0.0
+        };
+        let phase1 = (corpus_ms.get(), train_ms);
+        (fp, model, report.map(|r| r.epoch_loss.len()), phase1)
+    });
     let models_trained = resolved.iter().filter(|(_, _, e, _)| e.is_some()).count();
     let epochs_trained = resolved.iter().filter_map(|(_, _, e, _)| *e).sum();
     // Phase-1 cost lands on the first cell per unique fingerprint (lookups

@@ -117,6 +117,39 @@ fn disk_store_amortises_across_instances() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Training gives the same bits at every thread count, and the engine
+/// records the canonical config, so the blob a cell stores is the same
+/// bytes whatever thread budget trained it.
+#[test]
+fn stored_models_are_the_same_bytes_at_every_thread_budget() {
+    let blobs = |threads: usize| {
+        let dir = tempdir(&format!("threads-{threads}"));
+        let config = SweepConfig {
+            threads,
+            ..tiny_sweep(vec![], vec![])
+        };
+        let store = DiskModelStore::open(&dir).unwrap();
+        let run = run(&EngineConfig::new(config), &store).expect("cold run");
+        assert_eq!(run.stats.models_trained, 1);
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path.strip_prefix(&dir).unwrap().to_path_buf(), bytes)
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (files, run.outcomes())
+    };
+    let (one, one_outcomes) = blobs(1);
+    assert!(!one.is_empty());
+    let (three, three_outcomes) = blobs(3);
+    assert!(one == three, "a blob depends on the thread budget");
+    assert_eq!(one_outcomes, three_outcomes);
+}
+
 #[test]
 fn sharded_runs_merge_to_the_unsharded_matrix() {
     let mut config = tiny_sweep(vec![DefenseKind::Lift], vec![0.5, 1.0]);

@@ -1,16 +1,20 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Every layer has two passes over the same arithmetic:
+//! Every layer is stateless: all three passes take `&self`, so one model
+//! serves any number of concurrent inference and training calls without a
+//! clone.
 //!
-//! * [`Layer::infer`] takes `&self` and caches nothing, so one model serves
-//!   any number of concurrent inference calls without a clone;
-//! * [`Layer::forward`] takes `&mut self` and caches what [`Layer::backward`]
-//!   needs. `backward` consumes that cache and accumulates parameter
-//!   gradients locally; the optimizer then visits all parameters through
-//!   [`Params::visit_params`].
+//! * [`Layer::infer`] returns the layer's output and keeps nothing.
+//! * [`Layer::forward`] returns the same output bits, and a tape of what
+//!   [`Layer::backward`] needs.
+//! * [`Layer::backward`] consumes the tape and returns the gradient with
+//!   respect to the input. Each weight layer hands its input rows and
+//!   output gradient to the fold as a [`Fold`]; [`Grads::fold`] then adds
+//!   them into a [`Grads`] buffer, which the optimizer reads.
 //!
-//! `forward` computes its output with the same code as `infer`, so the two
-//! return the same bits.
+//! The fold sums each weight gradient one query segment at a time
+//! ([`Tensor::fold_t_matmul`]), so a batch stacked into one pass gives the
+//! bits of its queries run one by one.
 //!
 //! The set of layers is exactly what the DAC'19 network (paper Table 2) needs:
 //! dense ([`Linear`]), 3×3 convolution ([`Conv2d`], stride 1 or 3), leaky ReLU
@@ -18,26 +22,21 @@
 //! pooling ([`GlobalAvgPool`]) to bridge the conv tower into dense layers.
 
 use crate::init::Initializer;
+use crate::parallel::for_each_mut;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Mutable view of one parameter tensor and its gradient.
+/// Mutable view of one parameter tensor.
 pub struct ParamRef<'a> {
     /// Parameter values.
     pub value: &'a mut Tensor,
-    /// Accumulated gradient.
-    pub grad: &'a mut Tensor,
 }
 
 /// Anything holding trainable parameters (layers and composite models).
 pub trait Params {
-    /// Visits every `(value, gradient)` parameter pair in a stable order.
+    /// Visits every parameter in a stable order: the order of the forward
+    /// pass, and for each weight layer its weight, then its bias.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>));
-
-    /// Clears accumulated gradients.
-    fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.grad.fill_zero());
-    }
 
     /// Number of scalar parameters.
     fn num_params(&mut self) -> usize {
@@ -49,56 +48,121 @@ pub trait Params {
 
 /// A differentiable single-input layer.
 pub trait Layer: Params {
-    /// Inference pass: the layer's output, caching nothing.
+    /// What [`Layer::forward`] keeps for [`Layer::backward`].
+    type Tape;
+
+    /// Inference pass: the layer's output, keeping nothing.
     fn infer(&self, x: &Tensor) -> Tensor;
 
-    /// Training pass: the same output as [`Layer::infer`], with the
-    /// activations [`Layer::backward`] needs cached.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// Training pass: the output [`Layer::infer`] gives, and its tape. It
+    /// takes the input by value, so a tape that keeps it moves it rather
+    /// than copying it.
+    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape);
 
-    /// Backward pass for the most recent `forward` call. Returns the
-    /// gradient with respect to the input and accumulates parameter gradients.
+    /// Backward pass through the `forward` call that made `tape`: returns
+    /// the gradient with respect to the input. `segments` splits the
+    /// input's first dimension (rows, or images for 4-D inputs) into
+    /// queries. Each weight layer pushes one [`Fold`] onto `folds`, in
+    /// backward order: the reverse of [`Params::visit_params`] order.
+    fn backward(
+        &self,
+        tape: Self::Tape,
+        grad_out: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) -> Tensor;
+}
+
+/// One weight layer's share of a gradient, as [`Layer::backward`] hands it
+/// over: its input rows `x` and output gradient `g`, and the rows of each
+/// query segment. It folds into the weight as `Σ_s x[s]ᵀ · g[s]` and into
+/// the bias as `Σ_r g[r]`.
+#[derive(Debug)]
+pub struct Fold {
+    x: Tensor,
+    g: Tensor,
+    segments: Vec<usize>,
+}
+
+impl Fold {
+    /// Adds this share into a weight gradient and a bias gradient: the
+    /// weight's segment by segment ([`Tensor::fold_t_matmul`]), the bias's
+    /// row by row.
+    fn add_into(&self, gw: &mut Tensor, gb: &mut Tensor) {
+        gw.fold_t_matmul(&self.x, &self.g, &self.segments);
+        let cols = self.g.dims2().1;
+        assert_eq!(gb.shape(), [cols], "bias gradient shape");
+        for row in self.g.data().chunks_exact(cols.max(1)) {
+            for (acc, v) in gb.data_mut().iter_mut().zip(row) {
+                *acc += v;
+            }
+        }
+    }
+}
+
+/// Gradients of a model's parameters, in [`Params::visit_params`] order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grads {
+    tensors: Vec<Tensor>,
+}
+
+impl Grads {
+    /// Zero gradients shaped like `model`'s parameters.
+    pub fn zeros(model: &mut dyn Params) -> Grads {
+        let mut tensors = Vec::new();
+        model.visit_params(&mut |p| tensors.push(Tensor::zeros(p.value.shape())));
+        Grads { tensors }
+    }
+
+    /// One gradient per parameter, in visit order.
+    pub fn tensors(&self) -> &[Tensor] {
+        &self.tensors
+    }
+
+    /// Sets every gradient to zero.
+    pub fn fill_zero(&mut self) {
+        self.tensors.iter_mut().for_each(Tensor::fill_zero);
+    }
+
+    /// Multiplies every gradient by `s` (e.g. `1 / batch`).
+    pub fn scale(&mut self, s: f32) {
+        self.tensors.iter_mut().for_each(|t| t.scale(s));
+    }
+
+    /// Adds the folds of a batch's chunks, chunk after chunk in batch
+    /// order. `chunks[c]` holds what chunk `c`'s backward pass pushed, in
+    /// backward order. The parameters are split across `threads`, and each
+    /// one's sum runs in batch order on one thread, so the result is the
+    /// same bits at every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if no training forward pass preceded it.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-}
-
-/// Snapshots all gradients of a model in visit order (for data-parallel
-/// gradient exchange between worker clones).
-pub fn export_grads(model: &mut dyn Params) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| out.push(p.grad.clone()));
-    out
-}
-
-/// Adds `grads` (in visit order) into the model's gradients.
-///
-/// # Panics
-///
-/// Panics if the gradient count or shapes do not match.
-pub fn add_grads(model: &mut dyn Params, grads: &[Tensor]) {
-    let mut i = 0;
-    model.visit_params(&mut |p| {
-        p.grad.add_assign(&grads[i]);
-        i += 1;
-    });
-    assert_eq!(i, grads.len(), "gradient count mismatch");
-}
-
-/// Multiplies all gradients by `s` (e.g. `1 / batch` after accumulation).
-pub fn scale_grads(model: &mut dyn Params, s: f32) {
-    model.visit_params(&mut |p| p.grad.scale(s));
+    /// Panics unless every chunk holds one fold per weight layer.
+    pub fn fold(&mut self, chunks: &[Vec<Fold>], threads: usize) {
+        let layers = self.tensors.len() / 2;
+        for folds in chunks {
+            assert_eq!(folds.len(), layers, "one fold per weight layer");
+        }
+        // Every weight layer owns two parameters, its weight and its bias.
+        let mut pairs: Vec<(usize, &mut [Tensor])> =
+            self.tensors.chunks_exact_mut(2).enumerate().collect();
+        for_each_mut(&mut pairs, threads, |(layer, pair)| {
+            let [gw, gb] = pair else {
+                unreachable!("chunks_exact_mut(2) yields pairs")
+            };
+            for folds in chunks {
+                folds[layers - 1 - *layer].add_into(gw, gb);
+            }
+        });
+    }
 }
 
 /// Adds the bias `b` (`[cols]`) to every row of `y` (`[rows, cols]`).
 fn add_bias(y: &mut Tensor, b: &Tensor) {
-    let (rows, cols) = y.dims2();
-    let (yd, b) = (y.data_mut(), b.data());
-    for r in 0..rows {
-        for c in 0..cols {
-            yd[r * cols + c] += b[c];
+    let cols = y.dims2().1;
+    for row in y.data_mut().chunks_exact_mut(cols.max(1)) {
+        for (v, bc) in row.iter_mut().zip(b.data()) {
+            *v += bc;
         }
     }
 }
@@ -108,12 +172,6 @@ fn add_bias(y: &mut Tensor, b: &Tensor) {
 pub struct Linear {
     w: Tensor,
     b: Tensor,
-    #[serde(skip)]
-    gw: Tensor,
-    #[serde(skip)]
-    gb: Tensor,
-    #[serde(skip)]
-    cache_x: Option<Tensor>,
 }
 
 impl Linear {
@@ -122,9 +180,6 @@ impl Linear {
         Linear {
             w: init.he_uniform(&[in_dim, out_dim], in_dim),
             b: Tensor::zeros(&[out_dim]),
-            gw: Tensor::zeros(&[in_dim, out_dim]),
-            gb: Tensor::zeros(&[out_dim]),
-            cache_x: None,
         }
     }
 
@@ -137,57 +192,44 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.w.shape()[1]
     }
-
-    fn ensure_grads(&mut self) {
-        if self.gw.numel() != self.w.numel() {
-            self.gw = Tensor::zeros(self.w.shape());
-        }
-        if self.gb.numel() != self.b.numel() {
-            self.gb = Tensor::zeros(self.b.shape());
-        }
-    }
 }
 
 impl Params for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
-        self.ensure_grads();
-        f(ParamRef {
-            value: &mut self.w,
-            grad: &mut self.gw,
-        });
-        f(ParamRef {
-            value: &mut self.b,
-            grad: &mut self.gb,
-        });
+        f(ParamRef { value: &mut self.w });
+        f(ParamRef { value: &mut self.b });
     }
 }
 
 impl Layer for Linear {
+    /// The input.
+    type Tape = Tensor;
+
     fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = x.matmul(&self.w);
         add_bias(&mut y, &self.b);
         y
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_x = Some(x.clone());
-        self.infer(x)
+    fn forward(&self, x: Tensor) -> (Tensor, Tensor) {
+        (self.infer(&x), x)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.ensure_grads();
-        let x = self.cache_x.as_ref().expect("backward without forward");
-        // gw += xᵀ g; gb += Σ rows g; gx = g Wᵀ
-        self.gw.add_assign(&x.t_matmul(grad_out));
-        let (rows, out) = grad_out.dims2();
-        let gd = grad_out.data();
-        let gb = self.gb.data_mut();
-        for r in 0..rows {
-            for c in 0..out {
-                gb[c] += gd[r * out + c];
-            }
-        }
-        grad_out.matmul_t(&self.w)
+    fn backward(
+        &self,
+        x: Tensor,
+        grad_out: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) -> Tensor {
+        // gx = g Wᵀ; the fold adds xᵀ g and the rows of g.
+        let gx = grad_out.matmul_t(&self.w);
+        folds.push(Fold {
+            x,
+            g: grad_out,
+            segments: segments.to_vec(),
+        });
+        gx
     }
 }
 
@@ -196,17 +238,12 @@ impl Layer for Linear {
 pub struct LeakyRelu {
     /// Negative-side slope.
     pub alpha: f32,
-    #[serde(skip)]
-    cache_x: Option<Tensor>,
 }
 
 impl LeakyRelu {
     /// Creates an LReLU with the paper's slope of 0.01.
     pub fn new() -> LeakyRelu {
-        LeakyRelu {
-            alpha: 0.01,
-            cache_x: None,
-        }
+        LeakyRelu { alpha: 0.01 }
     }
 }
 
@@ -221,20 +258,41 @@ impl Params for LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
+    /// Whether each input was positive.
+    type Tape = Vec<bool>;
+
     fn infer(&self, x: &Tensor) -> Tensor {
         let alpha = self.alpha;
         x.map(|v| if v > 0.0 { v } else { alpha * v })
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_x = Some(x.clone());
-        self.infer(x)
+    fn forward(&self, mut x: Tensor) -> (Tensor, Vec<bool>) {
+        let alpha = self.alpha;
+        let positive = x
+            .data_mut()
+            .iter_mut()
+            .map(|v| {
+                let positive = *v > 0.0;
+                *v = if positive { *v } else { alpha * *v };
+                positive
+            })
+            .collect();
+        (x, positive)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(
+        &self,
+        positive: Vec<bool>,
+        mut grad_out: Tensor,
+        _: &[usize],
+        _: &mut Vec<Fold>,
+    ) -> Tensor {
+        assert_eq!(positive.len(), grad_out.numel(), "LReLU gradient shape");
         let alpha = self.alpha;
-        let x = self.cache_x.as_ref().expect("backward without forward");
-        x.zip_map(grad_out, |xv, g| if xv > 0.0 { g } else { alpha * g })
+        for (g, pos) in grad_out.data_mut().iter_mut().zip(positive) {
+            *g = if pos { *g } else { alpha * *g };
+        }
+        grad_out
     }
 }
 
@@ -249,16 +307,12 @@ pub struct Conv2d {
     out_ch: usize,
     k: usize,
     stride: usize,
-    #[serde(skip)]
-    gw: Tensor,
-    #[serde(skip)]
-    gb: Tensor,
-    #[serde(skip)]
-    cache: Option<ConvCache>,
 }
 
-#[derive(Debug, Clone)]
-struct ConvCache {
+/// What [`Conv2d::forward`] keeps: the im2col matrix of its input and the
+/// input's shape.
+#[derive(Debug)]
+pub struct ConvTape {
     col: Tensor,
     in_shape: [usize; 4],
 }
@@ -280,9 +334,6 @@ impl Conv2d {
             out_ch,
             k,
             stride,
-            gw: Tensor::zeros(&[fan_in, out_ch]),
-            gb: Tensor::zeros(&[out_ch]),
-            cache: None,
         }
     }
 
@@ -294,15 +345,6 @@ impl Conv2d {
     /// Padding used on each side for "same" behaviour.
     fn pad(&self) -> usize {
         self.k / 2
-    }
-
-    fn ensure_grads(&mut self) {
-        if self.gw.numel() != self.w.numel() {
-            self.gw = Tensor::zeros(self.w.shape());
-        }
-        if self.gb.numel() != self.b.numel() {
-            self.gb = Tensor::zeros(self.b.shape());
-        }
     }
 
     /// im2col: `(n, c, h, w)` → `(n*oh*ow, c*k*k)`.
@@ -407,37 +449,33 @@ impl Conv2d {
 
 impl Params for Conv2d {
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
-        self.ensure_grads();
-        f(ParamRef {
-            value: &mut self.w,
-            grad: &mut self.gw,
-        });
-        f(ParamRef {
-            value: &mut self.b,
-            grad: &mut self.gb,
-        });
+        f(ParamRef { value: &mut self.w });
+        f(ParamRef { value: &mut self.b });
     }
 }
 
 impl Layer for Conv2d {
+    type Tape = ConvTape;
+
     fn infer(&self, x: &Tensor) -> Tensor {
         self.convolve(&self.im2col(x), x.dims4())
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&self, x: Tensor) -> (Tensor, ConvTape) {
         let (n, _, h, w) = x.dims4();
-        let col = self.im2col(x);
+        let col = self.im2col(&x);
         let y = self.convolve(&col, x.dims4());
-        self.cache = Some(ConvCache {
-            col,
-            in_shape: [n, self.in_ch, h, w],
-        });
-        y
+        let in_shape = [n, self.in_ch, h, w];
+        (y, ConvTape { col, in_shape })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.ensure_grads();
-        let cache = self.cache.as_ref().expect("backward without forward");
+    fn backward(
+        &self,
+        tape: ConvTape,
+        grad_out: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) -> Tensor {
         let (n, oc, oh, ow) = grad_out.dims4();
         assert_eq!(oc, self.out_ch);
         // (n, oc, oh, ow) → (n*oh*ow, oc)
@@ -454,18 +492,14 @@ impl Layer for Conv2d {
             }
         }
         let g = Tensor::from_vec(&[n * oh * ow, oc], g);
-        self.gw.add_assign(&cache.col.t_matmul(&g));
-        {
-            let gb = self.gb.data_mut();
-            let gdd = g.data();
-            for r in 0..n * oh * ow {
-                for c in 0..oc {
-                    gb[c] += gdd[r * oc + c];
-                }
-            }
-        }
         let gcol = g.matmul_t(&self.w);
-        self.col2im(&gcol, cache.in_shape)
+        // An image is oh·ow rows of the im2col matrix.
+        folds.push(Fold {
+            x: tape.col,
+            g,
+            segments: segments.iter().map(|&s| s * oh * ow).collect(),
+        });
+        self.col2im(&gcol, tape.in_shape)
     }
 }
 
@@ -500,6 +534,10 @@ impl Params for ResBlock {
 }
 
 impl Layer for ResBlock {
+    /// The tapes of each dense layer and its activation. The first dense
+    /// layer's tape is the block's input.
+    type Tape = Vec<(Tensor, Vec<bool>)>;
+
     fn infer(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
         for (fc, act) in self.fc.iter().zip(&self.act) {
@@ -509,32 +547,39 @@ impl Layer for ResBlock {
         h
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for (fc, act) in self.fc.iter_mut().zip(&mut self.act) {
-            h = act.forward(&fc.forward(&h));
+    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape) {
+        let mut h = x;
+        let mut tape = Vec::with_capacity(3);
+        for (fc, act) in self.fc.iter().zip(&self.act) {
+            let (y, fc_tape) = fc.forward(h);
+            let act_tape;
+            (h, act_tape) = act.forward(y);
+            tape.push((fc_tape, act_tape));
         }
-        h.add_assign(x);
-        h
+        h.add_assign(&tape[0].0);
+        (h, tape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(
+        &self,
+        tape: Self::Tape,
+        grad_out: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) -> Tensor {
         let mut g = grad_out.clone();
-        for i in (0..3).rev() {
-            g = self.act[i].backward(&g);
-            g = self.fc[i].backward(&g);
+        for (i, (fc_tape, act_tape)) in tape.into_iter().enumerate().rev() {
+            g = self.act[i].backward(act_tape, g, segments, folds);
+            g = self.fc[i].backward(fc_tape, g, segments, folds);
         }
-        g.add_assign(grad_out); // skip connection
+        g.add_assign(&grad_out); // skip connection
         g
     }
 }
 
 /// Global average pooling `(n, c, h, w)` → `(n, c)`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GlobalAvgPool {
-    #[serde(skip)]
-    cache_shape: Option<[usize; 4]>,
-}
+pub struct GlobalAvgPool {}
 
 impl GlobalAvgPool {
     /// Creates the pool.
@@ -548,6 +593,9 @@ impl Params for GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
+    /// The input's shape.
+    type Tape = [usize; 4];
+
     fn infer(&self, x: &Tensor) -> Tensor {
         let (n, c, h, w) = x.dims4();
         let mut out = Tensor::zeros(&[n, c]);
@@ -564,14 +612,18 @@ impl Layer for GlobalAvgPool {
         out
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&self, x: Tensor) -> (Tensor, [usize; 4]) {
         let (n, c, h, w) = x.dims4();
-        self.cache_shape = Some([n, c, h, w]);
-        self.infer(x)
+        (self.infer(&x), [n, c, h, w])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [n, c, h, w] = self.cache_shape.expect("backward without forward");
+    fn backward(
+        &self,
+        [n, c, h, w]: [usize; 4],
+        grad_out: Tensor,
+        _: &[usize],
+        _: &mut Vec<Fold>,
+    ) -> Tensor {
         let mut gx = Tensor::zeros(&[n, c, h, w]);
         let inv = 1.0 / (h * w) as f32;
         let gd = grad_out.data();
@@ -630,6 +682,10 @@ impl Params for MlpStack {
 }
 
 impl Layer for MlpStack {
+    /// Per layer, its tape and its activation's (none after an
+    /// unactivated last layer).
+    type Tape = Vec<(Tensor, Option<Vec<bool>>)>;
+
     fn infer(&self, x: &Tensor) -> Tensor {
         let n = self.layers.len();
         let mut h = x.clone();
@@ -642,26 +698,36 @@ impl Layer for MlpStack {
         h
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape) {
         let n = self.layers.len();
-        let mut h = x.clone();
+        let mut h = x;
+        let mut tape = Vec::with_capacity(n);
         for i in 0..n {
-            h = self.layers[i].forward(&h);
+            let fc_tape;
+            (h, fc_tape) = self.layers[i].forward(h);
+            let mut act_tape = None;
             if i + 1 < n || self.activate_last {
-                h = self.acts[i].forward(&h);
+                let (y, t) = self.acts[i].forward(h);
+                (h, act_tape) = (y, Some(t));
             }
+            tape.push((fc_tape, act_tape));
         }
-        h
+        (h, tape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = self.layers.len();
-        let mut g = grad_out.clone();
-        for i in (0..n).rev() {
-            if i + 1 < n || self.activate_last {
-                g = self.acts[i].backward(&g);
+    fn backward(
+        &self,
+        tape: Self::Tape,
+        grad_out: Tensor,
+        segments: &[usize],
+        folds: &mut Vec<Fold>,
+    ) -> Tensor {
+        let mut g = grad_out;
+        for (i, (fc_tape, act_tape)) in tape.into_iter().enumerate().rev() {
+            if let Some(t) = act_tape {
+                g = self.acts[i].backward(t, g, segments, folds);
             }
-            g = self.layers[i].backward(&g);
+            g = self.layers[i].backward(fc_tape, g, segments, folds);
         }
         g
     }
@@ -671,14 +737,28 @@ impl Layer for MlpStack {
 mod tests {
     use super::*;
 
+    /// Forward and backward passes of `x` as one query, with output
+    /// gradient `dy(y)`: folds the parameter gradients into `grads` and
+    /// returns the input gradient.
+    fn backprop<L: Layer>(
+        layer: &L,
+        x: &Tensor,
+        dy: impl Fn(f32) -> f32,
+        grads: &mut Grads,
+    ) -> Tensor {
+        let (y, tape) = layer.forward(x.clone());
+        let mut folds = Vec::new();
+        let gx = layer.backward(tape, y.map(dy), &[x.shape()[0]], &mut folds);
+        grads.fold(&[folds], 1);
+        gx
+    }
+
     /// Finite-difference gradient check of a layer's parameter and input
     /// gradients against backprop.
     fn grad_check<L: Layer>(layer: &mut L, x: &Tensor, eps: f32, tol: f32) {
         // Loss = sum of outputs (gradient of loss wrt output = ones).
-        let y = layer.forward(x);
-        let ones = y.map(|_| 1.0);
-        layer.zero_grad();
-        let gx = layer.backward(&ones);
+        let mut grads = Grads::zeros(layer);
+        let gx = backprop(layer, x, |_| 1.0, &mut grads);
 
         // Input gradient check on a few coordinates.
         for idx in [0, x.numel() / 2, x.numel() - 1] {
@@ -698,16 +778,10 @@ mod tests {
 
         // Parameter gradient check on the first parameter tensor (skipped for
         // parameterless layers).
-        let mut grads: Vec<f32> = Vec::new();
-        layer.visit_params(&mut |p| {
-            if grads.is_empty() {
-                grads = p.grad.data().to_vec();
-            }
-        });
-        if grads.is_empty() {
+        let Some(first) = grads.tensors().first() else {
             return;
-        }
-        for idx in [0, grads.len() / 2] {
+        };
+        for idx in [0, first.numel() / 2] {
             let probe = |delta: f32, layer: &mut L| -> f32 {
                 let mut first = true;
                 layer.visit_params(&mut |p| {
@@ -729,7 +803,7 @@ mod tests {
             let fp = probe(eps, layer);
             let fm = probe(-eps, layer);
             let num = (fp - fm) / (2.0 * eps);
-            let ana = grads[idx];
+            let ana = first.data()[idx];
             assert!(
                 (num - ana).abs() <= tol * (1.0 + num.abs().max(ana.abs())),
                 "param grad mismatch at {idx}: numeric {num} vs analytic {ana}"
@@ -821,11 +895,15 @@ mod tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    fn grad_bits(g: &Grads) -> Vec<Vec<u32>> {
+        g.tensors().iter().map(bits).collect()
+    }
+
     /// `infer` and `forward` return the same bits. The parameters are
     /// shifted first so that no bias is zero.
     fn assert_infer_is_forward<L: Layer>(name: &str, layer: &mut L, x: &Tensor) {
         layer.visit_params(&mut |p| p.value.map_inplace(|v| v + 0.125));
-        let trained = layer.forward(x);
+        let (trained, _) = layer.forward(x.clone());
         let inferred = layer.infer(x);
         assert_eq!(trained.shape(), inferred.shape(), "{name}");
         assert!(
@@ -854,6 +932,73 @@ mod tests {
         for stride in [1, 3] {
             let mut conv = Conv2d::new(3, 5, 3, stride, &mut init);
             assert_infer_is_forward(&format!("Conv2d stride {stride}"), &mut conv, &image);
+        }
+    }
+
+    /// Stacks tensors along their first dimension.
+    fn stack(parts: &[Tensor]) -> Tensor {
+        let mut shape = parts[0].shape().to_vec();
+        shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
+        Tensor::from_vec(
+            &shape,
+            parts.iter().flat_map(|p| p.data()).copied().collect(),
+        )
+    }
+
+    /// Queries run one by one, each folded in turn, give the bits of the
+    /// same queries stacked into chunks, at any thread count.
+    fn assert_stacked_is_per_query<L: Layer>(name: &str, layer: &mut L, queries: &[Tensor]) {
+        let dy = |v: f32| 0.75 * v - 0.25;
+        let mut want = Grads::zeros(layer);
+        let want_gx: Vec<Tensor> = queries
+            .iter()
+            .map(|q| backprop(layer, q, dy, &mut want))
+            .collect();
+        let (head, tail) = queries.split_at(queries.len() / 2);
+        for threads in [1, 2, 3] {
+            let mut grads = Grads::zeros(layer);
+            let mut chunks = Vec::new();
+            let mut gx = Vec::new();
+            for chunk in [head, tail] {
+                let segments: Vec<usize> = chunk.iter().map(|q| q.shape()[0]).collect();
+                let (y, tape) = layer.forward(stack(chunk));
+                let mut folds = Vec::new();
+                gx.push(layer.backward(tape, y.map(dy), &segments, &mut folds));
+                chunks.push(folds);
+            }
+            grads.fold(&chunks, threads);
+            assert!(
+                bits(&stack(&gx)) == bits(&stack(&want_gx)),
+                "{name}: input gradients differ at {threads} threads"
+            );
+            assert!(
+                grad_bits(&grads) == grad_bits(&want),
+                "{name}: parameter gradients differ at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn stacked_backward_matches_per_query_bitwise() {
+        let mut init = Initializer::new(23);
+        let rows: Vec<Tensor> = [3, 1, 5, 2]
+            .iter()
+            .map(|&n| init.uniform(&[n * 6], 1.0).reshape(&[n, 6]))
+            .collect();
+        let images: Vec<Tensor> = [2, 1, 3]
+            .iter()
+            .map(|&n| init.uniform(&[n * 3 * 7 * 7], 1.0).reshape(&[n, 3, 7, 7]))
+            .collect();
+        assert_stacked_is_per_query("Linear", &mut Linear::new(6, 4, &mut init), &rows);
+        assert_stacked_is_per_query("ResBlock", &mut ResBlock::new(6, &mut init), &rows);
+        assert_stacked_is_per_query(
+            "MlpStack",
+            &mut MlpStack::new(&[6, 8, 3], true, &mut init),
+            &rows,
+        );
+        for stride in [1, 3] {
+            let mut conv = Conv2d::new(3, 4, 3, stride, &mut init);
+            assert_stacked_is_per_query(&format!("Conv2d stride {stride}"), &mut conv, &images);
         }
     }
 

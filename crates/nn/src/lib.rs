@@ -6,9 +6,10 @@
 //!
 //! * [`tensor`] — dense `f32` tensors with the matmul variants backprop needs.
 //! * [`layers`] — `Linear`, `Conv2d` (im2col), `LeakyRelu`, residual MLP
-//!   blocks, global average pooling, each with an `&self` inference pass and
-//!   a caching training pass with a hand-derived backward pass (validated
-//!   against finite differences in the test suite).
+//!   blocks, global average pooling. Every pass takes `&self`: inference,
+//!   a training pass that returns a tape, and a hand-derived backward pass
+//!   over that tape (validated against finite differences in the test
+//!   suite) whose weight gradients fold into a `Grads` buffer.
 //! * [`loss`] — the paper's softmax regression loss (Eq. 6) and the two-class
 //!   baseline (Eq. 3) it ablates against.
 //! * [`optim`] — SGD/Adam plus the paper's step-decay schedule
@@ -18,22 +19,35 @@
 //!
 //! # Example
 //!
+//! One training step on a batch of two queries, stacked into one pass: the
+//! gradient is the same bits as running the queries one by one.
+//!
 //! ```
 //! use deepsplit_nn::init::Initializer;
-//! use deepsplit_nn::layers::{Layer, Linear, Params};
+//! use deepsplit_nn::layers::{Grads, Layer, Linear};
 //! use deepsplit_nn::loss::softmax_regression;
 //! use deepsplit_nn::optim::{Adam, Optimizer};
 //! use deepsplit_nn::tensor::Tensor;
 //!
 //! let mut init = Initializer::new(1);
 //! let mut model = Linear::new(8, 1, &mut init);
+//! let mut grads = Grads::zeros(&mut model);
 //! let mut opt = Adam::new(1e-2);
-//! let x = Tensor::zeros(&[4, 8]);
-//! let scores = model.forward(&x);
-//! let (_loss, grad) = softmax_regression(&scores, 0);
-//! model.zero_grad();
-//! model.backward(&grad);
-//! opt.step(&mut model);
+//! // Two queries of 4 and 3 candidates, stacked as rows; the first
+//! // candidate of each is the right one.
+//! let x = init.uniform(&[7 * 8], 1.0).reshape(&[7, 8]);
+//! let (scores, tape) = model.forward(x);
+//! let mut grad = Vec::new();
+//! for (start, n) in [(0, 4), (4, 3)] {
+//!     let query = Tensor::from_vec(&[n, 1], scores.data()[start..start + n].to_vec());
+//!     let (_loss, g) = softmax_regression(&query, 0);
+//!     grad.extend_from_slice(g.data());
+//! }
+//! let mut folds = Vec::new();
+//! model.backward(tape, Tensor::from_vec(&[7, 1], grad), &[4, 3], &mut folds);
+//! grads.fold(&[folds], 1);
+//! grads.scale(0.5);
+//! opt.step(&mut model, &grads);
 //! ```
 
 pub mod init;
@@ -45,8 +59,8 @@ pub mod tensor;
 
 pub use init::Initializer;
 pub use layers::{
-    add_grads, export_grads, scale_grads, Conv2d, GlobalAvgPool, Layer, LeakyRelu, Linear,
-    MlpStack, ParamRef, Params, ResBlock,
+    Conv2d, Fold, GlobalAvgPool, Grads, Layer, LeakyRelu, Linear, MlpStack, ParamRef, Params,
+    ResBlock,
 };
 pub use loss::{softmax_regression, two_class};
 pub use optim::{Adam, Optimizer, Sgd, StepDecay};

@@ -4,14 +4,15 @@
 //! ([`StepDecay`]). The optimizer is not named in the paper; we provide both
 //! [`Adam`] (used by default) and [`Sgd`] with momentum.
 
-use crate::layers::Params;
+use crate::layers::{Grads, Params};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// A first-order optimizer over a [`Params`] implementor's parameters.
 pub trait Optimizer {
-    /// Applies one update step from the accumulated gradients.
-    fn step(&mut self, model: &mut dyn Params);
+    /// Applies one update step from `grads`, one gradient per parameter in
+    /// visit order.
+    fn step(&mut self, model: &mut dyn Params, grads: &Grads);
 
     /// Sets the learning rate.
     fn set_lr(&mut self, lr: f32);
@@ -40,20 +41,23 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Params) {
+    fn step(&mut self, model: &mut dyn Params, grads: &Grads) {
         let mut idx = 0usize;
         let lr = self.lr;
         let momentum = self.momentum;
         let velocity = &mut self.velocity;
+        let grads = grads.tensors();
         model.visit_params(&mut |p| {
             if velocity.len() <= idx {
                 velocity.push(Tensor::zeros(p.value.shape()));
             }
             let v = &mut velocity[idx];
+            let grad = &grads[idx];
+            assert_eq!(grad.shape(), p.value.shape(), "gradient shape");
             for ((vi, gi), wi) in v
                 .data_mut()
                 .iter_mut()
-                .zip(p.grad.data())
+                .zip(grad.data())
                 .zip(p.value.data_mut())
             {
                 *vi = momentum * *vi + gi;
@@ -100,7 +104,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Params) {
+    fn step(&mut self, model: &mut dyn Params, grads: &Grads) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -109,17 +113,20 @@ impl Optimizer for Adam {
         let mut idx = 0usize;
         let m = &mut self.m;
         let v = &mut self.v;
+        let grads = grads.tensors();
         model.visit_params(&mut |p| {
             if m.len() <= idx {
                 m.push(Tensor::zeros(p.value.shape()));
                 v.push(Tensor::zeros(p.value.shape()));
             }
             let (mi, vi) = (&mut m[idx], &mut v[idx]);
+            let grad = &grads[idx];
+            assert_eq!(grad.shape(), p.value.shape(), "gradient shape");
             for (((mm, vv), g), w) in mi
                 .data_mut()
                 .iter_mut()
                 .zip(vi.data_mut())
-                .zip(p.grad.data())
+                .zip(grad.data())
                 .zip(p.value.data_mut())
             {
                 *mm = b1 * *mm + (1.0 - b1) * g;
@@ -173,7 +180,7 @@ impl StepDecay {
 mod tests {
     use super::*;
     use crate::init::Initializer;
-    use crate::layers::{Layer, Linear, Params};
+    use crate::layers::{Grads, Layer, Linear};
     use crate::loss::softmax_regression;
 
     /// A toy matching problem: pick the candidate whose feature matches a
@@ -181,6 +188,7 @@ mod tests {
     fn train_toy(optimizer: &mut dyn Optimizer) -> (f32, f32) {
         let mut init = Initializer::new(42);
         let mut model = Linear::new(4, 1, &mut init);
+        let mut grads = Grads::zeros(&mut model);
         let make_batch = |t: usize| {
             let mut data = vec![0.0f32; 4 * 4];
             for j in 0..4 {
@@ -194,11 +202,13 @@ mod tests {
         for step in 0..200 {
             let t = step % 4;
             let x = make_batch(t);
-            let y = model.forward(&x);
+            let (y, tape) = model.forward(x);
             let (loss, grad) = softmax_regression(&y, t);
-            model.zero_grad();
-            model.backward(&grad);
-            optimizer.step(&mut model);
+            let mut folds = Vec::new();
+            model.backward(tape, grad, &[4], &mut folds);
+            grads.fill_zero();
+            grads.fold(&[folds], 1);
+            optimizer.step(&mut model, &grads);
             if step == 0 {
                 first = loss;
             }

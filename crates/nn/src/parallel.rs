@@ -1,8 +1,10 @@
 //! Data-parallel helpers built on `std::thread::scope` (no extra deps).
 //!
-//! Training in the paper runs on a GPU; here gradient computation is
-//! data-parallel over CPU threads: each worker owns a clone of the model,
-//! computes gradients for its shard, and the shards' gradients are averaged.
+//! Training in the paper runs on a GPU; here it is data-parallel over CPU
+//! threads. Every layer is stateless, so workers share one model: a batch's
+//! chunks of queries run their forward and backward passes on separate
+//! threads, then each parameter's gradient is folded over the chunks in
+//! batch order (`layers::Grads::fold`). No sum depends on the thread count.
 
 /// Maps `f` over `items` with up to `threads` worker threads, preserving
 /// order. With `threads <= 1` runs inline.
@@ -12,32 +14,35 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
+    for_each_mut(&mut slots, threads, |(item, out)| *out = Some(f(item)));
+    slots
+        .into_iter()
+        .map(|(_, out)| out.expect("worker filled slot"))
+        .collect()
+}
+
+/// Runs `f` on every item with up to `threads` worker threads, each owning
+/// a contiguous run of items. With `threads <= 1` runs inline.
+pub(crate) fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
     if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
+        items.iter_mut().for_each(f);
+        return;
     }
     // Telemetry only — a no-op two-atomic-load probe unless the binary
     // installed a trace recorder.
     let _span = deepsplit_obs::span("parallel_map");
-    let threads = threads.min(items.len());
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let out_chunks: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
+    let run = items.len().div_ceil(threads.min(items.len()));
     std::thread::scope(|s| {
-        for (t, out_chunk) in out_chunks.into_iter().enumerate() {
-            let start = t * chunk;
-            let slice = &items[start..(start + out_chunk.len()).min(items.len())];
+        for part in items.chunks_mut(run) {
             let f = &f;
-            s.spawn(move || {
-                for (o, item) in out_chunk.iter_mut().zip(slice) {
-                    *o = Some(f(item));
-                }
-            });
+            s.spawn(move || part.iter_mut().for_each(f));
         }
     });
-    out.into_iter()
-        .map(|o| o.expect("worker filled slot"))
-        .collect()
 }
 
 /// A sensible default worker count for this machine.
@@ -98,6 +103,15 @@ mod tests {
         let items: Vec<u32> = Vec::new();
         let out = parallel_map(&items, 4, |&x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once() {
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<u64> = (0..10).collect();
+            for_each_mut(&mut items, threads, |x| *x = *x * 3 + 1);
+            assert_eq!(items, (0..10).map(|x| x * 3 + 1).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! wider vectors. Rust never fuses a multiply and an add into an FMA, whatever
 //! CPU features a build enables.
 //!
+//! [`Tensor::fold_t_matmul`] adds a weight gradient `Σ_s x[s]ᵀ · g[s]` over
+//! row segments `s` (one per query) into a buffer, on the same kernel. Each
+//! segment's sum follows the rules above, over that segment's rows only,
+//! and is then added into the buffer; segments are added in order. That is
+//! `gw.add_assign(&x[s].t_matmul(&g[s]))` for each segment in turn, so a
+//! batch's gradient is the same bits whether its queries run one by one or
+//! stacked.
+//!
 //! The outputs are therefore the same bits on every x86-64 CPU and at every
 //! optimisation level. Trained weights inherit that, and they must: the
 //! model store is content-addressed, so a model trained on one machine is
@@ -219,6 +227,21 @@ impl Tensor {
         product(gemm, Product::ABt, self, other)
     }
 
+    /// `self += Σ_s x[s]ᵀ · g[s]`, where `x[s]` and `g[s]` are the `s`-th
+    /// runs of `segments[s]` rows of `x` (`[k, m]`) and `g` (`[k, n]`) and
+    /// `self` is `[m, n]`. Each segment's product is summed from `+0.0` over
+    /// its rows in ascending order and then added into `self`, segment
+    /// after segment: the same bits as `self.add_assign(&x[s].t_matmul(&g[s]))`
+    /// for each segment in turn, with nothing copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` and `g` are 2-D with as many rows as `segments`
+    /// sums to, and `self` is `[m, n]`.
+    pub fn fold_t_matmul(&mut self, x: &Tensor, g: &Tensor, segments: &[usize]) {
+        fold(gemm, self, x, g, segments);
+    }
+
     /// Concatenates 2-D tensors along the second (feature) axis.
     ///
     /// # Panics
@@ -337,7 +360,9 @@ enum Product {
 
 /// One `(m×k) · (k×n)` product as the kernel sees it. `a` holds `A` row-major
 /// (`[m, k]`), or `Aᵀ` (`[k, m]`) when `a_t`; likewise `b` holds `B` (`[k, n]`),
-/// or `Bᵀ` (`[n, k]`) when `b_t`.
+/// or `Bᵀ` (`[n, k]`) when `b_t`. Without `fold` the kernel stores `A · B`;
+/// with it, the kernel adds `A[s] · B[s]` over runs `s` of `fold[s]` inner
+/// indices into `out`, one run after another.
 #[derive(Debug, Clone, Copy)]
 struct Gemm<'a> {
     m: usize,
@@ -347,6 +372,7 @@ struct Gemm<'a> {
     a_t: bool,
     b: &'a [f32],
     b_t: bool,
+    fold: Option<&'a [usize]>,
 }
 
 /// Computes `which` of `x` and `y` with `kernel`.
@@ -369,13 +395,45 @@ fn product(kernel: impl Fn(&Gemm, &mut [f32]), which: Product, x: &Tensor, y: &T
         a_t,
         b: &y.data,
         b_t,
+        fold: None,
     };
     let mut out = vec![0.0f32; m * n];
     kernel(&g, &mut out);
     Tensor::from_vec(&[m, n], out)
 }
 
-/// `out = A · B` with the fastest kernel build this CPU runs.
+/// Adds `xᵀ · y` over the row runs `segments` into `acc` with `kernel`.
+fn fold(
+    kernel: impl Fn(&Gemm, &mut [f32]),
+    acc: &mut Tensor,
+    x: &Tensor,
+    y: &Tensor,
+    segments: &[usize],
+) {
+    let (k, m) = x.dims2();
+    let (k2, n) = y.dims2();
+    assert_eq!(k, k2, "fold_t_matmul dimension mismatch");
+    assert_eq!(
+        segments.iter().sum::<usize>(),
+        k,
+        "fold segments must cover the rows"
+    );
+    assert_eq!(acc.shape, [m, n], "fold_t_matmul output shape");
+    let g = Gemm {
+        m,
+        k,
+        n,
+        a: &x.data,
+        a_t: true,
+        b: &y.data,
+        b_t: false,
+        fold: Some(segments),
+    };
+    kernel(&g, &mut acc.data);
+}
+
+/// `out = A · B`, or the fold `g` asks for, with the fastest kernel build
+/// this CPU runs.
 fn gemm(g: &Gemm, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if gemm_avx2(g, out) {
@@ -400,8 +458,14 @@ fn gemm_avx2(g: &Gemm, out: &mut [f32]) -> bool {
     true
 }
 
-/// Rows of the register tile.
+/// Rows of the register tile when A is stored row-major: each row of the
+/// tile reads its own row of A.
 const MR: usize = 4;
+/// Rows of the register tile when A is stored transposed (`t_matmul` and
+/// the fold). A tile's values of one inner index are then adjacent in A,
+/// and a taller tile spreads each fold segment's fixed cost (the add into
+/// `out`, the loop exit) over more rows.
+const MR_T: usize = 6;
 /// Columns of the register tile: two AVX2 vectors.
 const NR: usize = 16;
 
@@ -410,17 +474,27 @@ fn gemm_portable(g: &Gemm, out: &mut [f32]) {
     gemm_core(g, out);
 }
 
-/// Register-blocked `out = A · B` (row-major `[m, n]`), built for the
-/// baseline instruction set in [`gemm_portable`] and for AVX2 inside
-/// [`gemm_avx2`]. `out` is computed in blocks of `NR` columns. Each block
-/// of B is first copied into a row-major panel, transposed if B is stored
-/// transposed (a copy only moves values), then the block of `out` is
-/// computed in tiles of `MR` rows, then 2 and 1 for the last rows. A tile
-/// is summed in registers over the whole inner dimension, then stored;
-/// tiles never split the inner dimension, so every output is the module's
-/// ascending sum wherever its tile falls.
+/// Register-blocked `out = A · B` (row-major `[m, n]`), or the fold `g`
+/// asks for, built for the baseline instruction set in [`gemm_portable`]
+/// and for AVX2 inside [`gemm_avx2`].
 #[inline(always)]
 fn gemm_core(g: &Gemm, out: &mut [f32]) {
+    match g.fold {
+        None => gemm_blocks::<false>(g, &[], out),
+        Some(segments) => gemm_blocks::<true>(g, segments, out),
+    }
+}
+
+/// `out` is computed in blocks of `NR` columns. Each block of B is first
+/// copied into a row-major panel, transposed if B is stored transposed (a
+/// copy only moves values), then the block of `out` is computed in tiles of
+/// `MR` rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the
+/// last rows. A tile is summed in registers over the whole inner dimension
+/// and stored, or with `FOLD` over each run of `segments` in turn, each
+/// run's sums added into `out`. Tiles never split a run, so every output
+/// is the module's ascending sum wherever its tile falls.
+#[inline(always)]
+fn gemm_blocks<const FOLD: bool>(g: &Gemm, segments: &[usize], out: &mut [f32]) {
     let Gemm { m, k, n, .. } = *g;
     assert_eq!(g.a.len(), m * k, "gemm A size");
     assert_eq!(g.b.len(), k * n, "gemm B size");
@@ -449,43 +523,148 @@ fn gemm_core(g: &Gemm, out: &mut [f32]) {
                 dst[..cols].copy_from_slice(&row[j..]);
             }
         }
-        let mut i = 0;
-        while i + MR <= m {
-            gemm_tile::<MR>(g, i, j, &panel, out);
-            i += MR;
-        }
-        if i + 2 <= m {
-            gemm_tile::<2>(g, i, j, &panel, out);
-            i += 2;
-        }
-        if i < m {
-            gemm_tile::<1>(g, i, j, &panel, out);
+        if g.a_t {
+            block_rows::<MR_T, FOLD>(g, segments, j, &panel, out);
+        } else {
+            block_rows::<MR, FOLD>(g, segments, j, &panel, out);
         }
     }
 }
 
-/// Rows `i..i + R` of the block of `out` at column `j`.
+/// The block of `out` at column `j`, in tiles of `T` rows, then 4, 2 and 1
+/// for the last rows.
 #[inline(always)]
-fn gemm_tile<const R: usize>(g: &Gemm, i: usize, j: usize, panel: &[[f32; NR]], out: &mut [f32]) {
-    let (a_rs, a_cs) = if g.a_t { (1, g.m) } else { (g.k, 1) };
-    let a_at: [usize; R] = std::array::from_fn(|r| (i + r) * a_rs);
+fn block_rows<const T: usize, const FOLD: bool>(
+    g: &Gemm,
+    segments: &[usize],
+    j: usize,
+    panel: &[[f32; NR]],
+    out: &mut [f32],
+) {
+    let m = g.m;
+    let mut i = 0;
+    while i + T <= m {
+        gemm_tile::<T, FOLD>(g, segments, i, j, panel, out);
+        i += T;
+    }
+    if T > 4 && i + 4 <= m {
+        gemm_tile::<4, FOLD>(g, segments, i, j, panel, out);
+        i += 4;
+    }
+    if i + 2 <= m {
+        gemm_tile::<2, FOLD>(g, segments, i, j, panel, out);
+        i += 2;
+    }
+    if i < m {
+        gemm_tile::<1, FOLD>(g, segments, i, j, panel, out);
+    }
+}
+
+/// Rows `i..i + R` of the block of `out` at column `j`: stored, or with
+/// `FOLD` added into over the runs `segments` (unused when storing).
+#[inline(always)]
+fn gemm_tile<const R: usize, const FOLD: bool>(
+    g: &Gemm,
+    segments: &[usize],
+    i: usize,
+    j: usize,
+    panel: &[[f32; NR]],
+    out: &mut [f32],
+) {
+    if FOLD {
+        fold_tile::<R>(g, segments, i, j, panel, out);
+        return;
+    }
+    let acc = if g.a_t {
+        tile_sum_t::<R>(g, i, 0, panel)
+    } else {
+        tile_sum::<R>(g, i, panel)
+    };
+    let cols = NR.min(g.n - j);
+    for (r, sums) in acc.iter().enumerate() {
+        let row = &mut out[(i + r) * g.n + j..][..cols];
+        // A full row is stored with a fixed-size copy, as in `gemm_blocks`.
+        match row.first_chunk_mut::<NR>() {
+            Some(full) => *full = *sums,
+            None => row.copy_from_slice(&sums[..row.len()]),
+        }
+    }
+}
+
+/// The sums of a tile over the inner indices of `panel`, for A stored
+/// row-major: `R` rows of A, each read along.
+#[inline(always)]
+fn tile_sum<const R: usize>(g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
+    let k = g.k;
+    assert_eq!(panel.len(), k, "one panel row per inner index");
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * k..][..k]);
     let mut acc = [[0.0f32; NR]; R];
-    for (p, bp) in panel.iter().enumerate() {
+    for p in 0..k {
+        let bp = &panel[p];
         for r in 0..R {
-            let av = g.a[a_at[r] + p * a_cs];
+            let av = rows[r][p];
             for c in 0..NR {
                 acc[r][c] += av * bp[c];
             }
         }
     }
-    let cols = NR.min(g.n - j);
-    for (r, sums) in acc.iter().enumerate() {
-        let row = &mut out[(i + r) * g.n + j..][..cols];
-        // A full row is stored with a fixed-size copy, as in `gemm_core`.
-        match row.first_chunk_mut::<NR>() {
-            Some(full) => *full = *sums,
-            None => row.copy_from_slice(&sums[..row.len()]),
+    acc
+}
+
+/// The sums of a tile over the inner indices `first..` that `panel`
+/// holds, for A stored transposed: the tile's `R` values of an inner index
+/// are adjacent.
+#[inline(always)]
+fn tile_sum_t<const R: usize>(
+    g: &Gemm,
+    i: usize,
+    first: usize,
+    panel: &[[f32; NR]],
+) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, bp) in (first..).zip(panel) {
+        let a: &[f32; R] = g.a[p * g.m + i..].first_chunk().expect("R rows of A");
+        for r in 0..R {
+            for c in 0..NR {
+                acc[r][c] += a[r] * bp[c];
+            }
         }
+    }
+    acc
+}
+
+/// The fold's tile: each run of `segments` is summed in registers from
+/// `+0.0`, then added into the tile of `out`, run after run.
+#[inline(always)]
+fn fold_tile<const R: usize>(
+    g: &Gemm,
+    segments: &[usize],
+    i: usize,
+    j: usize,
+    panel: &[[f32; NR]],
+    out: &mut [f32],
+) {
+    assert!(g.a_t, "a fold reads A transposed");
+    let cols = NR.min(g.n - j);
+    let mut start = 0;
+    for &len in segments {
+        let acc = tile_sum_t::<R>(g, i, start, &panel[start..start + len]);
+        for (r, sums) in acc.iter().enumerate() {
+            let row = &mut out[(i + r) * g.n + j..][..cols];
+            match row.first_chunk_mut::<NR>() {
+                Some(full) => {
+                    for c in 0..NR {
+                        full[c] += sums[c];
+                    }
+                }
+                None => {
+                    for (o, s) in row.iter_mut().zip(sums) {
+                        *o += s;
+                    }
+                }
+            }
+        }
+        start += len;
     }
 }
 
@@ -658,7 +837,16 @@ mod tests {
 
     #[test]
     fn kernels_match_reference_bitwise_at_tile_edges() {
-        for m in [1, MR - 1, MR, MR + 1] {
+        for m in [
+            1,
+            MR - 1,
+            MR,
+            MR + 1,
+            MR_T - 1,
+            MR_T,
+            MR_T + 1,
+            2 * MR_T + 5,
+        ] {
             for n in [1, NR - 1, NR, NR + 1] {
                 for k in [1, NR - 1, NR, NR + 1] {
                     assert_bitwise(m, k, n);
@@ -679,6 +867,85 @@ mod tests {
         for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0)] {
             assert_bitwise(m, k, n);
         }
+    }
+
+    /// The fold's reference: `t_matmul` of each segment's rows, added into
+    /// `start` segment by segment.
+    fn ref_fold(start: &Tensor, x: &Tensor, y: &Tensor, segments: &[usize]) -> Tensor {
+        let (m, n) = (x.dims2().1, y.dims2().1);
+        let mut acc = start.clone();
+        let mut at = 0;
+        for &len in segments {
+            let xs = Tensor::from_vec(&[len, m], x.data[at * m..(at + len) * m].to_vec());
+            let ys = Tensor::from_vec(&[len, n], y.data[at * n..(at + len) * n].to_vec());
+            acc.add_assign(&xs.t_matmul(&ys));
+            at += len;
+        }
+        acc
+    }
+
+    /// Checks the fold of `[k, m]ᵀ · [k, n]` over `segments` into an
+    /// awkward `[m, n]` start on every kernel build, bit for bit.
+    fn assert_fold_bitwise(m: usize, n: usize, segments: &[usize]) {
+        let k: usize = segments.iter().sum();
+        let seed = ((m * 31 + n) * 31 + k) as u64 * 31 + segments.len() as u64;
+        let x = Tensor::from_vec(&[k, m], awkward(k * m, seed));
+        let y = Tensor::from_vec(&[k, n], awkward(k * n, seed + 1));
+        let start = Tensor::from_vec(&[m, n], awkward(m * n, seed + 2));
+        let want = ref_fold(&start, &x, &y, segments);
+        for (build, kernel) in kernel_builds() {
+            let mut got = start.clone();
+            fold(kernel, &mut got, &x, &y, segments);
+            assert!(
+                bits(&got) == bits(&want),
+                "{build} fold at m={m} n={n} segments={segments:?} differs from the reference"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_matches_per_segment_products_at_tile_edges() {
+        let segmentations: [&[usize]; 6] = [
+            &[1],
+            &[NR + 1],
+            &[3, 1, 5],
+            &[1; 7],
+            &[MR, NR - 1, 2],
+            &[0, 2, 0, 1],
+        ];
+        for m in [1, 3, MR, MR + 1, MR_T - 1, MR_T, MR_T + 1, 2 * MR_T + 5] {
+            for n in [1, NR - 1, NR, NR + 1] {
+                for segments in segmentations {
+                    assert_fold_bitwise(m, n, segments);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_per_segment_products_at_model_shapes() {
+        // A stacked batch of 16 queries into a 128×128 dense layer, and
+        // conv1's im2col rows of two queries at the fast image profile.
+        let queries: Vec<usize> = (0..16).map(|q| 8 + q % 8).collect();
+        assert_fold_bitwise(128, 128, &queries);
+        assert_fold_bitwise(27, 128, &queries);
+        assert_fold_bitwise(32, 1, &queries);
+        assert_fold_bitwise(162, 16, &[9 * 289, 16 * 289]);
+    }
+
+    #[test]
+    fn fold_handles_empty_dimensions() {
+        assert_fold_bitwise(0, 4, &[2, 3]);
+        assert_fold_bitwise(3, 0, &[2, 3]);
+        assert_fold_bitwise(3, 4, &[]);
+        assert_fold_bitwise(3, 4, &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fold segments must cover the rows")]
+    fn fold_rejects_segments_that_miss_rows() {
+        let x = Tensor::zeros(&[3, 2]);
+        Tensor::zeros(&[2, 2]).fold_t_matmul(&x, &x, &[1, 1]);
     }
 
     #[test]

@@ -134,12 +134,11 @@ proptest! {
     #[test]
     fn conv_gradcheck_random(seed in any::<u64>()) {
         let mut init = Initializer::new(seed);
-        let mut conv = Conv2d::new(2, 2, 3, 1, &mut init);
+        let conv = Conv2d::new(2, 2, 3, 1, &mut init);
         let x = init.uniform(&[2 * 5 * 5], 1.0).reshape(&[1, 2, 5, 5]);
-        let y = conv.forward(&x);
+        let (y, tape) = conv.forward(x.clone());
         let ones = y.map(|_| 1.0);
-        conv.zero_grad();
-        let gx = conv.backward(&ones);
+        let gx = conv.backward(tape, ones, &[1], &mut Vec::new());
         let eps = 1e-2f32;
         for idx in [0usize, 12, 24, 49] {
             let mut xp = x.clone();

@@ -55,10 +55,11 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Deserialized-model LRU capacity (`0` disables it).
     pub lru_capacity: usize,
-    /// Threads each `/attack` request may spend preparing the victim and
-    /// on inference, whatever the request's `attack.threads` says. Both are
-    /// thread-count invariant, so this is purely a scheduling choice; `1`
-    /// keeps concurrent requests from oversubscribing the worker pool.
+    /// Threads each `/attack` request may spend training a model it
+    /// resolves cold, preparing the victim and on inference, whatever the
+    /// request's `attack.threads` says. All three are thread-count
+    /// invariant, so this is purely a scheduling choice; `1` keeps
+    /// concurrent requests from oversubscribing the worker pool.
     pub inference_threads: usize,
     /// Query-stream adversary detection (disabled by default).
     pub detect: crate::detect::DetectConfig,
@@ -416,10 +417,13 @@ impl AttackServer {
                 let observed = self.lru.generation();
                 let train_eval = canonical_train_eval(&spec.eval);
                 let layer = spec.layer();
-                let (model, report) =
-                    train_or_load(&fp, self.store.as_ref(), &train_eval.attack, || {
-                        defended_corpus(base, layer, &spec.defense, &train_eval)
-                    });
+                let (model, report) = train_or_load(
+                    &fp,
+                    self.store.as_ref(),
+                    &train_eval.attack,
+                    self.inference_threads,
+                    || defended_corpus(base, layer, &spec.defense, &train_eval),
+                );
                 let trained_here = report.is_some();
                 let epochs = report.map(|r| r.epoch_loss.len()).unwrap_or(0);
                 if trained_here {

@@ -63,6 +63,16 @@ fn tiny_request() -> AttackRequest {
     }
 }
 
+/// The tiny request's store key. It must only ever move on purpose: a
+/// moved key orphans every model a store holds for it.
+#[test]
+fn tiny_request_store_key_is_pinned() {
+    assert_eq!(
+        tiny_request().fingerprint().to_hex(),
+        "25e3d4b22d6dc87a3aa5196c67f643c8"
+    );
+}
+
 fn metrics_of(server: &RunningServer) -> MetricsSnapshot {
     let r = httpc::get(&format!("{}/metrics", server.url()), TIMEOUT).expect("GET /metrics");
     assert_eq!(r.status, 200);
@@ -310,6 +320,71 @@ fn attack_endpoint_refuses_bad_specs() {
     assert_eq!(
         m.models_trained, 0,
         "invalid specs must never reach training"
+    );
+    server.shutdown();
+}
+
+/// The training knobs are bounded at the boundary: one candidate used to
+/// pass validation and panic in training (a 500).
+#[test]
+fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
+    use deepsplit_defense::service::{MAX_BATCH_SIZE, MAX_EPOCHS, MAX_IMAGE_PX};
+    let server = test_server();
+    let url = format!("{}/attack", server.url());
+    let good = tiny_request().eval.attack;
+    for (knob, attack) in [
+        (
+            "candidates",
+            AttackConfig {
+                candidates: 1,
+                ..good.clone()
+            },
+        ),
+        (
+            "candidates",
+            AttackConfig {
+                candidates: 0,
+                ..good.clone()
+            },
+        ),
+        (
+            "epochs",
+            AttackConfig {
+                epochs: MAX_EPOCHS + 1,
+                ..good.clone()
+            },
+        ),
+        (
+            "batch_size",
+            AttackConfig {
+                batch_size: MAX_BATCH_SIZE + 1,
+                ..good.clone()
+            },
+        ),
+        (
+            "image_px",
+            AttackConfig {
+                image_px: MAX_IMAGE_PX + 1,
+                ..good.clone()
+            },
+        ),
+    ] {
+        let mut bad = tiny_request();
+        bad.eval.attack = attack;
+        let body = serde_json::to_string(&bad).expect("serialise request");
+        let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST bad knob");
+        assert_eq!(r.status, 400, "{knob}: {:?}", r.body_str());
+        assert!(
+            r.body_str().expect("body").contains(knob),
+            "error must name {knob}"
+        );
+    }
+    let health = httpc::get(&format!("{}/healthz", server.url()), TIMEOUT).expect("healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(
+        metrics_of(&server).models_trained,
+        0,
+        "a refused request must never reach training"
     );
     server.shutdown();
 }
