@@ -419,7 +419,8 @@ mod tests {
                 let vectors = prepared.vectors(qi, &trained.normalizer);
                 let images = prepared.images(qi).filter(|_| use_images);
                 let n = vectors.dims2().0;
-                let (raw, _) = model.forward(vectors, images, &[n]);
+                let ws = &mut deepsplit_nn::workspace::Workspace::new();
+                let (raw, _) = model.forward(vectors, images, &[n], ws);
                 (qi, model.candidate_scores(&raw))
             })
             .collect()

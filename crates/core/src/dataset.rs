@@ -143,6 +143,26 @@ impl PreparedDesign {
         Tensor::from_vec(&[rows, VECTOR_DIM], data)
     }
 
+    /// Writes the normalised vector rows of query `i` into `out`, row after
+    /// row: the values [`PreparedDesign::vectors`] holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `out` is not `n × 27` values.
+    pub(crate) fn write_vectors(&self, i: usize, norm: &Normalizer, out: &mut [f32]) {
+        let features = &self.raw_features[i];
+        assert_eq!(
+            out.len(),
+            features.len() * VECTOR_DIM,
+            "one row per candidate"
+        );
+        for (dst, f) in out.chunks_exact_mut(VECTOR_DIM).zip(features) {
+            let mut row = *f;
+            norm.apply(&mut row);
+            dst.copy_from_slice(&row);
+        }
+    }
+
     /// Assembles the image stack `[n+1, C, px, px]` of query `i` (sink image
     /// first), or `None` when images are disabled.
     pub fn images(&self, i: usize) -> Option<Tensor> {

@@ -19,7 +19,8 @@
 //! * [`fingerprint`] — stable 128-bit content addresses for training corpora.
 //! * [`store`] — content-addressed [`TrainedAttack`] caches (memory / disk /
 //!   remote HTTP) keyed by corpus fingerprint, so repeated sweeps skip
-//!   re-training.
+//!   re-training. They keep versioned binary blobs
+//!   ([`TrainedAttack::to_blob`]).
 //! * [`httpc`] — the minimal HTTP/1.1 client behind [`RemoteModelStore`],
 //!   shared with the `deepsplit-serve` integration tests and load generator.
 //!
@@ -51,6 +52,20 @@
 //! println!("CCR = {:.2} %", 100.0 * ccr(&victim_data.view, &outcome.assignment));
 //! ```
 
+/// The version of everything that decides a trained model's bits, written
+/// into every model blob ([`TrainedAttack::to_blob`]). A blob of another
+/// version reads as a store miss, so a store filled by another build never
+/// serves stale weights.
+///
+/// Bump it with any change that moves a trained bit or a stored model's
+/// meaning: the netlist generator, placement and routing (the layout),
+/// candidate selection or the vector and image features, and the numerics
+/// of `deepsplit-nn` (kernels, summation order, layers, losses,
+/// optimizer), or of training itself. `train::tests::trained_weights_are_pinned`
+/// fails on such a change; the fingerprints of the training corpora do not
+/// carry this version.
+pub const PIPELINE_VERSION: u32 = 1;
+
 pub mod attack;
 pub mod candidates;
 pub mod config;
@@ -76,5 +91,5 @@ pub use model::{AttackModel, LossKind, ModelKind};
 pub use recover::{functional_recovery, reconstruct};
 pub use store::{DiskModelStore, MemoryModelStore, ModelStore, RemoteModelStore, StoreCounters};
 pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
-pub use train::{train, train_or_load, train_with_threads, TrainReport, TrainedAttack};
+pub use train::{train, train_or_load, train_with_threads, BlobError, TrainReport, TrainedAttack};
 pub use vector_features::{Normalizer, VECTOR_DIM};

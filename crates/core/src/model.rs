@@ -20,18 +20,29 @@
 
 use deepsplit_nn::init::Initializer;
 use deepsplit_nn::layers::{
-    Conv2d, ConvTape, Fold, GlobalAvgPool, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
+    Conv2d, ConvTape, GlobalAvgPool, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
 };
 use deepsplit_nn::tensor::Tensor;
+use deepsplit_nn::workspace::Workspace;
 use serde::{Deserialize, Serialize};
+
+/// Residual blocks of the vector part.
+const VEC_BLOCKS: usize = 4;
+/// Residual blocks of the merged part.
+const MERGED_BLOCKS: usize = 3;
+/// Convolutions of the image tower: four stages of three.
+const CONVS: usize = 12;
 
 /// The tapes of a dense layer and the activation after it.
 type DenseTape = (Tensor, Vec<bool>);
 
+/// The tape of a residual block.
+type BlockTape = <ResBlock as Layer>::Tape;
+
 /// `act(fc(x))` for training: the output and both tapes.
-fn dense(fc: &Linear, act: &LeakyRelu, x: Tensor) -> (Tensor, DenseTape) {
-    let (y, fc_tape) = fc.forward(x);
-    let (h, act_tape) = act.forward(y);
+fn dense(fc: &Linear, act: &LeakyRelu, x: Tensor, ws: &mut Workspace) -> (Tensor, DenseTape) {
+    let (y, fc_tape) = fc.forward(x, ws);
+    let (h, act_tape) = act.forward(y, ws);
     (h, (fc_tape, act_tape))
 }
 
@@ -42,39 +53,41 @@ fn dense_back(
     (fc_tape, act_tape): DenseTape,
     g: Tensor,
     segments: &[usize],
-    folds: &mut Vec<Fold>,
+    ws: &mut Workspace,
 ) -> Tensor {
-    let g = act.backward(act_tape, g, segments, folds);
-    fc.backward(fc_tape, g, segments, folds)
+    let g = act.backward(act_tape, g, segments, ws);
+    fc.backward(fc_tape, g, segments, ws)
 }
 
-/// Training pass through residual blocks in order.
-fn blocks_forward(blocks: &[ResBlock], x: Tensor) -> (Tensor, Vec<<ResBlock as Layer>::Tape>) {
+/// Training pass through the `N` residual blocks in order.
+fn blocks_forward<const N: usize>(
+    blocks: &[ResBlock],
+    x: Tensor,
+    ws: &mut Workspace,
+) -> (Tensor, [BlockTape; N]) {
+    assert_eq!(blocks.len(), N, "residual block count");
     let mut h = x;
-    let tapes = blocks
-        .iter()
-        .map(|b| {
-            let tape;
-            (h, tape) = b.forward(std::mem::take(&mut h));
-            tape
-        })
-        .collect();
+    let tapes = std::array::from_fn(|i| {
+        let tape;
+        (h, tape) = blocks[i].forward(std::mem::take(&mut h), ws);
+        tape
+    });
     (h, tapes)
 }
 
 /// Backward pass through [`blocks_forward`].
-fn blocks_back(
+fn blocks_back<const N: usize>(
     blocks: &[ResBlock],
-    tapes: Vec<<ResBlock as Layer>::Tape>,
+    tapes: [BlockTape; N],
     g: Tensor,
     segments: &[usize],
-    folds: &mut Vec<Fold>,
+    ws: &mut Workspace,
 ) -> Tensor {
     blocks
         .iter()
         .zip(tapes)
         .rev()
-        .fold(g, |g, (b, tape)| b.backward(tape, g, segments, folds))
+        .fold(g, |g, (b, tape)| b.backward(tape, g, segments, ws))
 }
 
 /// Which feature families the model consumes (Fig. 5 ablation).
@@ -145,23 +158,23 @@ impl ConvTower {
     }
 
     /// [`ConvTower::infer`] for training: the same embeddings, and the
-    /// tape [`ConvTower::backward`] needs.
-    pub fn forward(&self, imgs: Tensor) -> (Tensor, TowerTape) {
+    /// tape [`ConvTower::backward`] needs, from `ws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the tower has the Table 2 layer count.
+    pub fn forward(&self, imgs: Tensor, ws: &mut Workspace) -> (Tensor, TowerTape) {
+        assert_eq!(self.convs.len(), CONVS, "convolution count");
         let mut h = imgs;
-        let convs = self
-            .convs
-            .iter()
-            .zip(&self.acts)
-            .map(|(conv, act)| {
-                let (y, conv_tape) = conv.forward(std::mem::take(&mut h));
-                let act_tape;
-                (h, act_tape) = act.forward(y);
-                (conv_tape, act_tape)
-            })
-            .collect();
-        let (h, pool) = self.pool.forward(h);
-        let (h, fc3) = dense(&self.fc3, &self.act3, h);
-        let (h, fc4) = dense(&self.fc4, &self.act4, h);
+        let convs = std::array::from_fn(|i| {
+            let (y, conv_tape) = self.convs[i].forward(std::mem::take(&mut h), ws);
+            let act_tape;
+            (h, act_tape) = self.acts[i].forward(y, ws);
+            (conv_tape, act_tape)
+        });
+        let (h, pool) = self.pool.forward(h, ws);
+        let (h, fc3) = dense(&self.fc3, &self.act3, h, ws);
+        let (h, fc4) = dense(&self.fc4, &self.act4, h, ws);
         let tape = TowerTape {
             convs,
             pool,
@@ -173,23 +186,18 @@ impl ConvTower {
 
     /// Backpropagates `[k, 128]` embedding gradients through the tower.
     /// `segments` splits the `k` images into queries.
-    pub fn backward(
-        &self,
-        tape: TowerTape,
-        grad: Tensor,
-        segments: &[usize],
-        folds: &mut Vec<Fold>,
-    ) {
-        let g = dense_back(&self.fc4, &self.act4, tape.fc4, grad, segments, folds);
-        let g = dense_back(&self.fc3, &self.act3, tape.fc3, g, segments, folds);
-        let g = self.pool.backward(tape.pool, g, segments, folds);
+    pub fn backward(&self, tape: TowerTape, grad: Tensor, segments: &[usize], ws: &mut Workspace) {
+        let g = dense_back(&self.fc4, &self.act4, tape.fc4, grad, segments, ws);
+        let g = dense_back(&self.fc3, &self.act3, tape.fc3, g, segments, ws);
+        let g = self.pool.backward(tape.pool, g, segments, ws);
         let layers = self.convs.iter().zip(&self.acts).zip(tape.convs);
-        layers
+        let g = layers
             .rev()
             .fold(g, |g, ((conv, act), (conv_tape, act_tape))| {
-                let g = act.backward(act_tape, g, segments, folds);
-                conv.backward(conv_tape, g, segments, folds)
+                let g = act.backward(act_tape, g, segments, ws);
+                conv.backward(conv_tape, g, segments, ws)
             });
+        ws.give(g);
     }
 
     /// Layer shape description for the Table 2 printout.
@@ -220,12 +228,20 @@ impl Params for ConvTower {
         self.fc3.visit_params(f);
         self.fc4.visit_params(f);
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        for c in &self.convs {
+            c.for_each_param(f);
+        }
+        self.fc3.for_each_param(f);
+        self.fc4.for_each_param(f);
+    }
 }
 
 /// What [`ConvTower::forward`] keeps for [`ConvTower::backward`].
 #[derive(Debug)]
 pub struct TowerTape {
-    convs: Vec<(ConvTape, Vec<bool>)>,
+    convs: [(ConvTape, Vec<bool>); CONVS],
     pool: [usize; 4],
     fc3: DenseTape,
     fc4: DenseTape,
@@ -237,10 +253,10 @@ pub struct TowerTape {
 pub struct ModelTape {
     rows: Vec<usize>,
     fc1: DenseTape,
-    vec_blocks: Vec<<ResBlock as Layer>::Tape>,
+    vec_blocks: [BlockTape; VEC_BLOCKS],
     image: Option<(TowerTape, DenseTape)>,
     fc5: DenseTape,
-    merged_blocks: Vec<<ResBlock as Layer>::Tape>,
+    merged_blocks: [BlockTape; MERGED_BLOCKS],
     fc6: DenseTape,
     fc7: Tensor,
 }
@@ -295,13 +311,17 @@ impl AttackModel {
             loss,
             fc1: Linear::new(vec_dim, 128, &mut init),
             act1: LeakyRelu::new(),
-            vec_blocks: (0..4).map(|_| ResBlock::new(128, &mut init)).collect(),
+            vec_blocks: (0..VEC_BLOCKS)
+                .map(|_| ResBlock::new(128, &mut init))
+                .collect(),
             tower,
             fc5_img,
             act5_img: LeakyRelu::new(),
             fc5: Linear::new(merged_in, 128, &mut init),
             act5: LeakyRelu::new(),
-            merged_blocks: (0..3).map(|_| ResBlock::new(128, &mut init)).collect(),
+            merged_blocks: (0..MERGED_BLOCKS)
+                .map(|_| ResBlock::new(128, &mut init))
+                .collect(),
             fc6: Linear::new(128, 32, &mut init),
             act6: LeakyRelu::new(),
             fc7: Linear::new(32, out_dim, &mut init),
@@ -319,6 +339,14 @@ impl AttackModel {
             .as_ref()
             .expect("VecOnly model has no image tower")
             .infer(imgs)
+    }
+
+    /// The image channels the tower takes (0 without one).
+    pub fn image_channels(&self) -> usize {
+        self.tower
+            .as_ref()
+            .and_then(|t| t.convs.first())
+            .map_or(0, Conv2d::in_channels)
     }
 
     /// Scores stacked candidate rows for inference: vector features
@@ -362,7 +390,7 @@ impl AttackModel {
     /// query's **sink image first**. The inputs are taken by value: the
     /// tape keeps `vectors`. Returns the scores
     /// [`AttackModel::score_rows`] gives the same rows, and the tape
-    /// [`AttackModel::backward`] needs.
+    /// [`AttackModel::backward`] needs, all from `ws`.
     ///
     /// # Panics
     ///
@@ -373,50 +401,56 @@ impl AttackModel {
         vectors: Tensor,
         images: Option<Tensor>,
         rows: &[usize],
+        ws: &mut Workspace,
     ) -> (Tensor, ModelTape) {
+        let candidates: usize = rows.iter().sum();
         assert_eq!(
             vectors.dims2().0,
-            rows.iter().sum::<usize>(),
+            candidates,
             "one vector row per candidate"
         );
         // Vector part.
-        let (v, fc1) = dense(&self.fc1, &self.act1, vectors);
-        let (v, vec_blocks) = blocks_forward(&self.vec_blocks, v);
+        let (v, fc1) = dense(&self.fc1, &self.act1, vectors, ws);
+        let (v, vec_blocks) = blocks_forward(&self.vec_blocks, v, ws);
         // Image part (pair fusion).
         let (merged_in, image) = match (self.kind, &self.tower, &self.fc5_img) {
             (ModelKind::VecOnly, ..) => (v, None),
             (ModelKind::VecImg, Some(tower), Some(fc5_img)) => {
                 let imgs = images.expect("VecImg model requires images");
-                let (emb, tower_tape) = tower.forward(imgs);
+                let (emb, tower_tape) = tower.forward(imgs, ws);
+                let (embedded, d) = emb.dims2();
                 assert_eq!(
-                    emb.dims2().0,
-                    rows.iter().map(|n| n + 1).sum::<usize>(),
+                    embedded,
+                    candidates + rows.len(),
                     "one image per candidate, plus the sink's"
                 );
                 // Each query's sink embedding (its first row) is paired
                 // with every one of its sources.
                 let mut first = 0;
-                let pairs = rows.iter().flat_map(|&n| {
+                let sources = rows.iter().flat_map(|&n| {
                     let sink = first;
                     first += n + 1;
                     (sink + 1..=sink + n).map(move |src| (src, sink))
                 });
-                let pairs = embedding_pairs(&emb, pairs);
-                let (h, fc5_img_tape) = dense(fc5_img, &self.act5_img, pairs);
-                (
-                    Tensor::concat_cols(&[&v, &h]),
-                    Some((tower_tape, fc5_img_tape)),
-                )
+                let mut pairs = ws.tensor(&[candidates, 2 * d]);
+                write_pairs(&emb, sources, &mut pairs);
+                ws.give(emb);
+                let (h, fc5_img_tape) = dense(fc5_img, &self.act5_img, pairs, ws);
+                let mut merged = ws.tensor(&[candidates, v.dims2().1 + h.dims2().1]);
+                Tensor::concat_cols_into(&[&v, &h], &mut merged);
+                ws.give(v);
+                ws.give(h);
+                (merged, Some((tower_tape, fc5_img_tape)))
             }
             (ModelKind::VecImg, ..) => unreachable!("VecImg model has a tower and fc5_img"),
         };
         // Merged part.
-        let (h, fc5) = dense(&self.fc5, &self.act5, merged_in);
-        let (h, merged_blocks) = blocks_forward(&self.merged_blocks, h);
-        let (h, fc6) = dense(&self.fc6, &self.act6, h);
-        let (scores, fc7) = self.fc7.forward(h);
+        let (h, fc5) = dense(&self.fc5, &self.act5, merged_in, ws);
+        let (h, merged_blocks) = blocks_forward(&self.merged_blocks, h, ws);
+        let (h, fc6) = dense(&self.fc6, &self.act6, h, ws);
+        let (scores, fc7) = self.fc7.forward(h, ws);
         let tape = ModelTape {
-            rows: rows.to_vec(),
+            rows: ws.list(rows.iter().copied()),
             fc1,
             vec_blocks,
             image,
@@ -429,56 +463,70 @@ impl AttackModel {
     }
 
     /// Backward pass through the [`AttackModel::forward`] call that made
-    /// `tape`, for score gradients `[Σ rows, out]`. Returns every weight
-    /// layer's [`Fold`] in backward order, ready for
+    /// `tape`, for score gradients `[Σ rows, out]`. Pushes every weight
+    /// layer's fold onto `ws` in backward order, ready for
     /// [`deepsplit_nn::layers::Grads::fold`]: each weight gradient sums its
-    /// queries one at a time, in order.
-    pub fn backward(&self, tape: ModelTape, grad_scores: Tensor) -> Vec<Fold> {
-        let rows = &tape.rows[..];
-        let mut folds = Vec::new();
-        let f = &mut folds;
-        let g = self.fc7.backward(tape.fc7, grad_scores, rows, f);
-        let g = dense_back(&self.fc6, &self.act6, tape.fc6, g, rows, f);
-        let g = blocks_back(&self.merged_blocks, tape.merged_blocks, g, rows, f);
-        let g = dense_back(&self.fc5, &self.act5, tape.fc5, g, rows, f);
-        let g_vec = match (tape.image, &self.tower, &self.fc5_img) {
+    /// queries one at a time, in order. Gives back to `ws` every buffer the
+    /// folds do not hold.
+    pub fn backward(&self, tape: ModelTape, grad_scores: Tensor, ws: &mut Workspace) {
+        let ModelTape {
+            rows,
+            fc1,
+            vec_blocks,
+            image,
+            fc5,
+            merged_blocks,
+            fc6,
+            fc7,
+        } = tape;
+        let g = self.fc7.backward(fc7, grad_scores, &rows, ws);
+        let g = dense_back(&self.fc6, &self.act6, fc6, g, &rows, ws);
+        let g = blocks_back(&self.merged_blocks, merged_blocks, g, &rows, ws);
+        let g = dense_back(&self.fc5, &self.act5, fc5, g, &rows, ws);
+        let g_vec = match (image, &self.tower, &self.fc5_img) {
             (None, ..) => g,
             (Some((tower_tape, fc5_img_tape)), Some(tower), Some(fc5_img)) => {
-                let [g_vec, g_img]: [Tensor; 2] = g
-                    .split_cols(&[128, 128])
-                    .try_into()
-                    .expect("two column blocks");
-                let g_pairs = dense_back(fc5_img, &self.act5_img, fc5_img_tape, g_img, rows, f);
-                let pair_parts = g_pairs.split_cols(&[128, 128]);
-                let (g_src, g_sink_rows) = (&pair_parts[0], &pair_parts[1]);
+                let candidates = g.dims2().0;
+                let mut g_vec = ws.tensor(&[candidates, 128]);
+                let mut g_img = ws.tensor(&[candidates, 128]);
+                g.split_cols_into(&mut [&mut g_vec, &mut g_img]);
+                ws.give(g);
+                let g_pairs = dense_back(fc5_img, &self.act5_img, fc5_img_tape, g_img, &rows, ws);
+                // Pair row `r` holds the gradient of its source embedding
+                // (part 0), then of its sink's (part 1).
+                let half = |r: usize, part: usize| &g_pairs.data()[(2 * r + part) * 128..][..128];
                 // The tower saw [sink; sources] per query: stack gradients
                 // the same way. A sink embedding was broadcast to each of
                 // its query's pairs, so its gradient sums their rows.
-                let mut stacked =
-                    Vec::with_capacity((rows.iter().sum::<usize>() + rows.len()) * 128);
+                let mut stacked = ws.tensor(&[candidates + rows.len(), 128]);
+                let mut out = stacked.data_mut().chunks_exact_mut(128);
                 let mut first = 0;
-                for &n in rows {
-                    let at = stacked.len();
-                    stacked.extend_from_slice(&[0.0; 128]);
+                for &n in rows.iter() {
+                    let sink = out.next().expect("a row per sink");
+                    sink.fill(0.0);
                     for r in first..first + n {
-                        let row = &g_sink_rows.data()[r * 128..(r + 1) * 128];
-                        for (s, v) in stacked[at..].iter_mut().zip(row) {
+                        for (s, v) in sink.iter_mut().zip(half(r, 1)) {
                             *s += v;
                         }
                     }
-                    stacked.extend_from_slice(&g_src.data()[first * 128..(first + n) * 128]);
+                    for r in first..first + n {
+                        let source = out.next().expect("a row per source");
+                        source.copy_from_slice(half(r, 0));
+                    }
                     first += n;
                 }
-                let images: Vec<usize> = rows.iter().map(|n| n + 1).collect();
-                let stacked = Tensor::from_vec(&[first + rows.len(), 128], stacked);
-                tower.backward(tower_tape, stacked, &images, f);
+                ws.give(g_pairs);
+                let images = ws.list(rows.iter().map(|n| n + 1));
+                tower.backward(tower_tape, stacked, &images, ws);
+                ws.give_list(images);
                 g_vec
             }
             (Some(_), ..) => unreachable!("an image tape comes from a VecImg model"),
         };
-        let g = blocks_back(&self.vec_blocks, tape.vec_blocks, g_vec, rows, f);
-        let _ = dense_back(&self.fc1, &self.act1, tape.fc1, g, rows, f);
-        folds
+        let g = blocks_back(&self.vec_blocks, vec_blocks, g_vec, &rows, ws);
+        let g = dense_back(&self.fc1, &self.act1, fc1, g, &rows, ws);
+        ws.give(g);
+        ws.give_list(rows);
     }
 
     /// Ranking probability per candidate (implements paper Eq. 2).
@@ -530,6 +578,25 @@ impl Params for AttackModel {
         self.fc6.visit_params(f);
         self.fc7.visit_params(f);
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.fc1.for_each_param(f);
+        for b in &self.vec_blocks {
+            b.for_each_param(f);
+        }
+        if let Some(t) = &self.tower {
+            t.for_each_param(f);
+        }
+        if let Some(l) = &self.fc5_img {
+            l.for_each_param(f);
+        }
+        self.fc5.for_each_param(f);
+        for b in &self.merged_blocks {
+            b.for_each_param(f);
+        }
+        self.fc6.for_each_param(f);
+        self.fc7.for_each_param(f);
+    }
 }
 
 /// The image part's fusion input: one `[source | sink]` row per
@@ -540,15 +607,29 @@ impl Params for AttackModel {
 ///
 /// Panics if an index is out of range.
 pub fn embedding_pairs(table: &Tensor, pairs: impl IntoIterator<Item = (usize, usize)>) -> Tensor {
+    let pairs: Vec<(usize, usize)> = pairs.into_iter().collect();
+    let mut out = Tensor::zeros(&[pairs.len(), 2 * table.dims2().1]);
+    write_pairs(table, pairs, &mut out);
+    out
+}
+
+/// Writes the [`embedding_pairs`] rows of `pairs` into `out`, one per row.
+///
+/// # Panics
+///
+/// Panics if an index is out of range, or `out` is not `[pairs, 2d]`.
+fn write_pairs(table: &Tensor, pairs: impl IntoIterator<Item = (usize, usize)>, out: &mut Tensor) {
     let (_, d) = table.dims2();
     let row = |r: usize| &table.data()[r * d..(r + 1) * d];
-    let (mut data, mut rows) = (Vec::new(), 0);
-    for (src, sink) in pairs {
-        data.extend_from_slice(row(src));
-        data.extend_from_slice(row(sink));
-        rows += 1;
+    let (rows, width) = out.dims2();
+    assert_eq!(width, 2 * d, "a pair is two embeddings");
+    let mut written = 0;
+    for (pair, (src, sink)) in out.data_mut().chunks_exact_mut(2 * d).zip(pairs) {
+        pair[..d].copy_from_slice(row(src));
+        pair[d..].copy_from_slice(row(sink));
+        written += 1;
     }
-    Tensor::from_vec(&[rows, 2 * d], data)
+    assert_eq!(written, rows, "one pair per row");
 }
 
 #[cfg(test)]
@@ -557,6 +638,7 @@ mod tests {
     use deepsplit_nn::layers::{Grads, Params};
     use deepsplit_nn::loss::softmax_regression;
     use deepsplit_nn::optim::{Adam, Optimizer};
+    use deepsplit_nn::workspace::Workspace;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -609,9 +691,11 @@ mod tests {
         target: usize,
         grads: &mut Grads,
     ) -> f32 {
-        let (y, tape) = model.forward(x.clone(), imgs.cloned(), &[x.dims2().0]);
+        let mut ws = [Workspace::new()];
+        let (y, tape) = model.forward(x.clone(), imgs.cloned(), &[x.dims2().0], &mut ws[0]);
         let (loss, grad) = softmax_regression(&y, target);
-        grads.fold(&[model.backward(tape, grad)], 1);
+        model.backward(tape, grad, &mut ws[0]);
+        grads.fold(&mut ws);
         loss
     }
 
@@ -714,10 +798,12 @@ mod tests {
             let dy = |v: f32| 0.5 * v - 0.125;
             let mut want = Grads::zeros(&mut model);
             let mut want_scores = Vec::new();
+            let mut ws = [Workspace::new()];
             for (x, imgs) in &queries {
-                let (y, tape) = model.forward(x.clone(), imgs.clone(), &[x.dims2().0]);
+                let (y, tape) = model.forward(x.clone(), imgs.clone(), &[x.dims2().0], &mut ws[0]);
                 want_scores.extend(bits(&y));
-                want.fold(&[model.backward(tape, y.map(dy))], 1);
+                model.backward(tape, y.map(dy), &mut ws[0]);
+                want.fold(&mut ws);
             }
             let stack = |parts: Vec<&Tensor>| {
                 let mut shape = parts[0].shape().to_vec();
@@ -729,10 +815,12 @@ mod tests {
             };
             let x = stack(queries.iter().map(|(x, _)| x).collect());
             let imgs = images.then(|| stack(queries.iter().flat_map(|(_, i)| i).collect()));
-            let (y, tape) = model.forward(x, imgs, &rows);
+            // In the workspace the per-query passes left dirty.
+            let (y, tape) = model.forward(x, imgs, &rows, &mut ws[0]);
             assert!(bits(&y) == want_scores, "{kind:?} {loss:?}: scores differ");
             let mut got = Grads::zeros(&mut model);
-            got.fold(&[model.backward(tape, y.map(dy))], 1);
+            model.backward(tape, y.map(dy), &mut ws[0]);
+            got.fold(&mut ws);
             for (g, w) in got.tensors().iter().zip(want.tensors()) {
                 assert!(bits(g) == bits(w), "{kind:?} {loss:?}: gradients differ");
             }

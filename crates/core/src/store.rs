@@ -7,8 +7,8 @@
 //!
 //! * [`MemoryModelStore`] — per-process, shares models across cells of one
 //!   sweep;
-//! * [`DiskModelStore`] — a directory of `<fingerprint>.json` files (via
-//!   [`TrainedAttack::to_json`]), shared across processes and runs. Writes
+//! * [`DiskModelStore`] — a directory of `<fingerprint>.blob` files (via
+//!   [`TrainedAttack::to_blob`]), shared across processes and runs. Writes
 //!   are atomic (temp file + rename), so concurrent shards may point at the
 //!   same directory.
 //! * [`RemoteModelStore`] — the same blob namespace over HTTP
@@ -17,9 +17,12 @@
 //!   shared cache. An optional local directory write-through caches every
 //!   model that passes through, keeping repeat loads off the network.
 //!
-//! JSON round-trips are bit-exact for the model's floats (see
-//! `crates/compat/serde`), so a cache hit reproduces the exact scores a
-//! fresh training run would have produced — wherever the bytes came from.
+//! A blob holds every weight as its raw `f32` bits, so a cache hit
+//! reproduces the exact scores a fresh training run would have produced,
+//! wherever the bytes came from. It also records the blob format and
+//! [`crate::PIPELINE_VERSION`]: a blob of another version, a torn or padded
+//! one, and a `<fingerprint>.json` entry of the older JSON stores all read
+//! as a miss, so the cell re-trains.
 
 use crate::fingerprint::CorpusFingerprint;
 use crate::httpc;
@@ -43,7 +46,11 @@ use std::time::Duration;
 /// going (or to attach more context, like the engine's artifact writer)
 /// propagate this; callers for whom a broken directory should end the run
 /// use [`atomic_publish`].
-pub fn try_atomic_publish(dir: &Path, file_name: &str, contents: &str) -> std::io::Result<()> {
+pub fn try_atomic_publish(
+    dir: &Path,
+    file_name: &str,
+    contents: impl AsRef<[u8]>,
+) -> std::io::Result<()> {
     static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
     let tmp = dir.join(format!(
         "{file_name}.tmp.{}.{}",
@@ -60,7 +67,7 @@ pub fn try_atomic_publish(dir: &Path, file_name: &str, contents: &str) -> std::i
 ///
 /// Panics when the write or rename fails; publishing is load-bearing for
 /// the model stores, so a broken directory should stop the run.
-pub fn atomic_publish(dir: &Path, file_name: &str, contents: &str) {
+pub fn atomic_publish(dir: &Path, file_name: &str, contents: impl AsRef<[u8]>) {
     try_atomic_publish(dir, file_name, contents)
         .unwrap_or_else(|e| panic!("publish {}: {e}", dir.join(file_name).display()));
 }
@@ -85,11 +92,11 @@ pub struct StoreCounters {
 /// A content-addressed model cache. Implementations are thread-safe: sweep
 /// workers share one store behind `&dyn ModelStore`.
 ///
-/// The `*_json` methods move the *canonical JSON encoding* instead of the
-/// deserialized model — the currency of the blob API, where a server
-/// relaying multi-MB models should not pay a parse + re-serialize per
-/// request. Round-trips are bit-exact (see the module docs), so the two
-/// views of an entry can never disagree.
+/// The `*_blob` methods move the model's blob ([`TrainedAttack::to_blob`])
+/// instead of the decoded model: the currency of the blob API, where a
+/// server relaying models should not decode and re-encode one per request.
+/// A blob holds every weight's bits (see the module docs), so the two views
+/// of an entry can never disagree.
 pub trait ModelStore: Sync {
     /// The model stored under `key`, if any. Counts a hit or a miss.
     fn load(&self, key: &CorpusFingerprint) -> Option<TrainedAttack>;
@@ -97,20 +104,19 @@ pub trait ModelStore: Sync {
     /// Stores `model` under `key`, replacing any previous entry.
     fn save(&self, key: &CorpusFingerprint, model: &TrainedAttack);
 
-    /// The canonical JSON of the model under `key`, if any. Counts a hit or
-    /// a miss like [`ModelStore::load`]. Backends whose native format *is*
-    /// the canonical JSON override this to skip the parse + re-serialize.
-    fn load_json(&self, key: &CorpusFingerprint) -> Option<String> {
-        self.load(key)
-            .map(|model| model.to_json().expect("re-serialise loaded model"))
+    /// The blob of the model under `key`, if any. Counts a hit or a miss
+    /// like [`ModelStore::load`]. Backends that keep blobs override this to
+    /// hand back the stored bytes without decoding them.
+    fn load_blob(&self, key: &CorpusFingerprint) -> Option<Vec<u8>> {
+        self.load(key).map(|model| model.to_blob())
     }
 
-    /// Stores an already-validated model under `key` from both its parsed
-    /// and serialized forms; `json` must be `model`'s encoding. Counts a
-    /// save. Backends storing canonical JSON override this to publish the
-    /// bytes verbatim instead of re-serializing `model`.
-    fn save_json(&self, key: &CorpusFingerprint, json: &str, model: &TrainedAttack) {
-        let _ = json;
+    /// Stores an already-validated model under `key` from both its decoded
+    /// and encoded forms; `blob` must be `model`'s blob. Counts a save.
+    /// Backends that keep blobs override this to publish the bytes verbatim
+    /// instead of encoding `model` again.
+    fn save_blob(&self, key: &CorpusFingerprint, blob: &[u8], model: &TrainedAttack) {
+        let _ = blob;
         self.save(key, model);
     }
 
@@ -184,7 +190,7 @@ impl ModelStore for MemoryModelStore {
     }
 }
 
-/// On-disk store: a directory of `<fingerprint>.json` models shared across
+/// On-disk store: a directory of `<fingerprint>.blob` models shared across
 /// processes, shards and runs.
 #[derive(Debug)]
 pub struct DiskModelStore {
@@ -214,7 +220,7 @@ impl DiskModelStore {
     }
 
     fn file_name_of(key: &CorpusFingerprint) -> String {
-        format!("{}.json", key.to_hex())
+        format!("{}.blob", key.to_hex())
     }
 
     fn path_of(&self, key: &CorpusFingerprint) -> PathBuf {
@@ -223,12 +229,13 @@ impl DiskModelStore {
 }
 
 impl ModelStore for DiskModelStore {
-    /// A missing, unreadable or unparsable file is a miss — a corrupt entry
-    /// falls back to re-training rather than aborting the sweep.
+    /// A missing, unreadable or undecodable file is a miss — a corrupt or
+    /// stale entry falls back to re-training rather than aborting the
+    /// sweep.
     fn load(&self, key: &CorpusFingerprint) -> Option<TrainedAttack> {
-        let found = std::fs::read_to_string(self.path_of(key))
+        let found = std::fs::read(self.path_of(key))
             .ok()
-            .and_then(|json| TrainedAttack::from_json(&json).ok());
+            .and_then(|blob| TrainedAttack::from_blob(&blob).ok());
         self.counters.record(found.is_some());
         found
     }
@@ -238,29 +245,25 @@ impl ModelStore for DiskModelStore {
     /// Panics as [`atomic_publish`] does — a broken cache directory should
     /// stop the run rather than silently re-train every cell.
     fn save(&self, key: &CorpusFingerprint, model: &TrainedAttack) {
-        let json = model.to_json().expect("serialise trained model");
-        atomic_publish(&self.dir, &Self::file_name_of(key), &json);
+        atomic_publish(&self.dir, &Self::file_name_of(key), model.to_blob());
         self.counters.saves.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The file already holds canonical JSON, validated by whichever write
-    /// path produced it, so the bytes are handed back without parsing —
-    /// this is the endpoint a whole fleet hammers, and N workers × M models
-    /// of redundant multi-MB parses is exactly what the raw path exists to
-    /// avoid. A corrupt file (torn by something outside this workspace's
-    /// atomic writers) is therefore served as-is and surfaces as a parse
-    /// failure — and thus a plain miss — at the reading client.
-    fn load_json(&self, key: &CorpusFingerprint) -> Option<String> {
-        let found = std::fs::read_to_string(self.path_of(key)).ok();
+    /// The stored bytes, checked ([`TrainedAttack::check_blob`]) but not
+    /// decoded: this is the endpoint a whole fleet hammers. A file of
+    /// another format or pipeline version, or a torn or padded one, is a
+    /// miss.
+    fn load_blob(&self, key: &CorpusFingerprint) -> Option<Vec<u8>> {
+        let found = std::fs::read(self.path_of(key))
+            .ok()
+            .filter(|blob| TrainedAttack::check_blob(blob).is_ok());
         self.counters.record(found.is_some());
         found
     }
 
-    /// Publishes the received bytes verbatim — they are the canonical
-    /// encoding of `model`, so the resulting file is identical to what
-    /// [`DiskModelStore::save`] would have written.
-    fn save_json(&self, key: &CorpusFingerprint, json: &str, _model: &TrainedAttack) {
-        atomic_publish(&self.dir, &Self::file_name_of(key), json);
+    /// Publishes the received bytes verbatim.
+    fn save_blob(&self, key: &CorpusFingerprint, blob: &[u8], _model: &TrainedAttack) {
+        atomic_publish(&self.dir, &Self::file_name_of(key), blob);
         self.counters.saves.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -270,8 +273,9 @@ impl ModelStore for DiskModelStore {
 }
 
 /// How long a [`RemoteModelStore`] waits on any single network read/write.
-/// Model blobs are a few MB of JSON; a healthy LAN round-trip is far below
-/// this, so hitting the limit means the server is gone, not slow.
+/// A model blob is at most a few MB (about 1.5 MB for the vector-only
+/// model); a healthy LAN round-trip is far below this, so hitting the limit
+/// means the server is gone, not slow.
 const REMOTE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Remote store: the blob API of a `deepsplit-serve` model server
@@ -348,20 +352,21 @@ impl RemoteModelStore {
             .map(|dir| dir.join(DiskModelStore::file_name_of(key)))
     }
 
-    fn write_through(&self, key: &CorpusFingerprint, json: &str) {
+    fn write_through(&self, key: &CorpusFingerprint, blob: &[u8]) {
         if let Some(dir) = &self.cache_dir {
-            atomic_publish(dir, &DiskModelStore::file_name_of(key), json);
+            atomic_publish(dir, &DiskModelStore::file_name_of(key), blob);
         }
     }
 }
 
 impl ModelStore for RemoteModelStore {
     fn load(&self, key: &CorpusFingerprint) -> Option<TrainedAttack> {
-        // Local write-through cache first: repeat loads never touch the wire.
+        // Local write-through cache first: repeat loads never touch the
+        // wire. A stale or corrupt cached blob falls through to the server.
         if let Some(path) = self.cache_path(key) {
-            if let Some(model) = std::fs::read_to_string(path)
+            if let Some(model) = std::fs::read(path)
                 .ok()
-                .and_then(|json| TrainedAttack::from_json(&json).ok())
+                .and_then(|blob| TrainedAttack::from_blob(&blob).ok())
             {
                 self.counters.record(true);
                 return Some(model);
@@ -370,13 +375,13 @@ impl ModelStore for RemoteModelStore {
         let url = self.blob_url(key);
         let found = match httpc::get(&url, REMOTE_TIMEOUT) {
             Ok(r) if r.status == 404 => None,
-            Ok(r) if r.is_success() => r.body_str().ok().and_then(|json| {
-                let model = TrainedAttack::from_json(json).ok();
+            Ok(r) if r.is_success() => {
+                let model = TrainedAttack::from_blob(&r.body).ok();
                 if model.is_some() {
-                    self.write_through(key, json);
+                    self.write_through(key, &r.body);
                 }
                 model
-            }),
+            }
             Ok(r) => {
                 eprintln!("model store: GET {url} answered HTTP {}", r.status);
                 None
@@ -392,17 +397,17 @@ impl ModelStore for RemoteModelStore {
 
     /// # Panics
     ///
-    /// Panics when the model cannot be serialised or the server refuses the
-    /// upload — see the type-level failure philosophy.
+    /// Panics when the server refuses the upload — see the type-level
+    /// failure philosophy.
     fn save(&self, key: &CorpusFingerprint, model: &TrainedAttack) {
-        let json = model.to_json().expect("serialise trained model");
+        let blob = model.to_blob();
         let url = self.blob_url(key);
-        match httpc::put(&url, json.as_bytes(), REMOTE_TIMEOUT) {
+        match httpc::put(&url, &blob, REMOTE_TIMEOUT) {
             Ok(r) if r.is_success() => {}
             Ok(r) => panic!("model store: PUT {url} answered HTTP {}", r.status),
             Err(e) => panic!("model store: PUT {url} failed: {e}"),
         }
-        self.write_through(key, &json);
+        self.write_through(key, &blob);
         self.counters.saves.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -418,17 +423,19 @@ pub mod conformance {
     //! `deepsplit-core`, the remote backend in `deepsplit-serve` against an
     //! in-process server on an ephemeral port. A new backend that passes
     //! [`check`] can be handed to `train_or_load` and the sweep engine
-    //! without re-deriving the semantics from the trait docs.
+    //! without re-deriving the semantics from the trait docs. Backends that
+    //! keep blobs in files also run [`check_unreadable`].
 
     use super::{ModelStore, StoreCounters};
     use crate::config::AttackConfig;
     use crate::fingerprint::CorpusFingerprint;
     use crate::model::{AttackModel, LossKind, ModelKind};
-    use crate::train::TrainedAttack;
+    use crate::train::{TrainedAttack, BLOB_FORMAT};
     use crate::vector_features::Normalizer;
+    use crate::PIPELINE_VERSION;
 
     /// A tiny untrained model whose weights differ per `seed` — enough to
-    /// tell two stored entries apart by their JSON encodings.
+    /// tell two stored entries apart by their encodings.
     pub fn model(seed: u64) -> TrainedAttack {
         TrainedAttack {
             model: AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, seed),
@@ -443,13 +450,59 @@ pub mod conformance {
     }
 
     /// The canonical identity of a model for equality assertions: its JSON
-    /// encoding, which is bit-exact for every float (see the module docs).
+    /// encoding, which is bit-exact for every float.
     ///
     /// # Panics
     ///
     /// Panics when the model cannot be serialised.
     pub fn encoding(model: &TrainedAttack) -> String {
         model.to_json().expect("serialise model for comparison")
+    }
+
+    /// Entries a store must read as a miss, each with the file it would sit
+    /// in under `key`: a blob with another magic number, truncated, with
+    /// trailing bytes, of another format version, of another
+    /// [`PIPELINE_VERSION`], and the `<fingerprint>.json` of the older JSON
+    /// stores. Each case has its own key, `key(100)` and up.
+    pub fn unreadable_entries() -> Vec<(&'static str, CorpusFingerprint, String, Vec<u8>)> {
+        let blob = model(7).to_blob();
+        let patched = |at: usize, bytes: [u8; 4]| {
+            let mut b = blob.clone();
+            b[at..at + 4].copy_from_slice(&bytes);
+            b
+        };
+        let mut magic = blob.clone();
+        magic[0] ^= 0xff;
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        let cases = [
+            ("wrong magic", magic, "blob"),
+            ("truncated", blob[..blob.len() - 1].to_vec(), "blob"),
+            ("trailing bytes", trailing, "blob"),
+            (
+                "other format version",
+                patched(8, (BLOB_FORMAT + 1).to_le_bytes()),
+                "blob",
+            ),
+            (
+                "other pipeline version",
+                patched(12, (PIPELINE_VERSION + 1).to_le_bytes()),
+                "blob",
+            ),
+            (
+                "legacy JSON entry",
+                encoding(&model(7)).into_bytes(),
+                "json",
+            ),
+        ];
+        cases
+            .into_iter()
+            .zip(100..)
+            .map(|((case, bytes, extension), n)| {
+                let k = key(n);
+                (case, k, format!("{}.{extension}", k.to_hex()), bytes)
+            })
+            .collect()
     }
 
     /// Asserts the [`ModelStore`] contract: save/load round-trip,
@@ -506,27 +559,26 @@ pub mod conformance {
             "an unwritten key must still miss"
         );
 
-        // The JSON view is the same entry in canonical bytes, with the same
-        // hit/miss/save accounting.
-        let json = store
-            .load_json(&key(1))
-            .expect("json view of a stored key must load");
-        assert_eq!(
-            json,
-            encoding(&second),
-            "load_json must return the canonical encoding of the stored model"
+        // The blob view is the same entry in its stored bytes, with the
+        // same hit/miss/save accounting.
+        let blob = store
+            .load_blob(&key(1))
+            .expect("blob view of a stored key must load");
+        assert!(
+            blob == second.to_blob(),
+            "load_blob must return the blob of the stored model"
         );
         assert!(
-            store.load_json(&key(3)).is_none(),
-            "the json view of an unwritten key must miss"
+            store.load_blob(&key(3)).is_none(),
+            "the blob view of an unwritten key must miss"
         );
         let third = model(3);
-        store.save_json(&key(2), &encoding(&third), &third);
-        let replaced = store.load(&key(2)).expect("save_json result must load");
+        store.save_blob(&key(2), &third.to_blob(), &third);
+        let replaced = store.load(&key(2)).expect("save_blob result must load");
         assert_eq!(
             encoding(&replaced),
             encoding(&third),
-            "save_json must replace like save"
+            "save_blob must replace like save"
         );
 
         // Counter arithmetic: 6 hits, 3 misses, 4 saves beyond the baseline.
@@ -539,6 +591,32 @@ pub mod conformance {
                 saves: before.saves + 4,
             },
             "counters must track exactly the loads and saves performed"
+        );
+    }
+
+    /// Asserts that every entry of [`unreadable_entries`] reads as a
+    /// counted miss, through both views. `plant(file, bytes)` puts a raw
+    /// entry where the backend keeps its files.
+    ///
+    /// # Panics
+    ///
+    /// Panics (test-style assertions) when such an entry loads, or is not
+    /// counted as a miss.
+    pub fn check_unreadable(store: &dyn ModelStore, plant: &dyn Fn(&str, &[u8])) {
+        let before = store.counters();
+        let entries = unreadable_entries();
+        for (case, key, file, bytes) in &entries {
+            plant(file, bytes);
+            assert!(store.load(key).is_none(), "{case}: must not load");
+            assert!(store.load_blob(key).is_none(), "{case}: no blob view");
+        }
+        assert_eq!(
+            store.counters(),
+            StoreCounters {
+                misses: before.misses + 2 * entries.len(),
+                ..before
+            },
+            "every unreadable entry must count as a miss"
         );
     }
 }
@@ -568,6 +646,9 @@ mod tests {
         let dir = temp_store_dir("conformance");
         let store = DiskModelStore::open(&dir)?;
         conformance::check(&store);
+        conformance::check_unreadable(&store, &|file, bytes| {
+            std::fs::write(dir.join(file), bytes).expect("plant an entry");
+        });
         std::fs::remove_dir_all(&dir)
     }
 
@@ -604,7 +685,7 @@ mod tests {
         // advances, so cache-effectiveness ledgers stay truthful.
         let dir = temp_store_dir("corrupt");
         let store = DiskModelStore::open(&dir)?;
-        std::fs::write(dir.join(format!("{}.json", key(9).to_hex())), "{not json")?;
+        std::fs::write(dir.join(format!("{}.blob", key(9).to_hex())), "{not a blob")?;
         assert!(
             store.load(&key(9)).is_none(),
             "corrupt entry must degrade to a miss, not a crash"
@@ -645,7 +726,7 @@ mod tests {
         assert_eq!(model_resource(&k), format!("/models/{}", k.to_hex()));
         assert_eq!(
             DiskModelStore::file_name_of(&k),
-            format!("{}.json", k.to_hex()),
+            format!("{}.blob", k.to_hex()),
             "remote resource and disk file name must agree on the hex form"
         );
     }

@@ -10,23 +10,35 @@
 //! query in batch order. Every layer but that fold works row by row, so the
 //! trained bits, and the reported losses, are those of running the batch's
 //! queries one by one: the same at every thread count and chunk split.
+//!
+//! Training is allocation-steady. Each worker thread keeps one
+//! [`Workspace`] for the whole call, which supplies every buffer of its
+//! passes, and its first pass reserves them for the largest chunk any
+//! batch will stack, so after the first batch no pass allocates a buffer
+//! that grows with the batch.
+//!
+//! A trained model is stored as a blob ([`TrainedAttack::to_blob`]): a
+//! small header, then every weight as raw little-endian `f32`.
 
 use crate::attack::{chunk_queries, MAX_CHUNK_ROWS};
 use crate::config::AttackConfig;
-use crate::dataset::{fit_normalizer, stack_batch, PreparedDesign};
+use crate::dataset::{fit_normalizer, PreparedDesign};
 use crate::fingerprint::CorpusFingerprint;
 use crate::model::{AttackModel, LossKind, ModelKind};
 use crate::store::ModelStore;
 use crate::vector_features::{Normalizer, VECTOR_DIM};
-use deepsplit_nn::layers::{Fold, Grads};
-use deepsplit_nn::loss::{softmax_regression, two_class};
+use crate::PIPELINE_VERSION;
+use deepsplit_nn::layers::{Grads, Params};
+use deepsplit_nn::loss::{softmax_regression_into, two_class_into};
 use deepsplit_nn::optim::{Adam, Optimizer, StepDecay};
-use deepsplit_nn::parallel::parallel_map;
-use deepsplit_nn::tensor::Tensor;
+use deepsplit_nn::parallel::for_each_run;
+use deepsplit_nn::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::Range;
 
 /// A trained attack: model plus the feature normaliser fitted on the
 /// training designs.
@@ -58,6 +70,274 @@ impl TrainedAttack {
     pub fn from_json(s: &str) -> serde_json::Result<TrainedAttack> {
         serde_json::from_str(s)
     }
+
+    /// The model blob: what the model stores keep. In order, [`BLOB_MAGIC`],
+    /// [`BLOB_FORMAT`] and [`PIPELINE_VERSION`] (little-endian `u32`), the
+    /// header's length (`u32`) and the header, JSON of the config, the
+    /// normaliser, the model and loss kinds, the image channels and every
+    /// parameter's shape; then every parameter as raw little-endian `f32`,
+    /// in [`Params::visit_params`] order. [`TrainedAttack::from_blob`]
+    /// restores every bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the header cannot be serialised.
+    pub fn to_blob(&self) -> Vec<u8> {
+        let mut shapes = Vec::new();
+        let mut values = 0;
+        self.model.for_each_param(&mut |t| {
+            shapes.push(t.shape().to_vec());
+            values += t.numel();
+        });
+        let header = BlobHeader {
+            config: self.config.clone(),
+            normalizer: self.normalizer.clone(),
+            kind: self.model.kind,
+            loss: self.model.loss,
+            image_channels: self.model.image_channels(),
+            shapes,
+        };
+        let header = serde_json::to_string(&header).expect("serialise blob header");
+        let mut blob = Vec::with_capacity(BLOB_PREFIX + header.len() + 4 * values);
+        blob.extend_from_slice(&BLOB_MAGIC);
+        blob.extend_from_slice(&BLOB_FORMAT.to_le_bytes());
+        blob.extend_from_slice(&PIPELINE_VERSION.to_le_bytes());
+        blob.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        blob.extend_from_slice(header.as_bytes());
+        self.model.for_each_param(&mut |t| {
+            for v in t.data() {
+                blob.extend_from_slice(&v.to_le_bytes());
+            }
+        });
+        blob
+    }
+
+    /// Checks that `bytes` are a blob this build reads, without decoding
+    /// the weights: the magic number, both versions, the header, and that
+    /// the weights fill the rest exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`TrainedAttack::from_blob`] would, but for a header
+    /// whose shapes are not the model's.
+    pub fn check_blob(bytes: &[u8]) -> Result<(), BlobError> {
+        let (header, weights) = split_blob(bytes)?;
+        weights_fit(&header.shapes, weights)
+    }
+
+    /// Restores a trained attack from its [`TrainedAttack::to_blob`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the bytes are not a blob this build reads: another
+    /// magic number, format or pipeline version, a header that is too
+    /// long, nested too deep or does not describe the model, or weights
+    /// that do not fill the rest of the bytes exactly (a torn or padded
+    /// blob). Arbitrary bytes never panic, and the header's length is
+    /// checked before anything is allocated for it.
+    pub fn from_blob(bytes: &[u8]) -> Result<TrainedAttack, BlobError> {
+        let (header, weights) = split_blob(bytes)?;
+        weights_fit(&header.shapes, weights)?;
+        let BlobHeader {
+            config,
+            normalizer,
+            kind,
+            loss,
+            image_channels,
+            shapes,
+        } = header;
+        if image_channels > MAX_IMAGE_CHANNELS
+            || (kind == ModelKind::VecOnly) != (image_channels == 0)
+        {
+            return Err(BlobError::Header(format!(
+                "{image_channels} image channels for a {kind:?} model"
+            )));
+        }
+        let mut model = AttackModel::new(kind, loss, image_channels, 0);
+        let mut built = Vec::new();
+        model.for_each_param(&mut |t| built.push(t.shape().to_vec()));
+        if built != shapes {
+            return Err(BlobError::Header(
+                "parameter shapes are not those of the model".to_string(),
+            ));
+        }
+        let mut floats = weights
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        model.visit_params(&mut |p| {
+            for (v, w) in p.value.data_mut().iter_mut().zip(&mut floats) {
+                *v = w;
+            }
+        });
+        Ok(TrainedAttack {
+            model,
+            normalizer,
+            config,
+        })
+    }
+}
+
+/// The first bytes of every model blob.
+pub const BLOB_MAGIC: [u8; 8] = *b"DSPLTMDL";
+
+/// The version of the blob layout [`TrainedAttack::to_blob`] writes. Bump
+/// it when the layout changes; a blob of another version reads as a miss.
+pub const BLOB_FORMAT: u32 = 1;
+
+/// Magic number, format version, pipeline version and header length.
+const BLOB_PREFIX: usize = 8 + 3 * 4;
+
+/// The longest header a blob may declare. A real one is a few kB.
+const MAX_BLOB_HEADER: usize = 64 * 1024;
+
+/// The deepest JSON nesting a blob header may have. A real one has 3.
+const MAX_HEADER_DEPTH: usize = 8;
+
+/// More image channels than any layer stack renders.
+const MAX_IMAGE_CHANNELS: usize = 1024;
+
+/// What a blob's header records besides the weights.
+#[derive(Debug, Serialize, Deserialize)]
+struct BlobHeader {
+    config: AttackConfig,
+    normalizer: Normalizer,
+    kind: ModelKind,
+    loss: LossKind,
+    image_channels: usize,
+    shapes: Vec<Vec<usize>>,
+}
+
+/// Why bytes are not a blob this build reads; see
+/// [`TrainedAttack::from_blob`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BlobError {
+    /// The bytes do not start with [`BLOB_MAGIC`].
+    Magic,
+    /// Another blob format version.
+    Format(u32),
+    /// Written by another [`PIPELINE_VERSION`].
+    Pipeline(u32),
+    /// The header is too long, not JSON of a blob header, or describes no
+    /// model of this build.
+    Header(String),
+    /// The weights do not fill the blob exactly: it is torn or padded.
+    Length {
+        /// Bytes the header's shapes call for.
+        expected: usize,
+        /// Bytes after the header.
+        found: usize,
+    },
+}
+
+impl fmt::Display for BlobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BlobError::Magic => write!(f, "not a model blob (no magic number)"),
+            BlobError::Format(v) => {
+                write!(f, "blob format {v}, this build reads format {BLOB_FORMAT}")
+            }
+            BlobError::Pipeline(v) => write!(
+                f,
+                "blob of pipeline version {v}, this build is version {PIPELINE_VERSION}"
+            ),
+            BlobError::Header(why) => write!(f, "bad blob header: {why}"),
+            BlobError::Length { expected, found } => {
+                write!(
+                    f,
+                    "blob weights are {found} bytes, the header calls for {expected}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for BlobError {}
+
+/// Checks a blob's prefix and parses its header: the header, and the bytes
+/// after it.
+fn split_blob(bytes: &[u8]) -> Result<(BlobHeader, &[u8]), BlobError> {
+    let (magic, rest) = bytes.split_first_chunk::<8>().ok_or(BlobError::Magic)?;
+    if *magic != BLOB_MAGIC {
+        return Err(BlobError::Magic);
+    }
+    let mut words = [0u32; 3];
+    let mut rest = rest;
+    for word in &mut words {
+        let (le, tail) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| BlobError::Header("truncated before the header".to_string()))?;
+        *word = u32::from_le_bytes(*le);
+        rest = tail;
+    }
+    let [format, pipeline, header_len] = words;
+    if format != BLOB_FORMAT {
+        return Err(BlobError::Format(format));
+    }
+    if pipeline != PIPELINE_VERSION {
+        return Err(BlobError::Pipeline(pipeline));
+    }
+    let header_len = header_len as usize;
+    if header_len > MAX_BLOB_HEADER || header_len > rest.len() {
+        return Err(BlobError::Header(format!(
+            "{header_len} header bytes, at most {MAX_BLOB_HEADER} and what the blob holds"
+        )));
+    }
+    let (header, weights) = rest.split_at(header_len);
+    if json_depth(header) > MAX_HEADER_DEPTH {
+        return Err(BlobError::Header("nested too deep".to_string()));
+    }
+    let header = std::str::from_utf8(header)
+        .map_err(|e| BlobError::Header(e.to_string()))
+        .and_then(|text| {
+            serde_json::from_str(text).map_err(|e| BlobError::Header(e.to_string()))
+        })?;
+    Ok((header, weights))
+}
+
+/// Checks that `weights` hold exactly the `f32`s of parameters of `shapes`.
+fn weights_fit(shapes: &[Vec<usize>], weights: &[u8]) -> Result<(), BlobError> {
+    let mut values = Some(0usize);
+    for shape in shapes {
+        let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        values = values.zip(numel).and_then(|(v, n)| v.checked_add(n));
+    }
+    let expected = values.and_then(|v| v.checked_mul(4));
+    if expected == Some(weights.len()) {
+        Ok(())
+    } else {
+        Err(BlobError::Length {
+            expected: expected.unwrap_or(usize::MAX),
+            found: weights.len(),
+        })
+    }
+}
+
+/// The deepest nesting of arrays and objects in JSON text, outside strings:
+/// checked before parsing, so that no header recurses the parser deep.
+fn json_depth(text: &[u8]) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for &b in text {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b']' | b'}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    deepest
 }
 
 /// Per-epoch training statistics.
@@ -139,7 +419,8 @@ pub fn train_with_threads(
         every: config.lr_decay_every,
     };
     let mut opt = Adam::new(schedule.initial);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7ea1);
+    let seed = config.seed ^ 0x7ea1;
+    let mut rng = StdRng::seed_from_u64(seed);
     let threads = threads.max(1);
     let mut grads = Grads::zeros(&mut model);
     let corpus = Corpus {
@@ -158,12 +439,38 @@ pub fn train_with_threads(
             ModelKind::VecImg => (n + 1) * pixels,
         }
     };
+    let batch_size = config.batch_size.max(1);
+    let chunks_of = |batch: &[(usize, usize)]| -> Vec<Range<usize>> {
+        let rows: Vec<usize> = batch.iter().map(chunk_rows).collect();
+        chunk_queries(&rows, threads, MAX_CHUNK_ROWS)
+    };
+    // The largest chunk the run will stack. The shuffles only depend on
+    // the seed, so they are replayed here first.
+    let mut peak = ChunkSize::default();
+    let mut order = queries.clone();
+    let mut replay = StdRng::seed_from_u64(seed);
+    for _ in 0..config.epochs {
+        order.shuffle(&mut replay);
+        for batch in order.chunks(batch_size) {
+            for range in chunks_of(batch) {
+                peak = peak.max(corpus.size_of(&batch[range]));
+            }
+        }
+    }
     let mut report = TrainReport {
         epoch_loss: Vec::with_capacity(config.epochs),
         trainable_queries: queries.len(),
         total_queries: total,
     };
 
+    // One workspace per worker thread, and the chunk each one runs.
+    let mut workspaces: Vec<Workspace> = (0..threads).map(|_| Workspace::new()).collect();
+    let mut jobs: Vec<Job> = (0..threads)
+        .map(|_| Job {
+            range: 0..0,
+            losses: Vec::with_capacity(batch_size),
+        })
+        .collect();
     for epoch in 0..config.epochs {
         // Telemetry only: the span/event stream never feeds content-addressed
         // state, and is a no-op unless a binary installed a trace recorder.
@@ -171,22 +478,26 @@ pub fn train_with_threads(
         opt.set_lr(schedule.lr_at(epoch));
         queries.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
-        for batch in queries.chunks(config.batch_size.max(1)) {
-            let rows: Vec<usize> = batch.iter().map(chunk_rows).collect();
-            let chunks: Vec<&[(usize, usize)]> = chunk_queries(&rows, threads, MAX_CHUNK_ROWS)
-                .into_iter()
-                .map(|range| &batch[range])
-                .collect();
+        for batch in queries.chunks(batch_size) {
+            let chunks = chunks_of(batch);
             grads.fill_zero();
             let mut batch_loss = 0.0f64;
             // One group of chunks at a time, so that at most `threads`
             // chunks' tapes are alive at once.
             for group in chunks.chunks(threads) {
-                let passes = parallel_map(group, threads, |chunk| corpus.backprop(&model, chunk));
-                let (losses, folds): (Vec<Vec<f32>>, Vec<Vec<Fold>>) = passes.into_iter().unzip();
-                grads.fold(&folds, threads);
-                for loss in losses.into_iter().flatten() {
-                    batch_loss += loss as f64;
+                let jobs = &mut jobs[..group.len()];
+                for (job, range) in jobs.iter_mut().zip(group) {
+                    job.range = range.clone();
+                }
+                for_each_run(jobs, 1, &mut workspaces, |_, run, ws| {
+                    for job in run {
+                        let chunk = &batch[job.range.clone()];
+                        corpus.backprop(&model, chunk, &peak, ws, &mut job.losses);
+                    }
+                });
+                grads.fold(&mut workspaces);
+                for loss in jobs.iter().flat_map(|job| &job.losses) {
+                    batch_loss += *loss as f64;
                 }
             }
             grads.scale(1.0 / batch.len() as f32);
@@ -208,6 +519,42 @@ pub fn train_with_threads(
     )
 }
 
+/// A chunk of a batch for a worker: its queries' range in the batch, and
+/// their losses once its passes ran.
+struct Job {
+    range: Range<usize>,
+    losses: Vec<f32>,
+}
+
+/// What a chunk stacks: candidate rows, images and queries.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkSize {
+    rows: usize,
+    images: usize,
+    queries: usize,
+}
+
+impl ChunkSize {
+    fn max(self, other: ChunkSize) -> ChunkSize {
+        ChunkSize {
+            rows: self.rows.max(other.rows),
+            images: self.images.max(other.images),
+            queries: self.queries.max(other.queries),
+        }
+    }
+
+    /// The headrooms of a pass over this chunk that reserve for `peak`:
+    /// for buffers, which grow with rows or images, and for lists, which
+    /// grow with queries (see [`Workspace::begin`]).
+    fn headroom(self, peak: ChunkSize) -> (f64, f64) {
+        let ratio = |peak: usize, this: usize| peak as f64 / this.max(1) as f64;
+        (
+            ratio(peak.rows, self.rows).max(ratio(peak.images, self.images)),
+            ratio(peak.queries, self.queries),
+        )
+    }
+}
+
 /// The training queries' inputs, as one chunk's passes read them.
 struct Corpus<'a> {
     designs: &'a [PreparedDesign],
@@ -217,45 +564,82 @@ struct Corpus<'a> {
 }
 
 impl Corpus<'_> {
-    /// Forward and backward passes of one chunk of whole queries, stacked:
-    /// each query's loss, and the folds of its weight gradients.
-    fn backprop(&self, model: &AttackModel, chunk: &[(usize, usize)]) -> (Vec<f32>, Vec<Fold>) {
-        let rows: Vec<usize> = chunk
+    /// What `chunk` stacks.
+    fn size_of(&self, chunk: &[(usize, usize)]) -> ChunkSize {
+        let rows = chunk
             .iter()
             .map(|&(di, qi)| self.designs[di].sets[qi].candidates.len())
-            .collect();
-        let mut vectors = Vec::new();
-        for &(di, qi) in chunk {
-            let v = self.designs[di].vectors(qi, self.normalizer);
-            vectors.extend_from_slice(v.data());
+            .sum();
+        let images = match self.kind {
+            ModelKind::VecOnly => 0,
+            ModelKind::VecImg => rows + chunk.len(),
+        };
+        ChunkSize {
+            rows,
+            images,
+            queries: chunk.len(),
         }
-        let vectors = Tensor::from_vec(&[rows.iter().sum(), VECTOR_DIM], vectors);
-        let images = (self.kind == ModelKind::VecImg).then(|| {
-            let parts: Vec<&Tensor> = chunk
+    }
+
+    /// Forward and backward passes of one chunk of whole queries, stacked,
+    /// in `ws`, which reserves for a chunk of `peak`: sets `losses` to each
+    /// query's loss, and leaves the folds of its weight gradients in `ws`.
+    fn backprop(
+        &self,
+        model: &AttackModel,
+        chunk: &[(usize, usize)],
+        peak: &ChunkSize,
+        ws: &mut Workspace,
+        losses: &mut Vec<f32>,
+    ) {
+        let size = self.size_of(chunk);
+        let (headroom, list_headroom) = size.headroom(*peak);
+        ws.begin(headroom, list_headroom);
+        let rows = ws.list(
+            chunk
                 .iter()
-                .flat_map(|&(di, qi)| self.designs[di].image_parts(qi))
-                .collect();
-            stack_batch(&parts)
-        });
-        let (scores, tape) = model.forward(vectors, images, &rows);
-        let width = scores.dims2().1;
-        let mut grad = Vec::with_capacity(scores.numel());
-        let mut losses = Vec::with_capacity(chunk.len());
+                .map(|&(di, qi)| self.designs[di].sets[qi].candidates.len()),
+        );
+        let mut vectors = ws.tensor(&[size.rows, VECTOR_DIM]);
         let mut at = 0;
         for (&(di, qi), &n) in chunk.iter().zip(&rows) {
-            let query = &scores.data()[at * width..(at + n) * width];
-            let query = Tensor::from_vec(&[n, width], query.to_vec());
-            let target = self.designs[di].target(qi).expect("trainable query");
-            let (loss, g) = match self.loss {
-                LossKind::SoftmaxRegression => softmax_regression(&query, target),
-                LossKind::TwoClass => two_class(&query, target),
-            };
-            losses.push(loss);
-            grad.extend_from_slice(g.data());
+            let out = &mut vectors.data_mut()[at * VECTOR_DIM..(at + n) * VECTOR_DIM];
+            self.designs[di].write_vectors(qi, self.normalizer, out);
             at += n;
         }
-        let grad = Tensor::from_vec(scores.shape(), grad);
-        (losses, model.backward(tape, grad))
+        let images = (self.kind == ModelKind::VecImg).then(|| {
+            let mut parts = chunk
+                .iter()
+                .flat_map(|&(di, qi)| self.designs[di].image_parts(qi))
+                .peekable();
+            let mut shape = parts.peek().expect("a chunk has images").shape().to_vec();
+            shape[0] = size.images;
+            let mut images = ws.tensor(&shape);
+            let per = images.numel() / size.images;
+            for (dst, part) in images.data_mut().chunks_exact_mut(per).zip(parts) {
+                dst.copy_from_slice(part.data());
+            }
+            images
+        });
+        let (scores, tape) = model.forward(vectors, images, &rows, ws);
+        let width = scores.dims2().1;
+        let mut grad = ws.tensor(scores.shape());
+        losses.clear();
+        let mut at = 0;
+        for (&(di, qi), &n) in chunk.iter().zip(&rows) {
+            let span = at * width..(at + n) * width;
+            let query = &scores.data()[span.clone()];
+            let g = &mut grad.data_mut()[span];
+            let target = self.designs[di].target(qi).expect("trainable query");
+            losses.push(match self.loss {
+                LossKind::SoftmaxRegression => softmax_regression_into(query, target, g),
+                LossKind::TwoClass => two_class_into(query, target, g),
+            });
+            at += n;
+        }
+        ws.give(scores);
+        model.backward(tape, grad, ws);
+        ws.give_list(rows);
     }
 }
 
@@ -372,6 +756,110 @@ mod tests {
         assert_eq!(back.config, trained.config);
     }
 
+    fn weight_bits(t: &TrainedAttack) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        t.model
+            .for_each_param(&mut |p| bits.push(p.data().iter().map(|v| v.to_bits()).collect()));
+        bits
+    }
+
+    /// A blob restores every weight bit, the normaliser and the config, for
+    /// each model kind and head.
+    #[test]
+    fn blob_round_trips_every_weight_bit() {
+        for (case, config) in [
+            ("VecOnly", tiny_config(false)),
+            ("VecImg", tiny_config(true)),
+            (
+                "TwoClass",
+                AttackConfig {
+                    two_class: true,
+                    ..tiny_config(false)
+                },
+            ),
+        ] {
+            let config = AttackConfig {
+                epochs: 1,
+                ..config
+            };
+            let designs = vec![prepared(Benchmark::C432, 1, &config)];
+            let (trained, _) = train(&designs, &config);
+            let blob = trained.to_blob();
+            assert_eq!(TrainedAttack::check_blob(&blob), Ok(()), "{case}");
+            let back = TrainedAttack::from_blob(&blob).expect("a blob decodes");
+            let bits = weight_bits(&trained);
+            assert!(
+                !bits.is_empty() && weight_bits(&back) == bits,
+                "{case}: weights"
+            );
+            assert_eq!(back.model.kind, trained.model.kind, "{case}");
+            assert_eq!(back.model.loss, trained.model.loss, "{case}");
+            assert_eq!(back.normalizer, trained.normalizer, "{case}");
+            assert_eq!(back.config, trained.config, "{case}");
+            assert!(back.to_blob() == blob, "{case}: re-encoding moves bytes");
+            assert!(
+                back.to_json().unwrap() == trained.to_json().unwrap(),
+                "{case}"
+            );
+        }
+    }
+
+    /// Arbitrary bytes, torn blobs and blobs with any one header byte
+    /// flipped decode to an error, never a panic; a declared header
+    /// length past the bound is refused before it is read.
+    #[test]
+    fn from_blob_refuses_bad_bytes_without_panicking() {
+        let blob = crate::store::conformance::model(3).to_blob();
+        let header_end =
+            BLOB_PREFIX + u32::from_le_bytes(blob[16..20].try_into().unwrap()) as usize;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    (state >> 56) as u8
+                })
+                .collect()
+        };
+        for len in [0, 1, 7, 8, 19, 20, 64, 4096] {
+            assert!(
+                TrainedAttack::from_blob(&noise(len)).is_err(),
+                "{len} noise bytes"
+            );
+        }
+        for cut in (0..header_end + 8).chain([blob.len() - 4, blob.len() - 1]) {
+            assert!(
+                TrainedAttack::from_blob(&blob[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        for at in 0..header_end {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut bad = blob.clone();
+                bad[at] ^= flip;
+                // A flip inside a number of the header may still decode; it
+                // must never panic.
+                let _ = TrainedAttack::from_blob(&bad);
+            }
+        }
+        let mut huge = blob[..BLOB_PREFIX].to_vec();
+        huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            TrainedAttack::from_blob(&huge),
+            Err(BlobError::Header(_))
+        ));
+        let mut deep = blob[..16].to_vec();
+        let nested = "[".repeat(4096);
+        deep.extend_from_slice(&(nested.len() as u32).to_le_bytes());
+        deep.extend_from_slice(nested.as_bytes());
+        assert!(matches!(
+            TrainedAttack::from_blob(&deep),
+            Err(BlobError::Header(_))
+        ));
+    }
+
     #[test]
     fn train_or_load_skips_training_on_hit() {
         let config = AttackConfig {
@@ -430,7 +918,13 @@ mod tests {
             let (trained, _) = train(&designs, &config);
             let mut h = crate::fingerprint::StableHasher::new();
             h.write_str(&trained.to_json().unwrap());
-            assert_eq!(h.finish().to_hex(), pinned, "{case}");
+            assert_eq!(
+                h.finish().to_hex(),
+                pinned,
+                "{case}: the trained bits moved. If that is meant, bump \
+                 PIPELINE_VERSION, so that stores filled before the change \
+                 miss instead of serving the old weights, and pin the new digest"
+            );
             let weights = |t: &TrainedAttack| {
                 let model = serde_json::to_string(&t.model).unwrap();
                 (model, serde_json::to_string(&t.normalizer).unwrap())

@@ -4,7 +4,9 @@
 use deepsplit_core::candidates::{select_candidates, split_distances};
 use deepsplit_core::config::AttackConfig;
 use deepsplit_core::model::{AttackModel, LossKind, ModelKind};
+use deepsplit_core::train::{TrainedAttack, BLOB_FORMAT, BLOB_MAGIC};
 use deepsplit_core::vector_features::{Normalizer, VECTOR_DIM};
+use deepsplit_core::PIPELINE_VERSION;
 use deepsplit_layout::design::{Design, ImplementConfig};
 use deepsplit_layout::geom::Layer;
 use deepsplit_layout::split::split_design;
@@ -103,6 +105,22 @@ proptest! {
         let b = model.score_rows(&x, None);
         prop_assert_eq!(a.clone(), b);
         prop_assert_eq!(a.shape(), &[n, 1]);
+    }
+
+    /// `from_blob` answers arbitrary bytes with an error, never a panic:
+    /// bare, and behind a valid prefix that declares any header length.
+    #[test]
+    fn from_blob_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        header_len in 0u32..600,
+    ) {
+        prop_assert!(TrainedAttack::from_blob(&bytes).is_err());
+        let mut blob = BLOB_MAGIC.to_vec();
+        for word in [BLOB_FORMAT, PIPELINE_VERSION, header_len] {
+            blob.extend_from_slice(&word.to_le_bytes());
+        }
+        blob.extend_from_slice(&bytes);
+        prop_assert!(TrainedAttack::from_blob(&blob).is_err());
     }
 
     /// Candidate score ranking is invariant to the two-class probability

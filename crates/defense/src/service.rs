@@ -49,6 +49,10 @@ pub const MAX_CANDIDATES: usize = 64;
 pub const MAX_BATCH_SIZE: usize = 64;
 /// Largest image side a request may ask for, in pixels (the paper uses 99).
 pub const MAX_IMAGE_PX: usize = 128;
+/// Most training benchmarks a request may list: as many as there are
+/// benchmarks, so every corpus of the repo and a leave-one-out corpus over
+/// `Benchmark::all()` fit. A cold resolve builds and trains on each.
+pub const MAX_TRAIN_BENCHMARKS: usize = 16;
 
 /// A serialized FEOL cell spec: what `POST /attack` accepts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,6 +123,12 @@ impl AttackRequest {
             return Err(format!(
                 "split layer M{} must leave at least one BEOL layer (router has {layers} layers)",
                 self.split_layer
+            ));
+        }
+        let listed = self.eval.train_benchmarks.len();
+        if listed > MAX_TRAIN_BENCHMARKS {
+            return Err(format!(
+                "{listed} train_benchmarks, at most {MAX_TRAIN_BENCHMARKS}"
             ));
         }
         if !self.eval.train_benchmarks.iter().any(|&tb| tb != victim) {
@@ -363,6 +373,22 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("empty training corpus"));
+
+        // The corpus list is bounded: a leave-one-out corpus over every
+        // benchmark fits, as does one of MAX_TRAIN_BENCHMARKS entries.
+        assert_eq!(MAX_TRAIN_BENCHMARKS, Benchmark::all().len());
+        let mut loo = good.clone();
+        loo.eval.train_benchmarks = Benchmark::all()
+            .into_iter()
+            .filter(|&b| b != Benchmark::C432)
+            .collect();
+        assert_eq!(loo.validate(), Ok(()));
+        let mut at_bound = good.clone();
+        at_bound.eval.train_benchmarks = vec![Benchmark::C880; MAX_TRAIN_BENCHMARKS];
+        assert_eq!(at_bound.validate(), Ok(()));
+        let mut past = good.clone();
+        past.eval.train_benchmarks = vec![Benchmark::C880; MAX_TRAIN_BENCHMARKS + 1];
+        assert!(past.validate().unwrap_err().contains("train_benchmarks"));
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   output gradient to the fold as a [`Fold`]; [`Grads::fold`] then adds
 //!   them into a [`Grads`] buffer, which the optimizer reads.
 //!
+//! The two training passes take every buffer from a [`Workspace`] and give
+//! back what they no longer need, and [`Grads::fold`] gives back the
+//! folds' buffers; a loop that keeps its workspaces allocates them once.
+//! [`Layer::infer`] allocates its own.
+//!
 //! The fold sums each weight gradient one query segment at a time
 //! ([`Tensor::fold_t_matmul`]), so a batch stacked into one pass gives the
 //! bits of its queries run one by one.
@@ -22,8 +27,9 @@
 //! pooling ([`GlobalAvgPool`]) to bridge the conv tower into dense layers.
 
 use crate::init::Initializer;
-use crate::parallel::for_each_mut;
-use crate::tensor::Tensor;
+use crate::parallel::for_each_run;
+use crate::tensor::{Scratch, Tensor};
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// Mutable view of one parameter tensor.
@@ -37,6 +43,9 @@ pub trait Params {
     /// Visits every parameter in a stable order: the order of the forward
     /// pass, and for each weight layer its weight, then its bias.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>));
+
+    /// Visits every parameter read-only, in [`Params::visit_params`] order.
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor));
 
     /// Number of scalar parameters.
     fn num_params(&mut self) -> usize {
@@ -54,22 +63,24 @@ pub trait Layer: Params {
     /// Inference pass: the layer's output, keeping nothing.
     fn infer(&self, x: &Tensor) -> Tensor;
 
-    /// Training pass: the output [`Layer::infer`] gives, and its tape. It
-    /// takes the input by value, so a tape that keeps it moves it rather
-    /// than copying it.
-    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape);
+    /// Training pass: the output [`Layer::infer`] gives, and its tape,
+    /// both from `ws`. It takes the input by value: a tape that keeps it
+    /// moves it rather than copying it, and a layer that does not gives it
+    /// back to `ws`.
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, Self::Tape);
 
     /// Backward pass through the `forward` call that made `tape`: returns
-    /// the gradient with respect to the input. `segments` splits the
-    /// input's first dimension (rows, or images for 4-D inputs) into
-    /// queries. Each weight layer pushes one [`Fold`] onto `folds`, in
-    /// backward order: the reverse of [`Params::visit_params`] order.
+    /// the gradient with respect to the input, from `ws`, and gives back
+    /// what it no longer needs. `segments` splits the input's first
+    /// dimension (rows, or images for 4-D inputs) into queries. Each weight
+    /// layer pushes one [`Fold`] onto `ws`, in backward order: the reverse
+    /// of [`Params::visit_params`] order.
     fn backward(
         &self,
         tape: Self::Tape,
         grad_out: Tensor,
         segments: &[usize],
-        folds: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor;
 }
 
@@ -88,8 +99,8 @@ impl Fold {
     /// Adds this share into a weight gradient and a bias gradient: the
     /// weight's segment by segment ([`Tensor::fold_t_matmul`]), the bias's
     /// row by row.
-    fn add_into(&self, gw: &mut Tensor, gb: &mut Tensor) {
-        gw.fold_t_matmul(&self.x, &self.g, &self.segments);
+    fn add_into(&self, gw: &mut Tensor, gb: &mut Tensor, scratch: &mut Scratch) {
+        gw.fold_t_matmul(&self.x, &self.g, &self.segments, scratch);
         let cols = self.g.dims2().1;
         assert_eq!(gb.shape(), [cols], "bias gradient shape");
         for row in self.g.data().chunks_exact(cols.max(1)) {
@@ -97,6 +108,11 @@ impl Fold {
                 *acc += v;
             }
         }
+    }
+
+    /// The fold's buffers: `x`, `g` and the segments.
+    pub(crate) fn into_parts(self) -> (Tensor, Tensor, Vec<usize>) {
+        (self.x, self.g, self.segments)
     }
 }
 
@@ -130,30 +146,43 @@ impl Grads {
     }
 
     /// Adds the folds of a batch's chunks, chunk after chunk in batch
-    /// order. `chunks[c]` holds what chunk `c`'s backward pass pushed, in
-    /// backward order. The parameters are split across `threads`, and each
-    /// one's sum runs in batch order on one thread, so the result is the
-    /// same bits at every thread count.
+    /// order, and gives their buffers back. Chunk `c` is what workspace
+    /// `c`'s backward pass pushed, in backward order; a workspace with no
+    /// folds holds no chunk. The parameters are split across one thread
+    /// per workspace, each working in its workspace's scratch, and each
+    /// parameter's sum runs in batch order on one thread, so the result is
+    /// the same bits at every thread count.
     ///
     /// # Panics
     ///
     /// Panics unless every chunk holds one fold per weight layer.
-    pub fn fold(&mut self, chunks: &[Vec<Fold>], threads: usize) {
+    pub fn fold(&mut self, workspaces: &mut [Workspace]) {
         let layers = self.tensors.len() / 2;
-        for folds in chunks {
+        let (chunks, mut scratches): (Vec<&[Fold]>, Vec<&mut Scratch>) = workspaces
+            .iter_mut()
+            .map(|ws| (&ws.folds[..], &mut ws.scratch))
+            .unzip();
+        for folds in chunks.iter().filter(|folds| !folds.is_empty()) {
             assert_eq!(folds.len(), layers, "one fold per weight layer");
         }
         // Every weight layer owns two parameters, its weight and its bias.
-        let mut pairs: Vec<(usize, &mut [Tensor])> =
-            self.tensors.chunks_exact_mut(2).enumerate().collect();
-        for_each_mut(&mut pairs, threads, |(layer, pair)| {
-            let [gw, gb] = pair else {
-                unreachable!("chunks_exact_mut(2) yields pairs")
-            };
-            for folds in chunks {
-                folds[layers - 1 - *layer].add_into(gw, gb);
-            }
-        });
+        for_each_run(
+            &mut self.tensors,
+            2,
+            &mut scratches,
+            |first, run, scratch| {
+                for (at, pair) in run.chunks_exact_mut(2).enumerate() {
+                    let [gw, gb] = pair else {
+                        unreachable!("chunks_exact_mut(2) yields pairs")
+                    };
+                    let layer = first / 2 + at;
+                    for folds in chunks.iter().filter(|folds| !folds.is_empty()) {
+                        folds[layers - 1 - layer].add_into(gw, gb, scratch);
+                    }
+                }
+            },
+        );
+        workspaces.iter_mut().for_each(Workspace::reclaim_folds);
     }
 }
 
@@ -199,6 +228,11 @@ impl Params for Linear {
         f(ParamRef { value: &mut self.w });
         f(ParamRef { value: &mut self.b });
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.w);
+        f(&self.b);
+    }
 }
 
 impl Layer for Linear {
@@ -211,8 +245,11 @@ impl Layer for Linear {
         y
     }
 
-    fn forward(&self, x: Tensor) -> (Tensor, Tensor) {
-        (self.infer(&x), x)
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+        let mut y = ws.tensor(&[x.dims2().0, self.out_dim()]);
+        x.matmul_into(&self.w, &mut y, ws.scratch());
+        add_bias(&mut y, &self.b);
+        (y, x)
     }
 
     fn backward(
@@ -220,14 +257,16 @@ impl Layer for Linear {
         x: Tensor,
         grad_out: Tensor,
         segments: &[usize],
-        folds: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
         // gx = g Wᵀ; the fold adds xᵀ g and the rows of g.
-        let gx = grad_out.matmul_t(&self.w);
-        folds.push(Fold {
+        let mut gx = ws.tensor(&[grad_out.dims2().0, self.in_dim()]);
+        grad_out.matmul_t_into(&self.w, &mut gx, ws.scratch());
+        let segments = ws.list(segments.iter().copied());
+        ws.push_fold(Fold {
             x,
             g: grad_out,
-            segments: segments.to_vec(),
+            segments,
         });
         gx
     }
@@ -255,6 +294,8 @@ impl Default for LeakyRelu {
 
 impl Params for LeakyRelu {
     fn visit_params(&mut self, _f: &mut dyn FnMut(ParamRef<'_>)) {}
+
+    fn for_each_param(&self, _f: &mut dyn FnMut(&Tensor)) {}
 }
 
 impl Layer for LeakyRelu {
@@ -266,17 +307,14 @@ impl Layer for LeakyRelu {
         x.map(|v| if v > 0.0 { v } else { alpha * v })
     }
 
-    fn forward(&self, mut x: Tensor) -> (Tensor, Vec<bool>) {
+    fn forward(&self, mut x: Tensor, ws: &mut Workspace) -> (Tensor, Vec<bool>) {
         let alpha = self.alpha;
-        let positive = x
-            .data_mut()
-            .iter_mut()
-            .map(|v| {
-                let positive = *v > 0.0;
-                *v = if positive { *v } else { alpha * *v };
-                positive
-            })
-            .collect();
+        let mut positive = ws.mask(x.numel());
+        positive.resize(x.numel(), false);
+        for (v, p) in x.data_mut().iter_mut().zip(&mut positive) {
+            *p = *v > 0.0;
+            *v = if *p { *v } else { alpha * *v };
+        }
         (x, positive)
     }
 
@@ -285,13 +323,14 @@ impl Layer for LeakyRelu {
         positive: Vec<bool>,
         mut grad_out: Tensor,
         _: &[usize],
-        _: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
         assert_eq!(positive.len(), grad_out.numel(), "LReLU gradient shape");
         let alpha = self.alpha;
-        for (g, pos) in grad_out.data_mut().iter_mut().zip(positive) {
+        for (g, &pos) in grad_out.data_mut().iter_mut().zip(&positive) {
             *g = if pos { *g } else { alpha * *g };
         }
+        ws.give_mask(positive);
         grad_out
     }
 }
@@ -337,6 +376,11 @@ impl Conv2d {
         }
     }
 
+    /// Input channels.
+    pub fn in_channels(&self) -> usize {
+        self.in_ch
+    }
+
     /// Output spatial size for an input of side `n` ("same" padding).
     pub fn out_size(&self, n: usize) -> usize {
         n.div_ceil(self.stride)
@@ -347,8 +391,9 @@ impl Conv2d {
         self.k / 2
     }
 
-    /// im2col: `(n, c, h, w)` → `(n*oh*ow, c*k*k)`.
-    fn im2col(&self, x: &Tensor) -> Tensor {
+    /// The im2col matrix `(n*oh*ow, c*k*k)` of `x` (`(n, c, h, w)`), written
+    /// into `out`, which holds zeros: padding stays zero.
+    fn im2col_into(&self, x: &Tensor, out: &mut [f32]) {
         let (n, c, h, w) = x.dims4();
         assert_eq!(c, self.in_ch, "channel mismatch");
         let (oh, ow) = (self.out_size(h), self.out_size(w));
@@ -356,7 +401,7 @@ impl Conv2d {
         let pad = self.pad() as isize;
         let stride = self.stride as isize;
         let cols = c * k * k;
-        let mut out = vec![0.0f32; n * oh * ow * cols];
+        assert_eq!(out.len(), n * oh * ow * cols, "im2col size");
         let xd = x.data();
         for b in 0..n {
             for oy in 0..oh {
@@ -382,18 +427,17 @@ impl Conv2d {
                 }
             }
         }
-        Tensor::from_vec(&[n * oh * ow, cols], out)
     }
 
-    /// col2im: scatter-add of `(n*oh*ow, c*k*k)` back to `(n, c, h, w)`.
-    fn col2im(&self, col: &Tensor, in_shape: [usize; 4]) -> Tensor {
-        let [n, c, h, w] = in_shape;
+    /// col2im: scatter-add of `col` (`(n*oh*ow, c*k*k)`) into `out`
+    /// (`(n, c, h, w)`, zeros).
+    fn col2im_into(&self, col: &Tensor, out: &mut Tensor) {
+        let (n, c, h, w) = out.dims4();
         let (oh, ow) = (self.out_size(h), self.out_size(w));
         let k = self.k;
         let pad = self.pad() as isize;
         let stride = self.stride as isize;
         let cols = c * k * k;
-        let mut out = Tensor::zeros(&[n, c, h, w]);
         let od = out.data_mut();
         let cd = col.data();
         for b in 0..n {
@@ -420,30 +464,29 @@ impl Conv2d {
                 }
             }
         }
-        out
     }
 
-    /// The output `(n, oc, oh, ow)` for the im2col matrix `col` of an input
-    /// shaped `(n, c, h, w)`.
-    fn convolve(&self, col: &Tensor, (n, _, h, w): (usize, usize, usize, usize)) -> Tensor {
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let mut y = col.matmul(&self.w); // (n*oh*ow, oc)
-        add_bias(&mut y, &self.b);
-        // (n*oh*ow, oc) → (n, oc, oh, ow)
-        let oc = self.out_ch;
-        let mut out = vec![0.0f32; n * oc * oh * ow];
-        let yd = y.data();
+    /// The output shape `(n, oc, oh, ow)` for an input shaped `(n, c, h, w)`.
+    fn out_shape(&self, (n, _, h, w): (usize, usize, usize, usize)) -> [usize; 4] {
+        [n, self.out_ch, self.out_size(h), self.out_size(w)]
+    }
+
+    /// Adds the bias to `y` (`(n*oh*ow, oc)`, the product of the im2col
+    /// matrix and the kernel) and writes it into `out` as `(n, oc, oh, ow)`.
+    fn bias_to_nchw(&self, y: &mut Tensor, out: &mut Tensor) {
+        add_bias(y, &self.b);
+        let (n, oc, oh, ow) = out.dims4();
+        let (yd, od) = (y.data(), out.data_mut());
         for b in 0..n {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let row = ((b * oh + oy) * ow + ox) * oc;
                     for c in 0..oc {
-                        out[((b * oc + c) * oh + oy) * ow + ox] = yd[row + c];
+                        od[((b * oc + c) * oh + oy) * ow + ox] = yd[row + c];
                     }
                 }
             }
         }
-        Tensor::from_vec(&[n, oc, oh, ow], out)
     }
 }
 
@@ -452,21 +495,39 @@ impl Params for Conv2d {
         f(ParamRef { value: &mut self.w });
         f(ParamRef { value: &mut self.b });
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.w);
+        f(&self.b);
+    }
 }
 
 impl Layer for Conv2d {
     type Tape = ConvTape;
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.convolve(&self.im2col(x), x.dims4())
+        let [n, oc, oh, ow] = self.out_shape(x.dims4());
+        let mut col = Tensor::zeros(&[n * oh * ow, self.w.shape()[0]]);
+        self.im2col_into(x, col.data_mut());
+        let mut y = col.matmul(&self.w);
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        self.bias_to_nchw(&mut y, &mut out);
+        out
     }
 
-    fn forward(&self, x: Tensor) -> (Tensor, ConvTape) {
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, ConvTape) {
         let (n, _, h, w) = x.dims4();
-        let col = self.im2col(&x);
-        let y = self.convolve(&col, x.dims4());
+        let [_, oc, oh, ow] = self.out_shape(x.dims4());
+        let mut col = ws.zeros(&[n * oh * ow, self.w.shape()[0]]);
+        self.im2col_into(&x, col.data_mut());
+        ws.give(x);
+        let mut y = ws.tensor(&[n * oh * ow, oc]);
+        col.matmul_into(&self.w, &mut y, ws.scratch());
+        let mut out = ws.tensor(&[n, oc, oh, ow]);
+        self.bias_to_nchw(&mut y, &mut out);
+        ws.give(y);
         let in_shape = [n, self.in_ch, h, w];
-        (y, ConvTape { col, in_shape })
+        (out, ConvTape { col, in_shape })
     }
 
     fn backward(
@@ -474,32 +535,37 @@ impl Layer for Conv2d {
         tape: ConvTape,
         grad_out: Tensor,
         segments: &[usize],
-        folds: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
         let (n, oc, oh, ow) = grad_out.dims4();
         assert_eq!(oc, self.out_ch);
         // (n, oc, oh, ow) → (n*oh*ow, oc)
-        let mut g = vec![0.0f32; n * oh * ow * oc];
-        let gd = grad_out.data();
+        let mut g = ws.tensor(&[n * oh * ow, oc]);
+        let (gd, rows) = (grad_out.data(), g.data_mut());
         for b in 0..n {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let row = ((b * oh + oy) * ow + ox) * oc;
                     for c in 0..oc {
-                        g[row + c] = gd[((b * oc + c) * oh + oy) * ow + ox];
+                        rows[row + c] = gd[((b * oc + c) * oh + oy) * ow + ox];
                     }
                 }
             }
         }
-        let g = Tensor::from_vec(&[n * oh * ow, oc], g);
-        let gcol = g.matmul_t(&self.w);
+        ws.give(grad_out);
+        let mut gcol = ws.tensor(&[n * oh * ow, self.w.shape()[0]]);
+        g.matmul_t_into(&self.w, &mut gcol, ws.scratch());
         // An image is oh·ow rows of the im2col matrix.
-        folds.push(Fold {
+        let segments = ws.list(segments.iter().map(|&s| s * oh * ow));
+        ws.push_fold(Fold {
             x: tape.col,
             g,
-            segments: segments.iter().map(|&s| s * oh * ow).collect(),
+            segments,
         });
-        self.col2im(&gcol, tape.in_shape)
+        let mut gx = ws.zeros(&tape.in_shape);
+        self.col2im_into(&gcol, &mut gx);
+        ws.give(gcol);
+        gx
     }
 }
 
@@ -531,12 +597,18 @@ impl Params for ResBlock {
             fc.visit_params(f);
         }
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        for fc in &self.fc {
+            fc.for_each_param(f);
+        }
+    }
 }
 
 impl Layer for ResBlock {
     /// The tapes of each dense layer and its activation. The first dense
     /// layer's tape is the block's input.
-    type Tape = Vec<(Tensor, Vec<bool>)>;
+    type Tape = [(Tensor, Vec<bool>); 3];
 
     fn infer(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
@@ -547,15 +619,14 @@ impl Layer for ResBlock {
         h
     }
 
-    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape) {
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, Self::Tape) {
         let mut h = x;
-        let mut tape = Vec::with_capacity(3);
-        for (fc, act) in self.fc.iter().zip(&self.act) {
-            let (y, fc_tape) = fc.forward(h);
+        let tape: Self::Tape = std::array::from_fn(|i| {
+            let (y, fc_tape) = self.fc[i].forward(std::mem::take(&mut h), ws);
             let act_tape;
-            (h, act_tape) = act.forward(y);
-            tape.push((fc_tape, act_tape));
-        }
+            (h, act_tape) = self.act[i].forward(y, ws);
+            (fc_tape, act_tape)
+        });
         h.add_assign(&tape[0].0);
         (h, tape)
     }
@@ -565,14 +636,15 @@ impl Layer for ResBlock {
         tape: Self::Tape,
         grad_out: Tensor,
         segments: &[usize],
-        folds: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
-        let mut g = grad_out.clone();
+        let mut g = ws.copy_of(&grad_out);
         for (i, (fc_tape, act_tape)) in tape.into_iter().enumerate().rev() {
-            g = self.act[i].backward(act_tape, g, segments, folds);
-            g = self.fc[i].backward(fc_tape, g, segments, folds);
+            g = self.act[i].backward(act_tape, g, segments, ws);
+            g = self.fc[i].backward(fc_tape, g, segments, ws);
         }
         g.add_assign(&grad_out); // skip connection
+        ws.give(grad_out);
         g
     }
 }
@@ -590,6 +662,8 @@ impl GlobalAvgPool {
 
 impl Params for GlobalAvgPool {
     fn visit_params(&mut self, _f: &mut dyn FnMut(ParamRef<'_>)) {}
+
+    fn for_each_param(&self, _f: &mut dyn FnMut(&Tensor)) {}
 }
 
 impl Layer for GlobalAvgPool {
@@ -597,24 +671,18 @@ impl Layer for GlobalAvgPool {
     type Tape = [usize; 4];
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let (n, c, h, w) = x.dims4();
+        let (n, c, _, _) = x.dims4();
         let mut out = Tensor::zeros(&[n, c]);
-        let xd = x.data();
-        let od = out.data_mut();
-        let inv = 1.0 / (h * w) as f32;
-        for b in 0..n {
-            for ch in 0..c {
-                let base = (b * c + ch) * h * w;
-                let s: f32 = xd[base..base + h * w].iter().sum();
-                od[b * c + ch] = s * inv;
-            }
-        }
+        pool_into(x, out.data_mut());
         out
     }
 
-    fn forward(&self, x: Tensor) -> (Tensor, [usize; 4]) {
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, [usize; 4]) {
         let (n, c, h, w) = x.dims4();
-        (self.infer(&x), [n, c, h, w])
+        let mut out = ws.tensor(&[n, c]);
+        pool_into(&x, out.data_mut());
+        ws.give(x);
+        (out, [n, c, h, w])
     }
 
     fn backward(
@@ -622,9 +690,9 @@ impl Layer for GlobalAvgPool {
         [n, c, h, w]: [usize; 4],
         grad_out: Tensor,
         _: &[usize],
-        _: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
-        let mut gx = Tensor::zeros(&[n, c, h, w]);
+        let mut gx = ws.tensor(&[n, c, h, w]);
         let inv = 1.0 / (h * w) as f32;
         let gd = grad_out.data();
         let gxd = gx.data_mut();
@@ -637,7 +705,22 @@ impl Layer for GlobalAvgPool {
                 }
             }
         }
+        ws.give(grad_out);
         gx
+    }
+}
+
+/// Writes the mean of each `(image, channel)` plane of `x` into `out`.
+fn pool_into(x: &Tensor, out: &mut [f32]) {
+    let (n, c, h, w) = x.dims4();
+    let xd = x.data();
+    let inv = 1.0 / (h * w) as f32;
+    for b in 0..n {
+        for ch in 0..c {
+            let base = (b * c + ch) * h * w;
+            let s: f32 = xd[base..base + h * w].iter().sum();
+            out[b * c + ch] = s * inv;
+        }
     }
 }
 
@@ -679,6 +762,12 @@ impl Params for MlpStack {
             l.visit_params(f);
         }
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        for l in &self.layers {
+            l.for_each_param(f);
+        }
+    }
 }
 
 impl Layer for MlpStack {
@@ -698,16 +787,16 @@ impl Layer for MlpStack {
         h
     }
 
-    fn forward(&self, x: Tensor) -> (Tensor, Self::Tape) {
+    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, Self::Tape) {
         let n = self.layers.len();
         let mut h = x;
         let mut tape = Vec::with_capacity(n);
         for i in 0..n {
             let fc_tape;
-            (h, fc_tape) = self.layers[i].forward(h);
+            (h, fc_tape) = self.layers[i].forward(h, ws);
             let mut act_tape = None;
             if i + 1 < n || self.activate_last {
-                let (y, t) = self.acts[i].forward(h);
+                let (y, t) = self.acts[i].forward(h, ws);
                 (h, act_tape) = (y, Some(t));
             }
             tape.push((fc_tape, act_tape));
@@ -720,14 +809,14 @@ impl Layer for MlpStack {
         tape: Self::Tape,
         grad_out: Tensor,
         segments: &[usize],
-        folds: &mut Vec<Fold>,
+        ws: &mut Workspace,
     ) -> Tensor {
         let mut g = grad_out;
         for (i, (fc_tape, act_tape)) in tape.into_iter().enumerate().rev() {
             if let Some(t) = act_tape {
-                g = self.acts[i].backward(t, g, segments, folds);
+                g = self.acts[i].backward(t, g, segments, ws);
             }
-            g = self.layers[i].backward(fc_tape, g, segments, folds);
+            g = self.layers[i].backward(fc_tape, g, segments, ws);
         }
         g
     }
@@ -746,10 +835,10 @@ mod tests {
         dy: impl Fn(f32) -> f32,
         grads: &mut Grads,
     ) -> Tensor {
-        let (y, tape) = layer.forward(x.clone());
-        let mut folds = Vec::new();
-        let gx = layer.backward(tape, y.map(dy), &[x.shape()[0]], &mut folds);
-        grads.fold(&[folds], 1);
+        let mut ws = [Workspace::new()];
+        let (y, tape) = layer.forward(x.clone(), &mut ws[0]);
+        let gx = layer.backward(tape, y.map(dy), &[x.shape()[0]], &mut ws[0]);
+        grads.fold(&mut ws);
         gx
     }
 
@@ -903,7 +992,7 @@ mod tests {
     /// shifted first so that no bias is zero.
     fn assert_infer_is_forward<L: Layer>(name: &str, layer: &mut L, x: &Tensor) {
         layer.visit_params(&mut |p| p.value.map_inplace(|v| v + 0.125));
-        let (trained, _) = layer.forward(x.clone());
+        let (trained, _) = layer.forward(x.clone(), &mut Workspace::new());
         let inferred = layer.infer(x);
         assert_eq!(trained.shape(), inferred.shape(), "{name}");
         assert!(
@@ -946,7 +1035,8 @@ mod tests {
     }
 
     /// Queries run one by one, each folded in turn, give the bits of the
-    /// same queries stacked into chunks, at any thread count.
+    /// same queries stacked into chunks, at any thread count, in
+    /// workspaces that earlier passes left dirty.
     fn assert_stacked_is_per_query<L: Layer>(name: &str, layer: &mut L, queries: &[Tensor]) {
         let dy = |v: f32| 0.75 * v - 0.25;
         let mut want = Grads::zeros(layer);
@@ -956,25 +1046,30 @@ mod tests {
             .collect();
         let (head, tail) = queries.split_at(queries.len() / 2);
         for threads in [1, 2, 3] {
+            let mut workspaces: Vec<Workspace> = (0..threads).map(|_| Workspace::new()).collect();
             let mut grads = Grads::zeros(layer);
-            let mut chunks = Vec::new();
-            let mut gx = Vec::new();
-            for chunk in [head, tail] {
-                let segments: Vec<usize> = chunk.iter().map(|q| q.shape()[0]).collect();
-                let (y, tape) = layer.forward(stack(chunk));
-                let mut folds = Vec::new();
-                gx.push(layer.backward(tape, y.map(dy), &segments, &mut folds));
-                chunks.push(folds);
+            for _ in 0..2 {
+                grads.fill_zero();
+                let mut gx = Vec::new();
+                // As training does: at most one chunk per workspace between
+                // folds.
+                for group in [head, tail].chunks(threads) {
+                    for (chunk, ws) in group.iter().zip(&mut workspaces) {
+                        let segments: Vec<usize> = chunk.iter().map(|q| q.shape()[0]).collect();
+                        let (y, tape) = layer.forward(stack(chunk), ws);
+                        gx.push(layer.backward(tape, y.map(dy), &segments, ws));
+                    }
+                    grads.fold(&mut workspaces);
+                }
+                assert!(
+                    bits(&stack(&gx)) == bits(&stack(&want_gx)),
+                    "{name}: input gradients differ at {threads} threads"
+                );
+                assert!(
+                    grad_bits(&grads) == grad_bits(&want),
+                    "{name}: parameter gradients differ at {threads} threads"
+                );
             }
-            grads.fold(&chunks, threads);
-            assert!(
-                bits(&stack(&gx)) == bits(&stack(&want_gx)),
-                "{name}: input gradients differ at {threads} threads"
-            );
-            assert!(
-                grad_bits(&grads) == grad_bits(&want),
-                "{name}: parameter gradients differ at {threads} threads"
-            );
         }
     }
 
@@ -1009,5 +1104,17 @@ mod tests {
         assert_eq!(lin.num_params(), 27 * 128 + 128);
         let mut block = ResBlock::new(128, &mut init);
         assert_eq!(block.num_params(), 3 * (128 * 128 + 128));
+    }
+
+    /// Both visitors see the same parameters in the same order.
+    #[test]
+    fn read_only_visit_matches_visit_params() {
+        let mut init = Initializer::new(5);
+        let mut stack = MlpStack::new(&[4, 8, 3], true, &mut init);
+        let mut visited = Vec::new();
+        stack.visit_params(&mut |p| visited.push(p.value.clone()));
+        let mut seen = Vec::new();
+        stack.for_each_param(&mut |t| seen.push(t.clone()));
+        assert_eq!(seen, visited);
     }
 }

@@ -16,6 +16,7 @@
 //!   (0.001 decayed to 60 % every 20 epochs).
 //! * [`init`] — deterministic He initialisation.
 //! * [`parallel`] — `std::thread`-based data parallelism for CPU training.
+//! * [`workspace`] — the buffers training passes reuse from batch to batch.
 //!
 //! # Example
 //!
@@ -25,27 +26,26 @@
 //! ```
 //! use deepsplit_nn::init::Initializer;
 //! use deepsplit_nn::layers::{Grads, Layer, Linear};
-//! use deepsplit_nn::loss::softmax_regression;
+//! use deepsplit_nn::loss::softmax_regression_into;
 //! use deepsplit_nn::optim::{Adam, Optimizer};
-//! use deepsplit_nn::tensor::Tensor;
+//! use deepsplit_nn::workspace::Workspace;
 //!
 //! let mut init = Initializer::new(1);
 //! let mut model = Linear::new(8, 1, &mut init);
 //! let mut grads = Grads::zeros(&mut model);
 //! let mut opt = Adam::new(1e-2);
+//! let mut ws = [Workspace::new()];
 //! // Two queries of 4 and 3 candidates, stacked as rows; the first
 //! // candidate of each is the right one.
 //! let x = init.uniform(&[7 * 8], 1.0).reshape(&[7, 8]);
-//! let (scores, tape) = model.forward(x);
-//! let mut grad = Vec::new();
+//! let (scores, tape) = model.forward(x, &mut ws[0]);
+//! let mut grad = ws[0].tensor(&[7, 1]);
 //! for (start, n) in [(0, 4), (4, 3)] {
-//!     let query = Tensor::from_vec(&[n, 1], scores.data()[start..start + n].to_vec());
-//!     let (_loss, g) = softmax_regression(&query, 0);
-//!     grad.extend_from_slice(g.data());
+//!     let query = &scores.data()[start..start + n];
+//!     let _loss = softmax_regression_into(query, 0, &mut grad.data_mut()[start..start + n]);
 //! }
-//! let mut folds = Vec::new();
-//! model.backward(tape, Tensor::from_vec(&[7, 1], grad), &[4, 3], &mut folds);
-//! grads.fold(&[folds], 1);
+//! model.backward(tape, grad, &[4, 3], &mut ws[0]);
+//! grads.fold(&mut ws);
 //! grads.scale(0.5);
 //! opt.step(&mut model, &grads);
 //! ```
@@ -56,6 +56,7 @@ pub mod loss;
 pub mod optim;
 pub mod parallel;
 pub mod tensor;
+pub mod workspace;
 
 pub use init::Initializer;
 pub use layers::{
@@ -65,3 +66,4 @@ pub use layers::{
 pub use loss::{softmax_regression, two_class};
 pub use optim::{Adam, Optimizer, Sgd, StepDecay};
 pub use tensor::Tensor;
+pub use workspace::Workspace;

@@ -16,10 +16,21 @@ use crate::tensor::Tensor;
 /// Numerically stable softmax of a flat slice — shared by the losses here
 /// and by ranked-inference confidence reporting in `deepsplit-core`.
 pub fn softmax(xs: &[f32]) -> Vec<f32> {
+    let mut p = vec![0.0; xs.len()];
+    softmax_into(xs, &mut p);
+    p
+}
+
+/// [`softmax`] of `xs`, written into `p`.
+fn softmax_into(xs: &[f32], p: &mut [f32]) {
     let max = xs.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let exps: Vec<f32> = xs.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (e, &x) in p.iter_mut().zip(xs) {
+        *e = (x - max).exp();
+    }
+    let sum: f32 = p.iter().sum();
+    for e in p.iter_mut() {
+        *e /= sum;
+    }
 }
 
 /// Softmax regression loss (paper Eq. 6) over a candidate group.
@@ -35,14 +46,26 @@ pub fn softmax(xs: &[f32]) -> Vec<f32> {
 pub fn softmax_regression(scores: &Tensor, target: usize) -> (f32, Tensor) {
     let (n, c) = scores.dims2();
     assert_eq!(c, 1, "softmax regression expects [n, 1] scores");
-    assert!(target < n, "target out of range");
-    let p = softmax(scores.data());
-    let loss = -p[target].max(1e-30).ln();
     let mut grad = Tensor::zeros(&[n, 1]);
-    for (j, (g, &pj)) in grad.data_mut().iter_mut().zip(&p).enumerate() {
-        *g = pj - if j == target { 1.0 } else { 0.0 };
-    }
+    let loss = softmax_regression_into(scores.data(), target, grad.data_mut());
     (loss, grad)
+}
+
+/// [`softmax_regression`] over the `n` scores of a flat slice: returns the
+/// loss and writes the gradient into `grad` (`n` values). The same bits.
+///
+/// # Panics
+///
+/// Panics if `target` is out of range or `grad` is not as long as `scores`.
+pub fn softmax_regression_into(scores: &[f32], target: usize, grad: &mut [f32]) -> f32 {
+    assert!(target < scores.len(), "target out of range");
+    assert_eq!(grad.len(), scores.len(), "one gradient per score");
+    softmax_into(scores, grad);
+    let loss = -grad[target].max(1e-30).ln();
+    for (j, g) in grad.iter_mut().enumerate() {
+        *g -= if j == target { 1.0 } else { 0.0 };
+    }
+    loss
 }
 
 /// Two-class classification loss (paper Eq. 3) over a candidate group.
@@ -58,26 +81,42 @@ pub fn softmax_regression(scores: &Tensor, target: usize) -> (f32, Tensor) {
 pub fn two_class(scores: &Tensor, target: usize) -> (f32, Tensor) {
     let (n, c) = scores.dims2();
     assert_eq!(c, 2, "two-class loss expects [n, 2] scores");
-    assert!(target < n, "target out of range");
-    let mut loss = 0.0f32;
     let mut grad = Tensor::zeros(&[n, 2]);
+    let loss = two_class_into(scores.data(), target, grad.data_mut());
+    (loss, grad)
+}
+
+/// [`two_class`] over the `[n, 2]` scores of a flat slice: returns the loss
+/// and writes the gradient into `grad` (`2n` values). The same bits.
+///
+/// # Panics
+///
+/// Panics if `target` is out of range or `grad` is not as long as `scores`.
+pub fn two_class_into(scores: &[f32], target: usize, grad: &mut [f32]) -> f32 {
+    let n = scores.len() / 2;
+    assert!(target < n, "target out of range");
+    assert_eq!(grad.len(), scores.len(), "one gradient per score");
+    let mut loss = 0.0f32;
     let inv_n = 1.0 / n as f32;
-    for j in 0..n {
-        let s_neg = scores.data()[j * 2];
-        let s_pos = scores.data()[j * 2 + 1];
-        let p = softmax(&[s_neg, s_pos]);
+    let mut p = [0.0f32; 2];
+    for (j, (s, g)) in scores
+        .chunks_exact(2)
+        .zip(grad.chunks_exact_mut(2))
+        .enumerate()
+    {
+        softmax_into(s, &mut p);
         let (p_neg, p_pos) = (p[0], p[1]);
         if j == target {
             loss -= inv_n * p_pos.max(1e-30).ln();
-            grad.data_mut()[j * 2] = inv_n * p_neg; // d/ds⁻ of -log p⁺
-            grad.data_mut()[j * 2 + 1] = -inv_n * p_neg; // = inv_n (p⁺ - 1)
+            g[0] = inv_n * p_neg; // d/ds⁻ of -log p⁺
+            g[1] = -inv_n * p_neg; // = inv_n (p⁺ - 1)
         } else {
             loss -= inv_n * p_neg.max(1e-30).ln();
-            grad.data_mut()[j * 2] = -inv_n * p_pos;
-            grad.data_mut()[j * 2 + 1] = inv_n * p_pos;
+            g[0] = -inv_n * p_pos;
+            g[1] = inv_n * p_pos;
         }
     }
-    (loss, grad)
+    loss
 }
 
 /// Connection probabilities for ranking under the two-class model

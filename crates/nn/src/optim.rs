@@ -189,6 +189,7 @@ mod tests {
         let mut init = Initializer::new(42);
         let mut model = Linear::new(4, 1, &mut init);
         let mut grads = Grads::zeros(&mut model);
+        let mut ws = [crate::workspace::Workspace::new()];
         let make_batch = |t: usize| {
             let mut data = vec![0.0f32; 4 * 4];
             for j in 0..4 {
@@ -202,12 +203,11 @@ mod tests {
         for step in 0..200 {
             let t = step % 4;
             let x = make_batch(t);
-            let (y, tape) = model.forward(x);
+            let (y, tape) = model.forward(x, &mut ws[0]);
             let (loss, grad) = softmax_regression(&y, t);
-            let mut folds = Vec::new();
-            model.backward(tape, grad, &[4], &mut folds);
+            model.backward(tape, grad, &[4], &mut ws[0]);
             grads.fill_zero();
-            grads.fold(&[folds], 1);
+            grads.fold(&mut ws);
             optimizer.step(&mut model, &grads);
             if step == 0 {
                 first = loss;

@@ -15,32 +15,51 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
-    for_each_mut(&mut slots, threads, |(item, out)| *out = Some(f(item)));
+    for_each_run(
+        &mut slots,
+        1,
+        &mut vec![(); threads.max(1)],
+        |_, run, ()| {
+            for (item, out) in run {
+                *out = Some(f(item));
+            }
+        },
+    );
     slots
         .into_iter()
         .map(|(_, out)| out.expect("worker filled slot"))
         .collect()
 }
 
-/// Runs `f` on every item with up to `threads` worker threads, each owning
-/// a contiguous run of items. With `threads <= 1` runs inline.
-pub(crate) fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+/// Runs `f(first, run, state)` over runs of consecutive `items`, one run
+/// per state, each a whole number of `unit` items, and `first` the index of
+/// its first item: inline when there is one run, else each run on a thread
+/// of its own.
+///
+/// # Panics
+///
+/// Panics if `states` is empty.
+pub fn for_each_run<T, S, F>(items: &mut [T], unit: usize, states: &mut [S], f: F)
 where
     T: Send,
-    F: Fn(&mut T) + Sync,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        items.iter_mut().for_each(f);
+    assert!(!states.is_empty(), "a run needs a state");
+    let units = items.len() / unit.max(1);
+    let runs = states.len().min(units).max(1);
+    let run = units.div_ceil(runs).max(1) * unit.max(1);
+    if runs == 1 {
+        f(0, items, &mut states[0]);
         return;
     }
     // Telemetry only — a no-op two-atomic-load probe unless the binary
     // installed a trace recorder.
     let _span = deepsplit_obs::span("parallel_map");
-    let run = items.len().div_ceil(threads.min(items.len()));
     std::thread::scope(|s| {
-        for part in items.chunks_mut(run) {
+        for ((i, part), state) in items.chunks_mut(run).enumerate().zip(states) {
             let f = &f;
-            s.spawn(move || part.iter_mut().for_each(f));
+            s.spawn(move || f(i * run, part, state));
         }
     });
 }
@@ -106,11 +125,22 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_visits_every_item_once() {
-        for threads in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..10).collect();
-            for_each_mut(&mut items, threads, |x| *x = *x * 3 + 1);
-            assert_eq!(items, (0..10).map(|x| x * 3 + 1).collect::<Vec<_>>());
+    fn for_each_run_covers_every_item_once_in_whole_units() {
+        for states in 1..5 {
+            let mut items: Vec<usize> = vec![0; 12];
+            let mut seen = vec![Vec::new(); states];
+            for_each_run(&mut items, 2, &mut seen, |first, run, seen| {
+                assert_eq!(first % 2, 0, "runs start on a unit");
+                assert_eq!(run.len() % 2, 0, "runs hold whole units");
+                for (at, item) in run.iter_mut().enumerate() {
+                    *item += first + at;
+                    seen.push(first + at);
+                }
+            });
+            assert_eq!(items, (0..12).collect::<Vec<_>>(), "{states} states");
+            let mut all: Vec<usize> = seen.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..12).collect::<Vec<_>>());
         }
     }
 

@@ -227,19 +227,46 @@ impl Tensor {
         product(gemm, Product::ABt, self, other)
     }
 
+    /// [`Tensor::matmul`] into `out`, whose buffer is reused: `out` takes
+    /// the product's shape and every value is overwritten. `scratch` is the
+    /// kernel's working buffer. The same bits as [`Tensor::matmul`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Tensor::matmul`] does.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor, scratch: &mut Scratch) {
+        product_into(Product::AB, self, other, out, scratch);
+    }
+
+    /// [`Tensor::matmul_t`] into `out`, as [`Tensor::matmul_into`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Tensor::matmul_t`] does.
+    pub(crate) fn matmul_t_into(&self, other: &Tensor, out: &mut Tensor, scratch: &mut Scratch) {
+        product_into(Product::ABt, self, other, out, scratch);
+    }
+
     /// `self += Σ_s x[s]ᵀ · g[s]`, where `x[s]` and `g[s]` are the `s`-th
     /// runs of `segments[s]` rows of `x` (`[k, m]`) and `g` (`[k, n]`) and
     /// `self` is `[m, n]`. Each segment's product is summed from `+0.0` over
     /// its rows in ascending order and then added into `self`, segment
     /// after segment: the same bits as `self.add_assign(&x[s].t_matmul(&g[s]))`
-    /// for each segment in turn, with nothing copied.
+    /// for each segment in turn, with nothing copied. `scratch` only needs
+    /// room for the longest segment, whatever the rows add up to.
     ///
     /// # Panics
     ///
     /// Panics unless `x` and `g` are 2-D with as many rows as `segments`
     /// sums to, and `self` is `[m, n]`.
-    pub fn fold_t_matmul(&mut self, x: &Tensor, g: &Tensor, segments: &[usize]) {
-        fold(gemm, self, x, g, segments);
+    pub fn fold_t_matmul(
+        &mut self,
+        x: &Tensor,
+        g: &Tensor,
+        segments: &[usize],
+        scratch: &mut Scratch,
+    ) {
+        fold(gemm, self, x, g, segments, &mut scratch.panel);
     }
 
     /// Concatenates 2-D tensors along the second (feature) axis.
@@ -251,18 +278,31 @@ impl Tensor {
         assert!(!parts.is_empty(), "concat of nothing");
         let rows = parts[0].dims2().0;
         let total: usize = parts.iter().map(|p| p.dims2().1).sum();
-        let mut out = vec![0.0f32; rows * total];
+        let mut out = Tensor::zeros(&[rows, total]);
+        Tensor::concat_cols_into(parts, &mut out);
+        out
+    }
+
+    /// [`Tensor::concat_cols`] into `out`, a 2-D tensor of the parts' rows
+    /// and total width, whose values are all overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if row counts or the total width differ from `out`'s.
+    pub fn concat_cols_into(parts: &[&Tensor], out: &mut Tensor) {
+        let (rows, total) = out.dims2();
+        let widths: usize = parts.iter().map(|p| p.dims2().1).sum();
+        assert_eq!(widths, total, "concat width mismatch");
         for r in 0..rows {
             let mut at = 0;
             for p in parts {
                 let (pr, pc) = p.dims2();
                 assert_eq!(pr, rows, "concat row mismatch");
-                out[r * total + at..r * total + at + pc]
+                out.data[r * total + at..r * total + at + pc]
                     .copy_from_slice(&p.data[r * pc..(r + 1) * pc]);
                 at += pc;
             }
         }
-        Tensor::from_vec(&[rows, total], out)
     }
 
     /// Splits the gradient of a [`Tensor::concat_cols`] back into parts with
@@ -272,18 +312,34 @@ impl Tensor {
     ///
     /// Panics if the widths do not sum to the tensor's column count.
     pub fn split_cols(&self, widths: &[usize]) -> Vec<Tensor> {
-        let (rows, cols) = self.dims2();
-        assert_eq!(widths.iter().sum::<usize>(), cols, "split widths mismatch");
+        let rows = self.dims2().0;
         let mut outs: Vec<Tensor> = widths.iter().map(|&w| Tensor::zeros(&[rows, w])).collect();
+        self.split_cols_into(&mut outs.iter_mut().collect::<Vec<_>>());
+        outs
+    }
+
+    /// [`Tensor::split_cols`] into `outs`, 2-D tensors of this tensor's
+    /// rows whose widths give the split, and whose values are all
+    /// overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths do not sum to the tensor's column count, or a
+    /// part's rows differ.
+    pub fn split_cols_into(&self, outs: &mut [&mut Tensor]) {
+        let (rows, cols) = self.dims2();
+        let widths: usize = outs.iter().map(|o| o.dims2().1).sum();
+        assert_eq!(widths, cols, "split widths mismatch");
         for r in 0..rows {
             let mut at = 0;
-            for (k, &w) in widths.iter().enumerate() {
-                outs[k].data[r * w..(r + 1) * w]
+            for out in outs.iter_mut() {
+                let (or, w) = out.dims2();
+                assert_eq!(or, rows, "split row mismatch");
+                out.data[r * w..(r + 1) * w]
                     .copy_from_slice(&self.data[r * cols + at..r * cols + at + w]);
                 at += w;
             }
         }
-        outs
     }
 
     /// Extracts row `r` of a 2-D tensor as a `[1, cols]` tensor.
@@ -343,6 +399,37 @@ impl Tensor {
         );
         (self.shape[0], self.shape[1], self.shape[2], self.shape[3])
     }
+
+    /// Gives the tensor `shape`, keeping its buffers: values it already
+    /// held stay (stale), new ones are zero. Allocates only when `shape`
+    /// holds more values than the buffer has room for.
+    pub(crate) fn reuse_as(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
+    /// How many values the tensor's buffer has room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// An empty tensor whose buffers have room for `values` values of up
+    /// to four dimensions.
+    pub(crate) fn with_capacity(values: usize) -> Tensor {
+        Tensor {
+            shape: Vec::with_capacity(4),
+            data: Vec::with_capacity(values),
+        }
+    }
+}
+
+/// The working buffer of the matrix products: the panel each block of B is
+/// copied into. A product allocates one unless it is given a `Scratch`,
+/// which keeps the largest panel it has held.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    panel: Panel,
 }
 
 // ------------------------------------------------------------------ kernels
@@ -376,7 +463,7 @@ struct Gemm<'a> {
 }
 
 /// Computes `which` of `x` and `y` with `kernel`.
-fn product(kernel: impl Fn(&Gemm, &mut [f32]), which: Product, x: &Tensor, y: &Tensor) -> Tensor {
+fn product(kernel: Kernel, which: Product, x: &Tensor, y: &Tensor) -> Tensor {
     let (a_t, b_t, mismatch) = match which {
         Product::AB => (false, false, "matmul inner dimension mismatch"),
         Product::AtB => (true, false, "t_matmul dimension mismatch"),
@@ -398,17 +485,44 @@ fn product(kernel: impl Fn(&Gemm, &mut [f32]), which: Product, x: &Tensor, y: &T
         fold: None,
     };
     let mut out = vec![0.0f32; m * n];
-    kernel(&g, &mut out);
+    kernel(&g, &mut out, &mut Panel::new());
     Tensor::from_vec(&[m, n], out)
+}
+
+/// [`product`] on the dispatched kernel into `out`'s reused buffer.
+fn product_into(which: Product, x: &Tensor, y: &Tensor, out: &mut Tensor, scratch: &mut Scratch) {
+    let (a_t, b_t) = match which {
+        Product::AB => (false, false),
+        Product::AtB => (true, false),
+        Product::ABt => (false, true),
+    };
+    let (xr, xc) = x.dims2();
+    let (yr, yc) = y.dims2();
+    let (m, k) = if a_t { (xc, xr) } else { (xr, xc) };
+    let (k2, n) = if b_t { (yc, yr) } else { (yr, yc) };
+    assert_eq!(k, k2, "{which:?} dimension mismatch");
+    out.reuse_as(&[m, n]);
+    let g = Gemm {
+        m,
+        k,
+        n,
+        a: &x.data,
+        a_t,
+        b: &y.data,
+        b_t,
+        fold: None,
+    };
+    gemm(&g, &mut out.data, &mut scratch.panel);
 }
 
 /// Adds `xᵀ · y` over the row runs `segments` into `acc` with `kernel`.
 fn fold(
-    kernel: impl Fn(&Gemm, &mut [f32]),
+    kernel: Kernel,
     acc: &mut Tensor,
     x: &Tensor,
     y: &Tensor,
     segments: &[usize],
+    panel: &mut Panel,
 ) {
     let (k, m) = x.dims2();
     let (k2, n) = y.dims2();
@@ -429,32 +543,39 @@ fn fold(
         b_t: false,
         fold: Some(segments),
     };
-    kernel(&g, &mut acc.data);
+    kernel(&g, &mut acc.data, panel);
 }
+
+/// A kernel build: `out = A · B`, or the fold `g` asks for, with `panel`
+/// as its working buffer.
+type Kernel = fn(&Gemm, &mut [f32], &mut Panel);
+
+/// The kernel's working buffer; see [`gemm_core`].
+type Panel = Vec<[f32; NR]>;
 
 /// `out = A · B`, or the fold `g` asks for, with the fastest kernel build
 /// this CPU runs.
-fn gemm(g: &Gemm, out: &mut [f32]) {
+fn gemm(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
     #[cfg(target_arch = "x86_64")]
-    if gemm_avx2(g, out) {
+    if gemm_avx2(g, out, panel) {
         return;
     }
-    gemm_portable(g, out);
+    gemm_portable(g, out, panel);
 }
 
 /// The kernel built for AVX2. Returns `false`, leaving `out` untouched, when
 /// the CPU lacks AVX2.
 #[cfg(target_arch = "x86_64")]
-fn gemm_avx2(g: &Gemm, out: &mut [f32]) -> bool {
+fn gemm_avx2(g: &Gemm, out: &mut [f32], panel: &mut Panel) -> bool {
     #[target_feature(enable = "avx2")]
-    fn build(g: &Gemm, out: &mut [f32]) {
-        gemm_core(g, out);
+    fn build(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
+        gemm_core(g, out, panel);
     }
     if !std::is_x86_feature_detected!("avx2") {
         return false;
     }
     // SAFETY: `build` needs nothing but AVX2, and the check above found it.
-    unsafe { build(g, out) };
+    unsafe { build(g, out, panel) };
     true
 }
 
@@ -470,73 +591,98 @@ const MR_T: usize = 6;
 const NR: usize = 16;
 
 /// The kernel built for the baseline instruction set.
-fn gemm_portable(g: &Gemm, out: &mut [f32]) {
-    gemm_core(g, out);
+fn gemm_portable(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
+    gemm_core(g, out, panel);
 }
 
 /// Register-blocked `out = A · B` (row-major `[m, n]`), or the fold `g`
 /// asks for, built for the baseline instruction set in [`gemm_portable`]
 /// and for AVX2 inside [`gemm_avx2`].
-#[inline(always)]
-fn gemm_core(g: &Gemm, out: &mut [f32]) {
-    match g.fold {
-        None => gemm_blocks::<false>(g, &[], out),
-        Some(segments) => gemm_blocks::<true>(g, segments, out),
-    }
-}
-
-/// `out` is computed in blocks of `NR` columns. Each block of B is first
-/// copied into a row-major panel, transposed if B is stored transposed (a
-/// copy only moves values), then the block of `out` is computed in tiles of
+///
+/// `out` is computed in blocks of `NR` columns. A product copies each block
+/// of B into a row-major panel, transposed if B is stored transposed (a
+/// copy only moves values), then computes the block of `out` in tiles of
 /// `MR` rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the
-/// last rows. A tile is summed in registers over the whole inner dimension
-/// and stored, or with `FOLD` over each run of `segments` in turn, each
-/// run's sums added into `out`. Tiles never split a run, so every output
-/// is the module's ascending sum wherever its tile falls.
+/// last rows; a tile is summed in registers over the whole inner dimension
+/// and stored. A fold copies the block's rows of one run of `segments` at a
+/// time, and adds each tile's sums over that run into `out`, run after
+/// run. Tiles never split a run, so every output is the module's ascending
+/// sum wherever its tile falls. The panel grows to the inner dimension, or
+/// to the longest run, and is kept.
 #[inline(always)]
-fn gemm_blocks<const FOLD: bool>(g: &Gemm, segments: &[usize], out: &mut [f32]) {
+fn gemm_core(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
     let Gemm { m, k, n, .. } = *g;
     assert_eq!(g.a.len(), m * k, "gemm A size");
     assert_eq!(g.b.len(), k * n, "gemm B size");
     assert_eq!(out.len(), m * n, "gemm output size");
-    // Columns a last, narrower block lacks keep stale values in the panel;
-    // their sums are dropped.
-    let mut panel = vec![[0.0f32; NR]; k];
+    let longest = match g.fold {
+        None => k,
+        Some(segments) => segments.iter().copied().max().unwrap_or(0),
+    };
+    if panel.len() < longest {
+        panel.resize(longest, [0.0; NR]);
+    }
     for j in (0..n).step_by(NR) {
-        let cols = NR.min(n - j);
-        if g.b_t {
-            // Rows `j..` of the stored `[n, k]` become the panel's columns.
-            for c in 0..cols {
-                let column = &g.b[(j + c) * k..][..k];
-                for (dst, &v) in panel.iter_mut().zip(column) {
-                    dst[c] = v;
+        match g.fold {
+            None => {
+                copy_block(g, 0..k, j, panel);
+                if g.a_t {
+                    block_rows::<MR_T, false>(g, 0, j, &panel[..k], out);
+                } else {
+                    block_rows::<MR, false>(g, 0, j, &panel[..k], out);
                 }
             }
-        } else if cols == NR {
+            Some(segments) => {
+                assert!(g.a_t && !g.b_t, "a fold reads A transposed and B as stored");
+                let mut first = 0;
+                for &len in segments {
+                    copy_block(g, first..first + len, j, panel);
+                    block_rows::<MR_T, true>(g, first, j, &panel[..len], out);
+                    first += len;
+                }
+            }
+        }
+    }
+}
+
+/// Copies the inner indices `rows` of the block of B at column `j` into
+/// the first rows of `panel`. Columns a last, narrower block lacks keep
+/// stale values in the panel; their sums are dropped.
+#[inline(always)]
+fn copy_block(g: &Gemm, rows: std::ops::Range<usize>, j: usize, panel: &mut [[f32; NR]]) {
+    let (k, n) = (g.k, g.n);
+    let cols = NR.min(n - j);
+    let panel = &mut panel[..rows.len()];
+    if g.b_t {
+        // Rows `j..` of the stored `[n, k]` become the panel's columns.
+        for c in 0..cols {
+            let column = &g.b[(j + c) * k..][rows.clone()];
+            for (dst, &v) in panel.iter_mut().zip(column) {
+                dst[c] = v;
+            }
+        }
+    } else {
+        let stored = g.b[rows.start * n..].chunks_exact(n);
+        if cols == NR {
             // A fixed-size copy compiles to vector moves; one of a run-time
             // length calls `memcpy` per row.
-            for (dst, row) in panel.iter_mut().zip(g.b.chunks_exact(n)) {
+            for (dst, row) in panel.iter_mut().zip(stored) {
                 *dst = *row[j..].first_chunk().expect("a full block");
             }
         } else {
-            for (dst, row) in panel.iter_mut().zip(g.b.chunks_exact(n)) {
+            for (dst, row) in panel.iter_mut().zip(stored) {
                 dst[..cols].copy_from_slice(&row[j..]);
             }
-        }
-        if g.a_t {
-            block_rows::<MR_T, FOLD>(g, segments, j, &panel, out);
-        } else {
-            block_rows::<MR, FOLD>(g, segments, j, &panel, out);
         }
     }
 }
 
 /// The block of `out` at column `j`, in tiles of `T` rows, then 4, 2 and 1
-/// for the last rows.
+/// for the last rows. `panel` holds the inner indices from `first` on.
 #[inline(always)]
 fn block_rows<const T: usize, const FOLD: bool>(
     g: &Gemm,
-    segments: &[usize],
+    first: usize,
     j: usize,
     panel: &[[f32; NR]],
     out: &mut [f32],
@@ -544,49 +690,56 @@ fn block_rows<const T: usize, const FOLD: bool>(
     let m = g.m;
     let mut i = 0;
     while i + T <= m {
-        gemm_tile::<T, FOLD>(g, segments, i, j, panel, out);
+        gemm_tile::<T, FOLD>(g, first, i, j, panel, out);
         i += T;
     }
     if T > 4 && i + 4 <= m {
-        gemm_tile::<4, FOLD>(g, segments, i, j, panel, out);
+        gemm_tile::<4, FOLD>(g, first, i, j, panel, out);
         i += 4;
     }
     if i + 2 <= m {
-        gemm_tile::<2, FOLD>(g, segments, i, j, panel, out);
+        gemm_tile::<2, FOLD>(g, first, i, j, panel, out);
         i += 2;
     }
     if i < m {
-        gemm_tile::<1, FOLD>(g, segments, i, j, panel, out);
+        gemm_tile::<1, FOLD>(g, first, i, j, panel, out);
     }
 }
 
 /// Rows `i..i + R` of the block of `out` at column `j`: stored, or with
-/// `FOLD` added into over the runs `segments` (unused when storing).
+/// `FOLD` the sums over the run `panel` holds (from inner index `first`)
+/// added into.
 #[inline(always)]
 fn gemm_tile<const R: usize, const FOLD: bool>(
     g: &Gemm,
-    segments: &[usize],
+    first: usize,
     i: usize,
     j: usize,
     panel: &[[f32; NR]],
     out: &mut [f32],
 ) {
-    if FOLD {
-        fold_tile::<R>(g, segments, i, j, panel, out);
-        return;
-    }
     let acc = if g.a_t {
-        tile_sum_t::<R>(g, i, 0, panel)
+        tile_sum_t::<R>(g, i, first, panel)
     } else {
         tile_sum::<R>(g, i, panel)
     };
     let cols = NR.min(g.n - j);
     for (r, sums) in acc.iter().enumerate() {
         let row = &mut out[(i + r) * g.n + j..][..cols];
-        // A full row is stored with a fixed-size copy, as in `gemm_blocks`.
-        match row.first_chunk_mut::<NR>() {
-            Some(full) => *full = *sums,
-            None => row.copy_from_slice(&sums[..row.len()]),
+        // A full row is stored with a fixed-size copy, as in `copy_block`.
+        match (FOLD, row.first_chunk_mut::<NR>()) {
+            (false, Some(full)) => *full = *sums,
+            (false, None) => row.copy_from_slice(&sums[..row.len()]),
+            (true, Some(full)) => {
+                for c in 0..NR {
+                    full[c] += sums[c];
+                }
+            }
+            (true, None) => {
+                for (o, s) in row.iter_mut().zip(sums) {
+                    *o += s;
+                }
+            }
         }
     }
 }
@@ -631,41 +784,6 @@ fn tile_sum_t<const R: usize>(
         }
     }
     acc
-}
-
-/// The fold's tile: each run of `segments` is summed in registers from
-/// `+0.0`, then added into the tile of `out`, run after run.
-#[inline(always)]
-fn fold_tile<const R: usize>(
-    g: &Gemm,
-    segments: &[usize],
-    i: usize,
-    j: usize,
-    panel: &[[f32; NR]],
-    out: &mut [f32],
-) {
-    assert!(g.a_t, "a fold reads A transposed");
-    let cols = NR.min(g.n - j);
-    let mut start = 0;
-    for &len in segments {
-        let acc = tile_sum_t::<R>(g, i, start, &panel[start..start + len]);
-        for (r, sums) in acc.iter().enumerate() {
-            let row = &mut out[(i + r) * g.n + j..][..cols];
-            match row.first_chunk_mut::<NR>() {
-                Some(full) => {
-                    for c in 0..NR {
-                        full[c] += sums[c];
-                    }
-                }
-                None => {
-                    for (o, s) in row.iter_mut().zip(sums) {
-                        *o += s;
-                    }
-                }
-            }
-        }
-        start += len;
-    }
 }
 
 #[cfg(test)]
@@ -773,14 +891,12 @@ mod tests {
         Tensor::from_vec(&[m, n], out)
     }
 
-    type Kernel = fn(&Gemm, &mut [f32]);
-
     /// Every kernel build this CPU runs: the portable one, and AVX2 if present.
     fn kernel_builds() -> Vec<(&'static str, Kernel)> {
         let mut builds: Vec<(&'static str, Kernel)> = vec![("portable", gemm_portable)];
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            builds.push(("avx2", |g, out| assert!(gemm_avx2(g, out))));
+            builds.push(("avx2", |g, out, panel| assert!(gemm_avx2(g, out, panel))));
         } else {
             eprintln!("this CPU lacks AVX2: only the portable kernel is tested");
         }
@@ -862,6 +978,32 @@ mod tests {
         assert_bitwise(2601, 162, 16);
     }
 
+    /// The `_into` products overwrite a dirty output of another shape and
+    /// reuse one scratch across shapes, with the bits of the allocating
+    /// products.
+    #[test]
+    fn into_products_match_allocating_products_bitwise() {
+        let mut scratch = Scratch::default();
+        let mut out = Tensor::from_vec(&[3, 3], vec![f32::NAN; 9]);
+        for (m, k, n) in [(5, 7, 17), (2, 40, 3), (9, 1, 33)] {
+            let seed = (m * 31 + k) as u64 * 31 + n as u64;
+            let x = Tensor::from_vec(&[m, k], awkward(m * k, seed));
+            let y = Tensor::from_vec(&[k, n], awkward(k * n, seed + 1));
+            let yt = Tensor::from_vec(&[n, k], awkward(k * n, seed + 2));
+            x.matmul_into(&y, &mut out, &mut scratch);
+            assert_eq!(out.shape(), &[m, n]);
+            assert!(
+                bits(&out) == bits(&x.matmul(&y)),
+                "matmul_into at {m}x{k}x{n}"
+            );
+            x.matmul_t_into(&yt, &mut out, &mut scratch);
+            assert!(
+                bits(&out) == bits(&x.matmul_t(&yt)),
+                "matmul_t_into at {m}x{k}x{n}"
+            );
+        }
+    }
+
     #[test]
     fn kernels_handle_empty_dimensions() {
         for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0)] {
@@ -895,7 +1037,9 @@ mod tests {
         let want = ref_fold(&start, &x, &y, segments);
         for (build, kernel) in kernel_builds() {
             let mut got = start.clone();
-            fold(kernel, &mut got, &x, &y, segments);
+            // A panel left dirty and too short by an earlier product.
+            let mut panel = vec![[f32::NAN; NR]; 1];
+            fold(kernel, &mut got, &x, &y, segments, &mut panel);
             assert!(
                 bits(&got) == bits(&want),
                 "{build} fold at m={m} n={n} segments={segments:?} differs from the reference"
@@ -945,7 +1089,7 @@ mod tests {
     #[should_panic(expected = "fold segments must cover the rows")]
     fn fold_rejects_segments_that_miss_rows() {
         let x = Tensor::zeros(&[3, 2]);
-        Tensor::zeros(&[2, 2]).fold_t_matmul(&x, &x, &[1, 1]);
+        Tensor::zeros(&[2, 2]).fold_t_matmul(&x, &x, &[1, 1], &mut Scratch::default());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use deepsplit_nn::init::Initializer;
 use deepsplit_nn::layers::{Conv2d, Layer, Linear, Params, ResBlock};
 use deepsplit_nn::loss::{softmax_regression, two_class};
 use deepsplit_nn::tensor::Tensor;
+use deepsplit_nn::workspace::Workspace;
 use proptest::prelude::*;
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -136,9 +137,10 @@ proptest! {
         let mut init = Initializer::new(seed);
         let conv = Conv2d::new(2, 2, 3, 1, &mut init);
         let x = init.uniform(&[2 * 5 * 5], 1.0).reshape(&[1, 2, 5, 5]);
-        let (y, tape) = conv.forward(x.clone());
+        let mut ws = Workspace::new();
+        let (y, tape) = conv.forward(x.clone(), &mut ws);
         let ones = y.map(|_| 1.0);
-        let gx = conv.backward(tape, ones, &[1], &mut Vec::new());
+        let gx = conv.backward(tape, ones, &[1], &mut ws);
         let eps = 1e-2f32;
         for idx in [0usize, 12, 24, 49] {
             let mut xp = x.clone();

@@ -62,6 +62,15 @@ pub struct Response {
 }
 
 impl Response {
+    /// A binary response.
+    pub fn bytes(status: u16, body: Vec<u8>) -> Response {
+        Response {
+            status,
+            content_type: "application/octet-stream",
+            body,
+        }
+    }
+
     /// A JSON response.
     pub fn json(status: u16, body: String) -> Response {
         Response {

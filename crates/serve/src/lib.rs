@@ -48,6 +48,6 @@ pub use detect::{
     Observation, WindowScore,
 };
 pub use http::{Request, Response};
-pub use lru::{LruCounters, ModelLru};
+pub use lru::{Lru, LruCounters, ModelLru};
 pub use metrics::{EndpointLatencies, LatencySnapshot, Metrics, MetricsSnapshot};
 pub use server::{start, AttackServer, RunningServer, ServeConfig};

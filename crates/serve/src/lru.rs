@@ -1,11 +1,12 @@
-//! In-process LRU of deserialized [`TrainedAttack`]s.
+//! In-process LRU caches keyed by fingerprint, generic over what they hold.
 //!
-//! The backing [`deepsplit_core::store::ModelStore`] deals in JSON blobs;
-//! parsing a multi-MB model on every `/attack` request would dominate
-//! inference for warm cells. The server therefore keeps the last
-//! `capacity` *deserialized* models behind [`std::sync::Arc`]s — concurrent
-//! requests for the same model share one allocation, and eviction is by
-//! least-recent use.
+//! The backing [`deepsplit_core::store::ModelStore`] keeps model blobs;
+//! decoding a model on every `/attack` request would dominate inference for
+//! warm cells. The server therefore keeps the last `capacity` *decoded*
+//! models behind [`std::sync::Arc`]s ([`ModelLru`]) — concurrent requests
+//! for the same model share one allocation, and eviction is by least-recent
+//! use. The implemented layouts of the evaluation protocols it has served
+//! live in an [`Lru`] of the same kind, so neither grows without bound.
 
 use deepsplit_core::fingerprint::CorpusFingerprint;
 use deepsplit_core::sync::lock_or_recover;
@@ -15,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Usage counters of a [`ModelLru`], for the `/metrics` endpoint.
+/// Usage counters of an [`Lru`], for the `/metrics` endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LruCounters {
     /// Lookups answered from the cache.
@@ -30,42 +31,48 @@ pub struct LruCounters {
     pub capacity: usize,
 }
 
-/// The mutable core of a [`ModelLru`]: the entry list plus an invalidation
+/// The mutable core of an [`Lru`]: the entry list plus an invalidation
 /// generation, under one lock so "was anything invalidated since I started
 /// deserializing?" and "insert my deserialization" are one atomic question.
-#[derive(Debug, Default)]
-struct LruState {
+#[derive(Debug)]
+struct LruState<V> {
     /// Front = most recently used.
-    entries: VecDeque<(CorpusFingerprint, Arc<TrainedAttack>)>,
-    /// Bumped by every [`ModelLru::invalidate`].
+    entries: VecDeque<(CorpusFingerprint, Arc<V>)>,
+    /// Bumped by every [`Lru::invalidate`].
     generation: u64,
 }
 
-/// A thread-safe LRU keyed by corpus fingerprint. Capacity `0` disables
-/// caching (every [`ModelLru::get`] misses, [`ModelLru::put`] is a no-op).
+/// A thread-safe LRU keyed by fingerprint. Capacity `0` disables caching
+/// (every [`Lru::get`] misses, [`Lru::put`] is a no-op).
 #[derive(Debug)]
-pub struct ModelLru {
+pub struct Lru<V> {
     capacity: usize,
-    state: Mutex<LruState>,
+    state: Mutex<LruState<V>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     evictions: AtomicUsize,
 }
 
-impl ModelLru {
-    /// An empty cache holding at most `capacity` models.
-    pub fn new(capacity: usize) -> ModelLru {
-        ModelLru {
+/// The server's cache of decoded models.
+pub type ModelLru = Lru<TrainedAttack>;
+
+impl<V> Lru<V> {
+    /// An empty cache holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Lru<V> {
+        Lru {
             capacity,
-            state: Mutex::new(LruState::default()),
+            state: Mutex::new(LruState {
+                entries: VecDeque::new(),
+                generation: 0,
+            }),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
     }
 
-    /// The cached model under `key`, promoted to most-recently-used.
-    pub fn get(&self, key: &CorpusFingerprint) -> Option<Arc<TrainedAttack>> {
+    /// The cached value under `key`, promoted to most-recently-used.
+    pub fn get(&self, key: &CorpusFingerprint) -> Option<Arc<V>> {
         let mut state = lock_or_recover(&self.state);
         let position = state.entries.iter().position(|(k, _)| k == key);
         let found = position.and_then(|i| state.entries.remove(i)).map(|entry| {
@@ -83,7 +90,7 @@ impl ModelLru {
     }
 
     /// The current invalidation generation. Snapshot it *before* loading or
-    /// deserializing a blob, then insert with [`ModelLru::put_if_fresh`] —
+    /// deserializing a blob, then insert with [`Lru::put_if_fresh`] —
     /// an invalidation in between (a concurrent `PUT /models` overwrite)
     /// makes the insert a no-op, so a deserialization of the replaced blob
     /// can never outlive it in this cache.
@@ -93,18 +100,13 @@ impl ModelLru {
 
     /// Inserts (or refreshes) `model` under `key`, evicting the least
     /// recently used entry beyond capacity.
-    pub fn put(&self, key: CorpusFingerprint, model: Arc<TrainedAttack>) {
+    pub fn put(&self, key: CorpusFingerprint, model: Arc<V>) {
         self.put_if_fresh(key, model, None);
     }
 
-    /// [`ModelLru::put`] that is dropped when the generation moved past
-    /// `observed` (see [`ModelLru::generation`]). `None` always inserts.
-    pub fn put_if_fresh(
-        &self,
-        key: CorpusFingerprint,
-        model: Arc<TrainedAttack>,
-        observed: Option<u64>,
-    ) {
+    /// [`Lru::put`] that is dropped when the generation moved past
+    /// `observed` (see [`Lru::generation`]). `None` always inserts.
+    pub fn put_if_fresh(&self, key: CorpusFingerprint, model: Arc<V>, observed: Option<u64>) {
         if self.capacity == 0 {
             return;
         }

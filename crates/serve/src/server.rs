@@ -6,8 +6,8 @@
 //! | `GET /healthz` | liveness probe (`200 ok`) |
 //! | `GET /metrics` | JSON [`MetricsSnapshot`] |
 //! | `GET /metrics?format=prometheus` | Prometheus text exposition |
-//! | `GET /models/{fingerprint}` | model blob from the backing store (`404` on miss) |
-//! | `PUT /models/{fingerprint}` | store a model blob (`204`) |
+//! | `GET /models/{fingerprint}` | model blob from the backing store (`application/octet-stream`, `404` on miss) |
+//! | `PUT /models/{fingerprint}` | store a model blob (`204`; `400` for bytes that are not a blob of this build) |
 //! | `POST /attack` | ranked inference for a serialized FEOL cell spec |
 //!
 //! `/attack` resolution batches across the worker pool: concurrent requests
@@ -24,7 +24,7 @@
 
 use crate::detect::{deceive_response, fingerprint_id, response_ids, Action, Detector};
 use crate::http::{self, Request, Response, Server};
-use crate::lru::ModelLru;
+use crate::lru::{Lru, ModelLru};
 use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
 use deepsplit_core::attack::attack_ranked;
 use deepsplit_core::config::AttackConfig;
@@ -42,7 +42,7 @@ use deepsplit_flow::metrics::ccr;
 use deepsplit_flow::proximity::proximity_attack;
 use deepsplit_netlist::benchmarks::Benchmark;
 use deepsplit_obs as obs;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -76,6 +76,11 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Evaluation protocols whose implemented layouts the server keeps: each
+/// distinct `(benchmark, scale, seeds, implement, train_benchmarks)` a
+/// client sends holds a victim and its corpus layouts until evicted.
+pub const BASE_CACHE_CAPACITY: usize = 4;
 
 /// Single-flight registry: at most one in-flight resolution per fingerprint.
 #[derive(Debug, Default)]
@@ -139,9 +144,9 @@ pub struct AttackServer {
     inflight: Inflight,
     /// Implemented victim + corpus layouts per `(benchmark, eval)` — place &
     /// route dominates request cost for warm models, and repeat queries
-    /// against one victim are the expected traffic shape. Unbounded, but one
-    /// entry per distinct evaluation protocol actually queried.
-    bases: Mutex<HashMap<CorpusFingerprint, Arc<EvalBase>>>,
+    /// against one victim are the expected traffic shape. The last
+    /// [`BASE_CACHE_CAPACITY`] protocols queried.
+    bases: Lru<EvalBase>,
     inference_threads: usize,
     detect: Detector,
     /// Monotonic origin of the detector's tick axis.
@@ -156,7 +161,7 @@ impl AttackServer {
             lru: ModelLru::new(config.lru_capacity),
             metrics: Metrics::new(),
             inflight: Inflight::default(),
-            bases: Mutex::new(HashMap::new()),
+            bases: Lru::new(BASE_CACHE_CAPACITY),
             inference_threads: config.inference_threads.max(1),
             detect: Detector::new(config.detect.clone()),
             started: Instant::now(),
@@ -250,25 +255,22 @@ impl AttackServer {
     }
 
     fn handle_model_get(&self, fp: &CorpusFingerprint) -> Response {
-        // Raw-bytes path: a multi-MB blob is relayed without a parse +
-        // re-serialize on this, the fleet's hottest endpoint.
-        match self.store.load_json(fp) {
-            Some(json) => Response::json(200, json),
+        // Raw-bytes path: a blob is relayed without a decode and re-encode
+        // on this, the fleet's hottest endpoint.
+        match self.store.load_blob(fp) {
+            Some(blob) => Response::bytes(200, blob),
             None => Response::error(404, format!("no model under {fp}")),
         }
     }
 
     fn handle_model_put(&self, fp: &CorpusFingerprint, req: &Request) -> Response {
-        let Some(json) = req.body_str() else {
-            return Response::error(400, "model body is not UTF-8");
-        };
-        // Parse once to validate; the store then publishes the received
-        // bytes verbatim instead of re-serializing the parse.
-        let model = match TrainedAttack::from_json(json) {
+        // Decode once to validate; the store then publishes the received
+        // bytes verbatim instead of encoding the model again.
+        let model = match TrainedAttack::from_blob(&req.body) {
             Ok(m) => m,
-            Err(e) => return Response::error(400, format!("unparsable model: {e}")),
+            Err(e) => return Response::error(400, format!("unreadable model: {e}")),
         };
-        self.store.save_json(fp, json, &model);
+        self.store.save_blob(fp, &req.body, &model);
         // A cached deserialization of the old blob must not outlive it.
         self.lru.invalidate(fp);
         Response::text(204, "")
@@ -451,15 +453,15 @@ impl AttackServer {
     /// protocol, shared across requests.
     fn base_of(&self, bench: Benchmark, eval: &EvalConfig) -> Arc<EvalBase> {
         let key = base_key(bench, eval);
-        if let Some(base) = lock_or_recover(&self.bases).get(&key) {
-            return Arc::clone(base);
+        if let Some(base) = self.bases.get(&key) {
+            return base;
         }
         // Build outside the lock: implementing layouts takes seconds and
         // other benchmarks' requests should not queue behind it. A racing
         // duplicate build is wasted work, not wrong results.
         let built = Arc::new(EvalBase::build(bench, eval));
-        let mut bases = lock_or_recover(&self.bases);
-        Arc::clone(bases.entry(key).or_insert(built))
+        self.bases.put(key, Arc::clone(&built));
+        built
     }
 }
 
@@ -625,10 +627,7 @@ mod tests {
         }
 
         let server = AttackServer::new(&ServeConfig::default(), Arc::new(BrokenStore));
-        let body = conformance::model(1)
-            .to_json()
-            .expect("serialise model")
-            .into_bytes();
+        let body = conformance::model(1).to_blob();
         let response = server.handle(&Request {
             method: "PUT".to_string(),
             path: format!("/models/{}", conformance::key(1).to_hex()),
@@ -646,6 +645,37 @@ mod tests {
         // breakdown, excluded from the real-traffic headline.
         assert_eq!(snapshot.endpoints.other.samples, 1);
         assert_eq!(snapshot.latency.samples, 0);
+    }
+
+    /// More layout protocols than the cache holds: it never grows past its
+    /// capacity, and a protocol whose base was evicted gets it rebuilt, with
+    /// the same layouts.
+    #[test]
+    fn layout_cache_is_bounded_and_rebuilds_evicted_bases() {
+        let server = AttackServer::new(&ServeConfig::default(), Arc::new(MemoryModelStore::new()));
+        let eval = |victim_seed| EvalConfig {
+            scale: 0.2,
+            train_benchmarks: vec![Benchmark::C880],
+            victim_seed,
+            ..EvalConfig::fast()
+        };
+        let layouts = |base: &EvalBase| {
+            serde_json::to_string(&(&base.victim, &base.corpus)).expect("serialise layouts")
+        };
+        let first = server.base_of(Benchmark::C432, &eval(0));
+        for seed in 1..=BASE_CACHE_CAPACITY as u64 {
+            server.base_of(Benchmark::C432, &eval(seed));
+            assert!(server.bases.counters().len <= BASE_CACHE_CAPACITY);
+        }
+        assert_eq!(
+            server.bases.counters().evictions,
+            1,
+            "the oldest protocol left"
+        );
+        let rebuilt = server.base_of(Benchmark::C432, &eval(0));
+        assert!(!Arc::ptr_eq(&first, &rebuilt), "an evicted base is rebuilt");
+        assert_eq!(layouts(&rebuilt), layouts(&first), "…with the same layouts");
+        assert_eq!(server.bases.counters().len, BASE_CACHE_CAPACITY);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 
 use deepsplit_core::config::AttackConfig;
 use deepsplit_core::httpc;
-use deepsplit_core::store::{conformance, MemoryModelStore, ModelStore, RemoteModelStore};
+use deepsplit_core::store::{
+    conformance, DiskModelStore, MemoryModelStore, ModelStore, RemoteModelStore,
+};
 use deepsplit_defense::eval::EvalConfig;
 use deepsplit_defense::service::{AttackRequest, AttackResponse};
 use deepsplit_netlist::benchmarks::Benchmark;
@@ -20,6 +22,10 @@ use std::time::Duration;
 const TIMEOUT: Duration = Duration::from_secs(300);
 
 fn test_server() -> RunningServer {
+    server_over(Arc::new(MemoryModelStore::new()))
+}
+
+fn server_over(store: Arc<dyn ModelStore + Send + Sync>) -> RunningServer {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 3,
@@ -27,7 +33,7 @@ fn test_server() -> RunningServer {
         inference_threads: 1,
         ..ServeConfig::default()
     };
-    start(&config, Arc::new(MemoryModelStore::new())).expect("bind ephemeral port")
+    start(&config, store).expect("bind ephemeral port")
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -100,6 +106,30 @@ fn remote_store_passes_conformance_over_http() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Stale, torn and legacy entries in the server's disk store, and in the
+/// client's write-through cache, read as counted misses over HTTP.
+#[test]
+fn remote_store_misses_unreadable_entries() {
+    let server_dir = tempdir("unreadable-server");
+    let cache_dir = tempdir("unreadable-cache");
+    let backing = DiskModelStore::open(&server_dir).expect("open server store");
+    let server = server_over(Arc::new(backing));
+    for cache in [None, Some(cache_dir.clone())] {
+        let store = RemoteModelStore::open(server.url(), cache.clone()).expect("connect");
+        conformance::check_unreadable(&store, &|file, bytes| {
+            for dir in std::iter::once(&server_dir).chain(&cache) {
+                std::fs::write(dir.join(file), bytes).expect("plant an entry");
+            }
+        });
+    }
+    let snapshot = server.state().metrics_snapshot();
+    assert_eq!(snapshot.store.hits, 0, "the server served none of them");
+    assert_eq!(snapshot.model_puts, 0);
+    server.shutdown();
+    std::fs::remove_dir_all(&server_dir).expect("cleanup");
+    std::fs::remove_dir_all(&cache_dir).expect("cleanup");
+}
+
 #[test]
 fn write_through_cache_answers_without_the_server() {
     let server = test_server();
@@ -122,7 +152,7 @@ fn blob_api_round_trips_exact_bytes() {
     let server = test_server();
     let base = server.url();
     let key = conformance::key(11);
-    let json = conformance::encoding(&conformance::model(11));
+    let blob = conformance::model(11).to_blob();
 
     let url = format!("{base}/models/{}", key.to_hex());
     assert_eq!(
@@ -130,24 +160,44 @@ fn blob_api_round_trips_exact_bytes() {
         404,
         "an absent blob is 404"
     );
-    let put = httpc::put(&url, json.as_bytes(), TIMEOUT).expect("PUT");
+    let put = httpc::put(&url, &blob, TIMEOUT).expect("PUT");
     assert_eq!(put.status, 204);
     let got = httpc::get(&url, TIMEOUT).expect("GET");
     assert_eq!(got.status, 200);
-    assert_eq!(
-        got.body_str().expect("blob body"),
-        json,
-        "the blob API must return byte-identical JSON"
+    assert!(
+        got.body == blob,
+        "the blob API must return byte-identical blobs"
+    );
+    let head = raw_roundtrip(
+        server.addr(),
+        format!("GET /models/{} HTTP/1.1\r\nHost: x\r\n\r\n", key.to_hex()).as_bytes(),
+    );
+    assert!(
+        head.contains("Content-Type: application/octet-stream"),
+        "blobs are binary: {}",
+        head.lines().take(3).collect::<Vec<_>>().join(" | ")
     );
 
-    // Garbage uploads are refused, not stored.
-    let bad = httpc::put(
-        &format!("{base}/models/{}", conformance::key(12).to_hex()),
-        b"{nope",
-        TIMEOUT,
-    )
-    .expect("PUT garbage");
-    assert_eq!(bad.status, 400);
+    // Garbage, stale, torn and legacy uploads are refused, not stored: the
+    // entry keeps the blob it had, and an absent one stays absent.
+    let before = server.state().metrics_snapshot().store;
+    let mut bodies = vec![b"{nope".to_vec()];
+    bodies.extend(
+        conformance::unreadable_entries()
+            .into_iter()
+            .map(|(_, _, _, bytes)| bytes),
+    );
+    for body in bodies {
+        for target in [key, conformance::key(12)] {
+            let put_url = format!("{base}/models/{}", target.to_hex());
+            let bad = httpc::put(&put_url, &body, TIMEOUT).expect("PUT a bad body");
+            assert_eq!(bad.status, 400, "{:?}", bad.body_str());
+        }
+    }
+    assert_eq!(server.state().metrics_snapshot().store.saves, before.saves);
+    assert!(httpc::get(&url, TIMEOUT).expect("GET").body == blob);
+    let absent = format!("{base}/models/{}", conformance::key(12).to_hex());
+    assert_eq!(httpc::get(&absent, TIMEOUT).expect("GET").status, 404);
     server.shutdown();
 }
 
@@ -328,7 +378,9 @@ fn attack_endpoint_refuses_bad_specs() {
 /// pass validation and panic in training (a 500).
 #[test]
 fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
-    use deepsplit_defense::service::{MAX_BATCH_SIZE, MAX_EPOCHS, MAX_IMAGE_PX};
+    use deepsplit_defense::service::{
+        MAX_BATCH_SIZE, MAX_EPOCHS, MAX_IMAGE_PX, MAX_TRAIN_BENCHMARKS,
+    };
     let server = test_server();
     let url = format!("{}/attack", server.url());
     let good = tiny_request().eval.attack;
@@ -379,6 +431,14 @@ fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
             "error must name {knob}"
         );
     }
+    // A corpus longer than the bound: a cold resolve would build and train
+    // on every entry.
+    let mut bad = tiny_request();
+    bad.eval.train_benchmarks = vec![Benchmark::C880; MAX_TRAIN_BENCHMARKS + 1];
+    let body = serde_json::to_string(&bad).expect("serialise request");
+    let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST a long corpus");
+    assert_eq!(r.status, 400, "{:?}", r.body_str());
+    assert!(r.body_str().expect("body").contains("train_benchmarks"));
     let health = httpc::get(&format!("{}/healthz", server.url()), TIMEOUT).expect("healthz");
     assert_eq!(health.status, 200);
     assert_eq!(
@@ -399,9 +459,10 @@ fn raw_roundtrip(addr: std::net::SocketAddr, payload: &[u8]) -> String {
         .expect("read timeout");
     stream.write_all(payload).expect("send payload");
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response
+    // Bytes, not a string: a model blob is binary.
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
 }
 
 #[test]
