@@ -53,6 +53,7 @@ use deepsplit_core::store::{DiskModelStore, MemoryModelStore, ModelStore};
 use deepsplit_defense::eval::EvalConfig;
 use deepsplit_defense::service::AttackRequest;
 use deepsplit_netlist::benchmarks::Benchmark;
+use deepsplit_serve::detect::profiles::Profile;
 use deepsplit_serve::detect::{roc, Countermeasure};
 use deepsplit_serve::{start, DetectionSnapshot, EndpointLatencies, MetricsSnapshot, ServeConfig};
 use serde::{Deserialize, Serialize};
@@ -128,15 +129,15 @@ fn tiny_eval() -> EvalConfig {
 /// pacing); benign cycles distinct victims with jittered pacing; stealthy
 /// harvests on every third request and hides behind benign traffic
 /// otherwise.
-fn profile_spec(profile: &str, client: &str, i: usize) -> AttackRequest {
+fn profile_spec(profile: Profile, client: &str, i: usize) -> AttackRequest {
     let benign_victims = [Benchmark::C432, Benchmark::C1355, Benchmark::C1908];
     let bench = match profile {
-        "harvest" => Benchmark::C432,
-        "stealthy" if i.is_multiple_of(3) => Benchmark::C432,
+        Profile::Harvest => Benchmark::C432,
+        Profile::Stealthy if i.is_multiple_of(3) => Benchmark::C432,
         // Skip the harvest victim in stealthy cover traffic so the cover
         // and the harvest sub-stream stay distinguishable.
-        "stealthy" => benign_victims[1 + i % 2],
-        _ => benign_victims[i % benign_victims.len()],
+        Profile::Stealthy => benign_victims[1 + i % 2],
+        Profile::Benign => benign_victims[i % benign_victims.len()],
     };
     AttackRequest {
         eval: tiny_eval(),
@@ -148,11 +149,11 @@ fn profile_spec(profile: &str, client: &str, i: usize) -> AttackRequest {
 
 /// How long the `i`-th request of a profile waits before firing:
 /// deterministic jitter for benign/stealthy cover, nothing for harvest.
-fn profile_pause(profile: &str, i: usize) -> Duration {
+fn profile_pause(profile: Profile, i: usize) -> Duration {
     match profile {
-        "harvest" => Duration::ZERO,
-        "stealthy" => Duration::from_millis(60 + (i as u64 * 29) % 120),
-        _ => Duration::from_millis(120 + (i as u64 * 37) % 160),
+        Profile::Harvest => Duration::ZERO,
+        Profile::Stealthy => Duration::from_millis(60 + (i as u64 * 29) % 120),
+        Profile::Benign => Duration::from_millis(120 + (i as u64 * 37) % 160),
     }
 }
 
@@ -174,7 +175,7 @@ fn loadgen(
     path: &str,
     requests: usize,
     concurrency: usize,
-    profile: Option<String>,
+    profile: Option<Profile>,
     client: String,
     json_out: Option<String>,
 ) {
@@ -189,7 +190,6 @@ fn loadgen(
             let next = Arc::clone(&next);
             let tallies = Arc::clone(&tallies);
             let base = base.clone();
-            let profile = profile.clone();
             let client = client.clone();
             scope.spawn(move || {
                 let mut tally = WorkerTally::default();
@@ -198,7 +198,7 @@ fn loadgen(
                     if i >= requests {
                         break;
                     }
-                    let outcome = match &profile {
+                    let outcome = match profile {
                         None => {
                             let url = format!("{base}{path}");
                             let t0 = Instant::now();
@@ -266,7 +266,7 @@ fn loadgen(
         samples: latencies_us.len(),
         rate_limited,
         concurrency,
-        profile: profile.clone(),
+        profile: profile.map(|p| p.name().to_string()),
         wall_s: wall.as_secs_f64(),
         requests_per_sec: latencies_us.len() as f64 / wall.as_secs_f64().max(1e-9),
         p50_ms: deepsplit_serve::metrics::percentile_ms(&latencies_us, 0.50),
@@ -343,15 +343,14 @@ fn main() {
         let requests = usize_arg(&args, "--requests", 200);
         let concurrency = usize_arg(&args, "--concurrency", 1);
         let path = value_arg(&args, "--path").unwrap_or_else(|| "/healthz".to_string());
-        let profile = value_arg(&args, "--profile");
-        if let Some(p) = &profile {
-            assert!(
-                matches!(p.as_str(), "benign" | "harvest" | "stealthy"),
-                "bad --profile `{p}` (benign|harvest|stealthy)"
-            );
-        }
+        let profile = value_arg(&args, "--profile").map(|p| {
+            Profile::from_name(&p).unwrap_or_else(|| {
+                let names = Profile::all().map(Profile::name).join("|");
+                panic!("bad --profile `{p}` ({names})")
+            })
+        });
         let client = value_arg(&args, "--client")
-            .or_else(|| profile.clone())
+            .or_else(|| profile.map(|p| p.name().to_string()))
             .unwrap_or_else(|| "loadgen".to_string());
         loadgen(
             &base,

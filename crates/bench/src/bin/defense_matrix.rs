@@ -26,9 +26,10 @@
 //! # acts as a local write-through cache in front of the remote store):
 //! cargo run --release --bin defense_matrix -- --store-url http://10.0.0.5:8077
 //!
-//! # Observability: per-cell phase timings and a chrome://tracing file.
-//! # Neither changes any gated output — the --json report of a traced run
-//! # is byte-identical to an untraced one.
+//! # Observability: --timings prints the recorded spans totalled by name
+//! # (count, total ms, mean ms) to stderr; --trace keeps every span on a
+//! # chrome://tracing timeline. Neither changes any gated output — the
+//! # --json report of a traced run is byte-identical to an untraced one.
 //! cargo run --release --bin defense_matrix -- --timings --trace sweep-trace.json
 //! ```
 
@@ -41,6 +42,7 @@ use deepsplit_engine::{
 };
 use deepsplit_layout::geom::Layer;
 use deepsplit_netlist::benchmarks::Benchmark;
+use deepsplit_obs as obs;
 use std::path::PathBuf;
 
 fn parse_shard(s: &str) -> (usize, usize) {
@@ -158,10 +160,10 @@ fn main() {
     let artifacts_dir = value_arg(&args, "--artifacts").map(PathBuf::from);
     let json_path = value_arg(&args, "--json");
     let trace_path = value_arg(&args, "--trace");
-    if trace_path.is_some() {
-        deepsplit_obs::install(deepsplit_obs::DEFAULT_TRACE_CAPACITY);
+    let timings = args.iter().any(|a| a == "--timings");
+    if trace_path.is_some() || timings {
+        obs::install(obs::DEFAULT_TRACE_CAPACITY);
     }
-    let record_timings = args.iter().any(|a| a == "--timings");
 
     // Misconfigurations that would discard hours of sweeping are refused
     // before any work happens, not after.
@@ -208,7 +210,6 @@ fn main() {
         sweep: config,
         artifacts_dir,
         resume,
-        record_timings,
     };
     let config = &engine_config.sweep;
 
@@ -266,11 +267,13 @@ fn main() {
         }
     };
     eprintln!("{}", run.stats.summary());
-    if record_timings {
-        eprint!("{}", run.render_timings());
+    if timings {
+        let recorder = obs::global().expect("--timings installs the recorder");
+        let table = obs::span_table(&recorder.events(), recorder.dropped());
+        eprint!("{table}");
     }
     if let Some(path) = &trace_path {
-        std::fs::write(path, deepsplit_obs::export_chrome_trace()).expect("write trace file");
+        std::fs::write(path, obs::export_chrome_trace()).expect("write trace file");
         eprintln!("wrote trace {path}");
     }
 

@@ -226,15 +226,7 @@ pub struct Table3Report {
 
 /// Trains the attack for one split layer over the paper's training designs.
 pub fn train_for_layer(profile: &Profile, layer: Layer) -> train::TrainedAttack {
-    let mut prepared = Vec::new();
-    for (i, bench) in Benchmark::training_set().into_iter().enumerate() {
-        let design = implement_benchmark(profile, bench, profile.train_seed + i as u64);
-        let mut p = PreparedDesign::prepare(&design, layer, &profile.attack);
-        p.truncate_queries(profile.train_query_cap, profile.train_seed);
-        prepared.push(p);
-    }
-    let (trained, _) = train::train(&prepared, &profile.attack);
-    trained
+    train_for_layer_with_report(profile, layer).0
 }
 
 /// Like [`train_for_layer`] but also returns the report.

@@ -32,6 +32,11 @@ impl From<serde::Error> for Error {
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// The deepest nesting of arrays and objects the parser accepts, as in
+/// `serde_json`. The parser recurses once per level, so without a bound one
+/// hostile document could overflow the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Serializes `value` as compact JSON.
 ///
 /// # Errors
@@ -73,6 +78,7 @@ pub fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -176,6 +182,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,11 +227,25 @@ impl Parser<'_> {
             Some(b'N') if self.eat_word("NaN") => Ok(Value::Float(f64::NAN)),
             Some(b'I') if self.eat_word("Infinity") => Ok(Value::Float(f64::INFINITY)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value> {
@@ -399,5 +421,20 @@ mod tests {
     fn rejects_garbage() {
         assert!(from_str::<f64>("1.0garbage").is_err());
         assert!(from_str::<Vec<u8>>("[1,").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}0{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse_value(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&objects(MAX_DEPTH)).is_ok());
+        let err = parse_value(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        assert!(parse_value(&objects(MAX_DEPTH + 1)).is_err());
+        // Unclosed, as a hostile request body would send it: an error, not
+        // an aborted process.
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_value(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

@@ -190,9 +190,6 @@ const BLOB_PREFIX: usize = 8 + 3 * 4;
 /// The longest header a blob may declare. A real one is a few kB.
 const MAX_BLOB_HEADER: usize = 64 * 1024;
 
-/// The deepest JSON nesting a blob header may have. A real one has 3.
-const MAX_HEADER_DEPTH: usize = 8;
-
 /// More image channels than any layer stack renders.
 const MAX_IMAGE_CHANNELS: usize = 1024;
 
@@ -283,9 +280,6 @@ fn split_blob(bytes: &[u8]) -> Result<(BlobHeader, &[u8]), BlobError> {
         )));
     }
     let (header, weights) = rest.split_at(header_len);
-    if json_depth(header) > MAX_HEADER_DEPTH {
-        return Err(BlobError::Header("nested too deep".to_string()));
-    }
     let header = std::str::from_utf8(header)
         .map_err(|e| BlobError::Header(e.to_string()))
         .and_then(|text| {
@@ -310,34 +304,6 @@ fn weights_fit(shapes: &[Vec<usize>], weights: &[u8]) -> Result<(), BlobError> {
             found: weights.len(),
         })
     }
-}
-
-/// The deepest nesting of arrays and objects in JSON text, outside strings:
-/// checked before parsing, so that no header recurses the parser deep.
-fn json_depth(text: &[u8]) -> usize {
-    let (mut depth, mut deepest) = (0usize, 0usize);
-    let (mut in_string, mut escaped) = (false, false);
-    for &b in text {
-        if in_string {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'[' | b'{' => {
-                depth += 1;
-                deepest = deepest.max(depth);
-            }
-            b']' | b'}' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    deepest
 }
 
 /// Per-epoch training statistics.

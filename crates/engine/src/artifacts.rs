@@ -80,28 +80,6 @@ impl std::error::Error for EngineError {
     }
 }
 
-/// Wall-clock breakdown of one evaluated cell, in milliseconds.
-///
-/// Pure telemetry: timings ride along in artifacts and the `--timings`
-/// table but never enter [`protocol_fingerprint`], corpus fingerprints, or
-/// the `--json` [`MatrixReport`](crate::run::MatrixReport) — a traced or
-/// timed sweep must stay byte-identical to an untimed one on every
-/// content-addressed or regression-gated output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CellTimings {
-    /// Defended-corpus generation, attributed to the first cell per unique
-    /// corpus fingerprint (`0.0` when the model came from the store).
-    pub corpus_ms: f64,
-    /// Training epochs, same attribution (`0.0` on a store hit).
-    pub train_ms: f64,
-    /// Attack evaluation (all three attackers on the defended victim).
-    pub attack_ms: f64,
-    /// Artifact publication. Measured around the atomic write, so it is
-    /// `0.0` inside the artifact itself (which is sealed before its own
-    /// publish completes) and only populated in the `--timings` summary.
-    pub publish_ms: f64,
-}
-
 /// The on-disk form of one completed cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellArtifact {
@@ -115,10 +93,6 @@ pub struct CellArtifact {
     pub protocol: CorpusFingerprint,
     /// The cell's evaluation result.
     pub outcome: EvalOutcome,
-    /// Wall-clock telemetry, when the producing run passed `--timings`.
-    /// Ignored by resume/merge matching — timings are a side channel of the
-    /// determinism contract, never part of a cell's identity.
-    pub timings: Option<CellTimings>,
 }
 
 /// Stable identity of everything a cell's scores depend on *beyond* its
@@ -162,14 +136,12 @@ pub fn write_artifact(
     total: usize,
     protocol: CorpusFingerprint,
     outcome: &EvalOutcome,
-    timings: Option<CellTimings>,
 ) -> Result<(), EngineError> {
     let artifact = CellArtifact {
         index,
         total,
         protocol,
         outcome: outcome.clone(),
-        timings,
     };
     let json =
         serde_json::to_string_pretty(&artifact).map_err(|source| EngineError::Serialize {
@@ -304,20 +276,7 @@ mod tests {
             },
         );
         let out = outcome("c432", 3, DefenseKind::Lift, 1.0);
-        write_artifact(&dir, 1, 2, protocol, &out, None).expect("write artifact");
-        assert_eq!(
-            load_artifact(&dir, 1, 2, protocol, &cell),
-            Some(out.clone())
-        );
-        // Timings are telemetry, not identity: a timed artifact resumes
-        // exactly like an untimed one.
-        let timed = CellTimings {
-            corpus_ms: 12.5,
-            train_ms: 800.0,
-            attack_ms: 40.0,
-            publish_ms: 0.0,
-        };
-        write_artifact(&dir, 1, 2, protocol, &out, Some(timed)).expect("write timed artifact");
+        write_artifact(&dir, 1, 2, protocol, &out).expect("write artifact");
         assert_eq!(load_artifact(&dir, 1, 2, protocol, &cell), Some(out));
         // Wrong matrix size, protocol, layer or defense → not resumable.
         assert_eq!(load_artifact(&dir, 1, 3, protocol, &cell), None);
@@ -338,6 +297,16 @@ mod tests {
         );
         assert_eq!(load_artifact(&dir, 1, 2, protocol, &weaker), None);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The fast sweep's protocol. It must only ever move on purpose: a moved
+    /// protocol orphans every artifact an interrupted run left behind.
+    #[test]
+    fn fast_sweep_protocol_fingerprint_is_pinned() {
+        assert_eq!(
+            protocol_fingerprint(&SweepConfig::fast()).to_hex(),
+            "fd598fe3ab10db3e5c704d1436577f00"
+        );
     }
 
     #[test]
@@ -361,6 +330,80 @@ mod tests {
         assert_eq!(base, protocol_fingerprint(&threads));
     }
 
+    /// Cell 1 as a run with `--timings` published it before the timings
+    /// left the artifact: the same fields plus a `timings` block.
+    const TIMED_ARTIFACT: &str = r#"{
+  "index": 1,
+  "total": 2,
+  "protocol": "00000000000000070000000000000008",
+  "outcome": {
+    "benchmark": "c432",
+    "split_layer": 3,
+    "defense": {
+      "kind": "Lift",
+      "strength": 1.0,
+      "swapped_cells": 0,
+      "lifted_nets": 0,
+      "decoy_vias": 0,
+      "detoured_nets": 0,
+      "equalized_cells": 0,
+      "camo_cells": 0,
+      "base_wirelength": 100,
+      "defended_wirelength": 110,
+      "base_vias": 10,
+      "defended_vias": 12,
+      "base_beol_wirelength": 50,
+      "defended_beol_wirelength": 60
+    },
+    "scores": {
+      "sink_fragments": 4,
+      "source_fragments": 5,
+      "dl_ccr": 0.25,
+      "flow_ccr": 0.5,
+      "proximity_ccr": 0.4,
+      "chance_ccr": 0.2,
+      "recovery": 0.75
+    }
+  },
+  "timings": {
+    "corpus_ms": 12.5,
+    "train_ms": 800.0,
+    "attack_ms": 40.0,
+    "publish_ms": 0.0
+  }
+}"#;
+
+    #[test]
+    fn artifacts_with_a_timings_block_still_resume_and_merge() {
+        let dir = tempdir("timed");
+        let protocol = CorpusFingerprint([7, 8]);
+        let cells: Vec<Cell> = vec![
+            (Benchmark::C432, Layer(3), DefenseConfig::none()),
+            (
+                Benchmark::C432,
+                Layer(3),
+                DefenseConfig {
+                    kind: DefenseKind::Lift,
+                    strength: 1.0,
+                    seed: 11,
+                },
+            ),
+        ];
+        std::fs::write(artifact_path(&dir, 1), TIMED_ARTIFACT).expect("write timed artifact");
+        let lifted = outcome("c432", 3, DefenseKind::Lift, 1.0);
+        assert_eq!(
+            load_artifact(&dir, 1, 2, protocol, &cells[1]),
+            Some(lifted.clone())
+        );
+        let baseline = outcome("c432", 3, DefenseKind::None, 0.0);
+        write_artifact(&dir, 0, 2, protocol, &baseline).expect("write artifact");
+        assert_eq!(
+            merge_artifacts(&dir, &cells, protocol).unwrap(),
+            vec![baseline, lifted]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn merge_reports_missing_cells() {
         let dir = tempdir("merge");
@@ -378,11 +421,11 @@ mod tests {
         ];
         let protocol = CorpusFingerprint([3, 4]);
         let baseline = outcome("c432", 3, DefenseKind::None, 0.0);
-        write_artifact(&dir, 0, 2, protocol, &baseline, None).expect("write artifact");
+        write_artifact(&dir, 0, 2, protocol, &baseline).expect("write artifact");
         let err = merge_artifacts(&dir, &cells, protocol).unwrap_err();
         assert!(err.contains("[1]"), "must name the missing cell: {err}");
         let lifted = outcome("c432", 3, DefenseKind::Lift, 1.0);
-        write_artifact(&dir, 1, 2, protocol, &lifted, None).expect("write artifact");
+        write_artifact(&dir, 1, 2, protocol, &lifted).expect("write artifact");
         assert_eq!(
             merge_artifacts(&dir, &cells, protocol).unwrap(),
             vec![baseline, lifted]

@@ -17,6 +17,12 @@
 //! * **Pareto regression artifacts** — [`MatrixReport`] pairs the full
 //!   results with their CCR-vs-PPA-overhead fronts ([`pareto`]), stable and
 //!   byte-identical across cold, cached, resumed and sharded runs.
+//! * **One clock** — each phase runs in a `deepsplit_obs` span:
+//!   `engine.resolve` per unique corpus, `engine.corpus` inside it when the
+//!   model trains, then `engine.attack` and (with artifacts)
+//!   `engine.publish` per cell. `defense_matrix --timings` totals them by
+//!   name and `--trace` keeps them on a timeline; no time reaches a report
+//!   or an artifact.
 //!
 //! ```no_run
 //! use deepsplit_core::store::DiskModelStore;
@@ -46,9 +52,7 @@ pub mod artifacts;
 pub mod pareto;
 pub mod run;
 
-pub use artifacts::{
-    merge_artifacts, protocol_fingerprint, CellArtifact, CellTimings, EngineError,
-};
+pub use artifacts::{merge_artifacts, protocol_fingerprint, CellArtifact, EngineError};
 pub use pareto::{ParetoFront, ParetoGroup, ParetoPoint};
 pub use run::{run, sweep, CellResult, EngineConfig, MatrixReport, MatrixRun, RunStats};
 

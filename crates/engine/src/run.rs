@@ -21,7 +21,7 @@
 //! fixed spec: cold, warm (cached), resumed and sharded-then-merged runs
 //! all produce identical [`EvalOutcome`]s.
 
-use crate::artifacts::{self, CellTimings, EngineError};
+use crate::artifacts::{self, EngineError};
 use crate::pareto::ParetoFront;
 use deepsplit_core::fingerprint::CorpusFingerprint;
 use deepsplit_core::store::{MemoryModelStore, ModelStore, StoreCounters};
@@ -37,7 +37,6 @@ use deepsplit_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Full configuration of one engine invocation.
 #[derive(Debug, Clone)]
@@ -49,22 +48,15 @@ pub struct EngineConfig {
     /// Reuse matching artifacts from `artifacts_dir` instead of
     /// re-evaluating their cells.
     pub resume: bool,
-    /// Collect per-cell wall-clock breakdowns ([`CellTimings`]): stamped
-    /// into artifacts and returned in [`MatrixRun::timings`]. Telemetry
-    /// only — never hashed into the protocol fingerprint and never part of
-    /// the `--json` report, so a timed run's gated outputs are
-    /// byte-identical to an untimed one's.
-    pub record_timings: bool,
 }
 
 impl EngineConfig {
-    /// Plain in-process run of `sweep`: no artifacts, no resume, no timings.
+    /// Plain in-process run of `sweep`: no artifacts, no resume.
     pub fn new(sweep: SweepConfig) -> EngineConfig {
         EngineConfig {
             sweep,
             artifacts_dir: None,
             resume: false,
-            record_timings: false,
         }
     }
 }
@@ -120,11 +112,6 @@ pub struct MatrixRun {
     pub cells: Vec<CellResult>,
     /// What it cost.
     pub stats: RunStats,
-    /// Per-cell wall-clock breakdowns (global index → timings), sorted by
-    /// index. Populated only for freshly evaluated cells of a run with
-    /// [`EngineConfig::record_timings`]; resumed cells cost nothing and
-    /// report nothing.
-    pub timings: Vec<(usize, CellTimings)>,
 }
 
 impl MatrixRun {
@@ -136,61 +123,6 @@ impl MatrixRun {
     /// The outcomes in cell order.
     pub fn outcomes(&self) -> Vec<EvalOutcome> {
         self.cells.iter().map(|c| c.outcome.clone()).collect()
-    }
-
-    /// Renders the `--timings` summary table: one row per timed cell plus a
-    /// phase-total footer. Empty string when no timings were recorded.
-    pub fn render_timings(&self) -> String {
-        if self.timings.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>6}  {:<10} {:>5}  {:<10} {:>10}  {:>10}  {:>10}  {:>10}\n",
-            "cell",
-            "benchmark",
-            "layer",
-            "defense",
-            "corpus_ms",
-            "train_ms",
-            "attack_ms",
-            "publish_ms"
-        ));
-        let mut total = CellTimings::default();
-        for (index, t) in &self.timings {
-            let labels = self
-                .cells
-                .iter()
-                .find(|c| c.index == *index)
-                .map(|c| {
-                    (
-                        c.outcome.benchmark.clone(),
-                        c.outcome.split_layer,
-                        c.outcome.defense.kind.name().to_string(),
-                    )
-                })
-                .unwrap_or_else(|| ("?".to_string(), 0, "?".to_string()));
-            out.push_str(&format!(
-                "{:>6}  {:<10} {:>5}  {:<10} {:>10.1}  {:>10.1}  {:>10.1}  {:>10.1}\n",
-                index,
-                labels.0,
-                labels.1,
-                labels.2,
-                t.corpus_ms,
-                t.train_ms,
-                t.attack_ms,
-                t.publish_ms
-            ));
-            total.corpus_ms += t.corpus_ms;
-            total.train_ms += t.train_ms;
-            total.attack_ms += t.attack_ms;
-            total.publish_ms += t.publish_ms;
-        }
-        out.push_str(&format!(
-            "{:>6}  {:<10} {:>5}  {:<10} {:>10.1}  {:>10.1}  {:>10.1}  {:>10.1}\n",
-            "total", "", "", "", total.corpus_ms, total.train_ms, total.attack_ms, total.publish_ms
-        ));
-        out
     }
 }
 
@@ -319,136 +251,57 @@ pub fn run(config: &EngineConfig, store: &dyn ModelStore) -> Result<MatrixRun, E
         }
         fps.push(fp);
     }
-    let record_timings = config.record_timings;
-    // (fingerprint, model, epochs-if-trained, (corpus_ms, train_ms)).
-    type Resolved = (CorpusFingerprint, TrainedAttack, Option<usize>, (f64, f64));
     let resolve_plan = split_budget(unique.len(), threads);
-    let resolved: Vec<Resolved> = parallel_map(&unique, resolve_plan.outer, |(fp, cell)| {
-        let fp = *fp;
-        let base = base_of(cell.0);
-        let _resolve_span = obs::span("engine.resolve");
-        let corpus_ms = std::cell::Cell::new(0.0);
-        let resolve_started = record_timings.then(Instant::now);
-        let (model, report) =
-            train::train_or_load(&fp, store, &train_eval.attack, resolve_plan.inner, || {
-                let _span = obs::span("engine.corpus");
-                let started = record_timings.then(Instant::now);
-                let corpus = defended_corpus(base, cell.1, &cell.2, &train_eval);
-                if let Some(s) = started {
-                    corpus_ms.set(s.elapsed().as_secs_f64() * 1000.0);
-                }
-                corpus
-            });
-        let resolve_ms = resolve_started
-            .map(|s| s.elapsed().as_secs_f64() * 1000.0)
-            .unwrap_or(0.0);
-        // Training cost only exists when this run actually trained;
-        // on a store hit `resolve_ms` is just the load, not training.
-        let train_ms = if report.is_some() {
-            (resolve_ms - corpus_ms.get()).max(0.0)
-        } else {
-            0.0
-        };
-        let phase1 = (corpus_ms.get(), train_ms);
-        (fp, model, report.map(|r| r.epoch_loss.len()), phase1)
-    });
-    let models_trained = resolved.iter().filter(|(_, _, e, _)| e.is_some()).count();
-    let epochs_trained = resolved.iter().filter_map(|(_, _, e, _)| *e).sum();
-    // Phase-1 cost lands on the first cell per unique fingerprint (lookups
-    // only — splint D1 bans iterating these maps).
-    let phase1_of: HashMap<CorpusFingerprint, (f64, f64)> = resolved
-        .iter()
-        .map(|(fp, _, _, phase1)| (*fp, *phase1))
-        .collect();
+    let resolved: Vec<(CorpusFingerprint, TrainedAttack, Option<usize>)> =
+        parallel_map(&unique, resolve_plan.outer, |(fp, cell)| {
+            let base = base_of(cell.0);
+            let _span = obs::span("engine.resolve");
+            let (model, report) =
+                train::train_or_load(fp, store, &train_eval.attack, resolve_plan.inner, || {
+                    let _span = obs::span("engine.corpus");
+                    defended_corpus(base, cell.1, &cell.2, &train_eval)
+                });
+            (*fp, model, report.map(|r| r.epoch_loss.len()))
+        });
+    let models_trained = resolved.iter().filter(|(_, _, e)| e.is_some()).count();
+    let epochs_trained = resolved.iter().filter_map(|(_, _, e)| *e).sum();
+    // Lookups only — splint D1 bans iterating this map.
     let models: HashMap<CorpusFingerprint, TrainedAttack> = resolved
         .into_iter()
-        .map(|(fp, model, _, _)| (fp, model))
+        .map(|(fp, model, _)| (fp, model))
         .collect();
 
     // Phase 2: attack every pending cell, spending the spare thread budget
     // on per-cell inference.
     let plan = split_budget(pending.len(), threads);
-    // Phase-1 cost is attributed to the first cell per unique fingerprint —
-    // the cell whose corpus the training run actually materialised.
-    let mut seen_fps: Vec<CorpusFingerprint> = Vec::new();
-    let jobs: Vec<(usize, Cell, CorpusFingerprint, bool)> = pending
-        .into_iter()
-        .zip(fps)
-        .map(|((index, cell), fp)| {
-            let first = !seen_fps.contains(&fp);
-            if first {
-                seen_fps.push(fp);
-            }
-            (index, cell, fp, first)
-        })
-        .collect();
-    let fresh: Vec<Result<(CellResult, Option<CellTimings>), EngineError>> =
-        parallel_map(&jobs, plan.outer, |(index, cell, fp, first)| {
+    let jobs: Vec<((usize, Cell), CorpusFingerprint)> = pending.into_iter().zip(fps).collect();
+    let fresh: Vec<Result<CellResult, EngineError>> =
+        parallel_map(&jobs, plan.outer, |((index, cell), fp)| {
             let base = base_of(cell.0);
             let model = models
                 .get(fp)
                 .ok_or(EngineError::MissingModel { cell: *index })?;
-            let attack_started = record_timings.then(Instant::now);
             let outcome = {
                 let _span = obs::span("engine.attack");
                 attack_cell(base, cell.1, &cell.2, &config.sweep.eval, model, plan.inner)
             };
-            let attack_ms = attack_started
-                .map(|s| s.elapsed().as_secs_f64() * 1000.0)
-                .unwrap_or(0.0);
-            let mut timings = record_timings.then(|| {
-                let (corpus_ms, train_ms) = if *first {
-                    phase1_of.get(fp).copied().unwrap_or((0.0, 0.0))
-                } else {
-                    (0.0, 0.0)
-                };
-                CellTimings {
-                    corpus_ms,
-                    train_ms,
-                    attack_ms,
-                    publish_ms: 0.0,
-                }
-            });
             if let Some(dir) = &config.artifacts_dir {
-                let publish_started = record_timings.then(Instant::now);
-                {
-                    let _span = obs::span("engine.publish");
-                    artifacts::write_artifact(
-                        dir,
-                        *index,
-                        cells_total,
-                        protocol,
-                        &outcome,
-                        timings,
-                    )?;
-                }
-                if let (Some(t), Some(s)) = (timings.as_mut(), publish_started) {
-                    t.publish_ms = s.elapsed().as_secs_f64() * 1000.0;
-                }
+                let _span = obs::span("engine.publish");
+                artifacts::write_artifact(dir, *index, cells_total, protocol, &outcome)?;
             }
-            Ok((
-                CellResult {
-                    index: *index,
-                    outcome,
-                },
-                timings,
-            ))
+            Ok(CellResult {
+                index: *index,
+                outcome,
+            })
         });
-    let mut timings: Vec<(usize, CellTimings)> = Vec::new();
     for cell in fresh {
-        let (result, timing) = cell?;
-        if let Some(t) = timing {
-            timings.push((result.index, t));
-        }
-        results.push(result);
+        results.push(cell?);
     }
     results.sort_by_key(|c| c.index);
-    timings.sort_by_key(|(index, _)| *index);
 
     let counters_after = store.counters();
     Ok(MatrixRun {
         cells: results,
-        timings,
         stats: RunStats {
             cells_total,
             cells_in_shard,

@@ -166,7 +166,6 @@ fn sharded_runs_merge_to_the_unsharded_matrix() {
                 sweep: config.clone(),
                 artifacts_dir: Some(dir.clone()),
                 resume: false,
-                record_timings: false,
             },
             &store,
         )
@@ -202,7 +201,6 @@ fn resume_skips_completed_cells() {
         sweep: config,
         artifacts_dir: Some(dir.clone()),
         resume: true,
-        record_timings: false,
     };
 
     // Nothing to resume yet: evaluates and publishes artifacts.
@@ -231,7 +229,6 @@ fn broken_artifacts_dir_reports_the_path_instead_of_panicking() {
         sweep: tiny_sweep(vec![], vec![]),
         artifacts_dir: Some(blocker.clone()),
         resume: false,
-        record_timings: false,
     };
     let err = run(&engine_config, &MemoryModelStore::new())
         .expect_err("a blocked artifacts directory must fail the run");
@@ -245,85 +242,4 @@ fn broken_artifacts_dir_reports_the_path_instead_of_panicking() {
         "error must name the path: {message}"
     );
     std::fs::remove_file(&blocker).unwrap();
-}
-
-#[test]
-fn timings_are_telemetry_only_and_never_reach_the_report() {
-    let config = tiny_sweep(vec![DefenseKind::Lift], vec![1.0]);
-    let store = MemoryModelStore::new();
-    let dir = tempdir("timings");
-
-    // Untimed baseline.
-    let plain = run(&EngineConfig::new(config.clone()), &store).expect("plain run");
-    assert!(plain.timings.is_empty(), "timings are opt-in");
-    assert_eq!(plain.render_timings(), "");
-
-    // Timed run against the now-warm store, with artifacts.
-    let timed = run(
-        &EngineConfig {
-            sweep: config.clone(),
-            artifacts_dir: Some(dir.clone()),
-            resume: false,
-            record_timings: true,
-        },
-        &store,
-    )
-    .expect("timed run");
-    assert_eq!(timed.timings.len(), 2, "one breakdown per evaluated cell");
-    for (index, t) in &timed.timings {
-        assert!(timed.cells.iter().any(|c| c.index == *index));
-        assert!(t.attack_ms > 0.0, "attack phase always runs");
-        assert!(t.publish_ms > 0.0, "artifacts were written");
-        // Warm store: neither corpus generation nor training happened.
-        assert_eq!(t.corpus_ms, 0.0);
-        assert_eq!(t.train_ms, 0.0);
-    }
-    let table = timed.render_timings();
-    assert!(table.contains("attack_ms") && table.contains("total"));
-    assert!(table.contains("c432"));
-
-    // The determinism contract: identical scores, byte-identical report.
-    assert_eq!(plain.outcomes(), timed.outcomes());
-    assert_eq!(
-        MatrixReport::new(plain.outcomes()).to_json().expect("json"),
-        MatrixReport::new(timed.outcomes()).to_json().expect("json"),
-        "a timed run's --json artifact must be byte-identical to an untimed one's"
-    );
-
-    // Timed artifacts resume exactly like untimed ones, and a cold timed run
-    // attributes corpus+train cost to the first cell per fingerprint.
-    let resumed = run(
-        &EngineConfig {
-            sweep: config.clone(),
-            artifacts_dir: Some(dir.clone()),
-            resume: true,
-            record_timings: true,
-        },
-        &store,
-    )
-    .expect("resumed run");
-    assert_eq!(resumed.stats.cells_resumed, 2);
-    assert!(
-        resumed.timings.is_empty(),
-        "resumed cells report no timings"
-    );
-    assert_eq!(resumed.outcomes(), timed.outcomes());
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    let cold = run(
-        &EngineConfig {
-            sweep: config,
-            artifacts_dir: None,
-            resume: false,
-            record_timings: true,
-        },
-        &MemoryModelStore::new(),
-    )
-    .expect("cold timed run");
-    assert!(
-        cold.timings.iter().any(|(_, t)| t.train_ms > 0.0),
-        "a cold run must attribute training cost"
-    );
-    assert!(cold.timings.iter().any(|(_, t)| t.corpus_ms > 0.0));
-    assert_eq!(cold.outcomes(), plain.outcomes());
 }

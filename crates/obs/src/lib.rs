@@ -5,9 +5,9 @@
 //! - **Spans and events** ([`span()`], [`event()`], [`Recorder`]): thread-local
 //!   span stacks over a bounded fill-once trace buffer, exportable as a
 //!   Chrome-tracing-compatible JSON trace (`chrome://tracing` /
-//!   [Perfetto](https://ui.perfetto.dev) open it directly). Binaries opt in
-//!   with [`install`]; uninstrumented runs pay two atomic loads per call
-//!   site.
+//!   [Perfetto](https://ui.perfetto.dev) open it directly) or totalled by
+//!   name ([`span_table`], the `--timings` table). Binaries opt in with
+//!   [`install`]; uninstrumented runs pay two atomic loads per call site.
 //! - **Histograms** ([`Histogram`]): log-bucketed atomic counters with at
 //!   most [`MAX_RELATIVE_ERROR`] (~3.1 %) percentile error, snapshotable and
 //!   exactly mergeable across shards. This replaces the mutex-guarded
@@ -15,9 +15,6 @@
 //! - **Prometheus exposition** ([`PromWriter`]): renders counters, gauges,
 //!   labeled samples (with escaped label values), and histogram snapshots as
 //!   valid text-format exposition for `GET /metrics?format=prometheus`.
-//! - **Windowed stream statistics** ([`WindowRing`], [`EntropySketch`],
-//!   [`OverlapSketch`]): the tick-driven, thread-count-deterministic
-//!   primitives behind the serve crate's query-stream adversary detector.
 //!
 //! Determinism contract: nothing in this crate may feed content-addressed
 //! state. Span/timing data stays out of `CorpusFingerprint`, cell keys, and
@@ -42,14 +39,10 @@
 pub mod hist;
 pub mod prom;
 pub mod span;
-pub mod window;
 
 pub use hist::{Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
 pub use prom::{escape_label, PromWriter};
 pub use span::{
-    event, export_chrome_trace, global, install, render_chrome_trace, span, thread_id, Recorder,
-    SpanGuard, TraceEvent, DEFAULT_TRACE_CAPACITY,
-};
-pub use window::{
-    hash_str, mix64, EntropySketch, OverlapSketch, WindowRing, ENTROPY_BUCKETS, OVERLAP_K,
+    event, export_chrome_trace, global, install, render_chrome_trace, span, span_table, thread_id,
+    Recorder, SpanGuard, SpanRow, SpanTable, TraceEvent, DEFAULT_TRACE_CAPACITY,
 };

@@ -1,4 +1,4 @@
-//! Spans, events, and Chrome-trace export.
+//! Spans, events, Chrome-trace export and per-name span totals.
 //!
 //! A [`Recorder`] owns a bounded fill-once trace buffer. Writers claim a slot
 //! with one `fetch_add` and publish the event through a `OnceLock` — no
@@ -9,10 +9,12 @@
 //!
 //! Binaries install one global recorder with [`install`] (a no-op to record
 //! against when absent — instrumented library code costs two atomic loads
-//! when tracing is off), and export with [`export_chrome_trace`]. Tests
-//! construct private [`Recorder`]s directly.
+//! when tracing is off), and export with [`export_chrome_trace`] or total
+//! with [`span_table`]. Tests construct private [`Recorder`]s directly.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -265,6 +267,88 @@ pub fn export_chrome_trace() -> String {
     }
 }
 
+/// All complete spans of one name, as totalled by [`span_table`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanRow {
+    /// The span name.
+    pub name: &'static str,
+    /// Spans of this name that completed.
+    pub count: u64,
+    /// Their summed durations in milliseconds. Inclusive: a span's time
+    /// includes its children's.
+    pub total_ms: f64,
+}
+
+impl SpanRow {
+    /// Mean duration of one span in milliseconds.
+    pub fn mean_ms(&self) -> f64 {
+        self.total_ms / self.count as f64
+    }
+}
+
+/// Per-name totals of a recorder's complete spans: the `--timings` table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanTable {
+    /// One row per span name, sorted by name.
+    pub rows: Vec<SpanRow>,
+    /// Events the recorder dropped because its buffer was full; the rows
+    /// undercount when this is not zero.
+    pub dropped: u64,
+}
+
+impl SpanTable {
+    /// The row of spans named `name`, if any completed.
+    pub fn row(&self, name: &str) -> Option<&SpanRow> {
+        self.rows.iter().find(|r| r.name == name)
+    }
+}
+
+/// Totals the complete spans among `events` by name; instant events are
+/// ignored. `dropped` is the recorder's [`Recorder::dropped`].
+pub fn span_table(events: &[TraceEvent], dropped: u64) -> SpanTable {
+    let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+    for e in events {
+        if let Some(dur_us) = e.dur_us {
+            let (count, us) = totals.entry(e.name).or_default();
+            *count += 1;
+            *us += dur_us;
+        }
+    }
+    SpanTable {
+        rows: totals
+            .into_iter()
+            .map(|(name, (count, us))| SpanRow {
+                name,
+                count,
+                total_ms: us as f64 / 1000.0,
+            })
+            .collect(),
+        dropped,
+    }
+}
+
+impl fmt::Display for SpanTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let width = self.rows.iter().map(|r| r.name.len()).fold(4, usize::max);
+        writeln!(
+            f,
+            "{:<width$}  {:>7}  {:>11}  {:>10}",
+            "span", "count", "total_ms", "mean_ms"
+        )?;
+        for r in &self.rows {
+            writeln!(
+                f,
+                "{:<width$}  {:>7}  {:>11.1}  {:>10.2}",
+                r.name,
+                r.count,
+                r.total_ms,
+                r.mean_ms()
+            )?;
+        }
+        writeln!(f, "dropped events: {}", self.dropped)
+    }
+}
+
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -405,6 +489,69 @@ mod tests {
         assert!(phases.contains(&"X".to_string()));
         assert!(phases.contains(&"C".to_string()));
         assert!(phases.contains(&"i".to_string()));
+    }
+
+    #[test]
+    fn span_table_totals_complete_spans_by_name() {
+        let event = |name, depth, dur_us| TraceEvent {
+            name,
+            tid: 0,
+            depth,
+            start_us: 0,
+            dur_us,
+            value: None,
+        };
+        let events = [
+            event("outer", 0, Some(3_000)),
+            event("inner", 1, Some(1_000)),
+            event("inner", 1, Some(500)),
+            // Instant events, plain or valued, never count: not even one
+            // that shares a span's name.
+            event("inner", 1, None),
+            TraceEvent {
+                value: Some(0.25),
+                ..event("loss", 1, None)
+            },
+        ];
+        let table = span_table(&events, 7);
+        let names: Vec<&str> = table.rows.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["inner", "outer"], "one row per span name, sorted");
+        let inner = table.row("inner").expect("inner row");
+        assert_eq!(
+            (inner.count, inner.total_ms, inner.mean_ms()),
+            (2, 1.5, 0.75)
+        );
+        let outer = table.row("outer").expect("outer row");
+        assert_eq!((outer.count, outer.total_ms), (1, 3.0));
+        assert!(table.row("loss").is_none());
+        assert_eq!(table.dropped, 7);
+        let rendered = table.to_string();
+        assert_eq!(rendered.lines().count(), 4, "header, two rows, dropped");
+        assert!(rendered.contains("dropped events: 7"), "{rendered}");
+    }
+
+    #[test]
+    fn span_table_reads_nested_spans_and_drops_off_a_recorder() {
+        let r = Recorder::new(3);
+        {
+            let _outer = r.span("outer");
+            {
+                let _inner = r.span("inner");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            r.event("tick", None);
+        }
+        r.event("late", None);
+        let table = span_table(&r.events(), r.dropped());
+        let inner = table.row("inner").expect("inner row");
+        let outer = table.row("outer").expect("outer row");
+        assert_eq!((inner.count, outer.count), (1, 1));
+        assert!(inner.total_ms >= 2.0, "{inner:?}");
+        assert!(
+            outer.total_ms >= inner.total_ms,
+            "the outer span holds the inner"
+        );
+        assert_eq!(table.dropped, 1, "the buffer held three events");
     }
 
     #[test]

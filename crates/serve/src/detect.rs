@@ -11,12 +11,12 @@
 //!
 //! 1. **Fingerprint churn** — `1 − distinct/requests`: harvesters hammer one
 //!    model; honest clients spread across specs.
-//! 2. **Candidate overlap** — mean bottom-k Jaccard
-//!    ([`deepsplit_obs::OverlapSketch`]) between successive requests'
-//!    candidate-pair sets: systematic sweeps revisit the same pairs.
+//! 2. **Candidate overlap** — mean bottom-k Jaccard (an `OverlapSketch`)
+//!    between successive requests' candidate-pair sets: systematic sweeps
+//!    revisit the same pairs.
 //! 3. **Sink entropy depth** — how evenly *and* repeatedly the harvested
-//!    sink ids recur ([`deepsplit_obs::EntropySketch`]): uniform, deep
-//!    revisiting is extraction; fresh sinks are analysis.
+//!    sink ids recur (an `EntropySketch`): uniform, deep revisiting is
+//!    extraction; fresh sinks are analysis.
 //! 4. **Burstiness** — pacing regularity (low coefficient of variation)
 //!    times rate pressure (mean gap small against the window).
 //!
@@ -34,9 +34,9 @@
 //! The detector is contractually inert when disabled (the default):
 //! [`Detector::admit`] returns immediately without touching any state.
 
+use crate::window::{mix64, EntropySketch, OverlapSketch, WindowRing};
 use deepsplit_core::sync::lock_or_recover;
 use deepsplit_defense::service::{expected_ccr, AttackResponse};
-use deepsplit_obs::{mix64, EntropySketch, OverlapSketch, WindowRing};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -587,7 +587,7 @@ impl Detector {
 /// Derives the detector's stable id for a fingerprint hex string.
 #[must_use]
 pub fn fingerprint_id(fp_hex: &str) -> u64 {
-    deepsplit_obs::hash_str(fp_hex)
+    crate::window::hash_str(fp_hex)
 }
 
 /// Stable candidate-pair and sink ids of a response's rankings, as the
@@ -667,7 +667,7 @@ pub fn replay(config: &DetectConfig, stream: &[Observation]) -> BTreeMap<String,
 /// the same shapes the live `attack_server --loadgen --profile` modes send.
 pub mod profiles {
     use super::Observation;
-    use deepsplit_obs::{hash_str, mix64};
+    use crate::window::{hash_str, mix64};
 
     /// Which adversary the stream imitates.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

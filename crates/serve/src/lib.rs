@@ -42,6 +42,7 @@ pub mod http;
 pub mod lru;
 pub mod metrics;
 pub mod server;
+mod window;
 
 pub use detect::{
     deceive_response, Action, Countermeasure, Decision, DetectConfig, DetectionSnapshot, Detector,

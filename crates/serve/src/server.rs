@@ -26,6 +26,7 @@ use crate::detect::{deceive_response, fingerprint_id, response_ids, Action, Dete
 use crate::http::{self, Request, Response, Server};
 use crate::lru::{Lru, ModelLru};
 use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
+use crate::window::hash_str;
 use deepsplit_core::attack::attack_ranked;
 use deepsplit_core::config::AttackConfig;
 use deepsplit_core::dataset::PreparedDesign;
@@ -314,7 +315,7 @@ impl AttackServer {
         if decision.action == Action::Deceive {
             // Salted per (client, model): stable under repetition, different
             // across clients and specs.
-            deceive_response(&mut response, deepsplit_obs::hash_str(&client) ^ fp_id);
+            deceive_response(&mut response, hash_str(&client) ^ fp_id);
             obs::event("serve.detect.deceived", None);
         }
         let (candidates, sinks) = response_ids(&response);

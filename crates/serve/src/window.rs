@@ -1,6 +1,6 @@
 //! Windowed stream statistics: a lock-free ring of per-window counters and
-//! the two streaming sketches the serve-side adversary detector scores
-//! query windows with.
+//! the two streaming sketches the adversary detector ([`crate::detect`])
+//! scores query windows with.
 //!
 //! Everything here is deterministic — same inputs, same numbers, regardless
 //! of thread count or wall clock. Time enters only as caller-supplied ticks
@@ -87,7 +87,7 @@ impl WindowRing {
 
     fn slot_of(&self, epoch: u64) -> &Slot {
         let idx = (epoch as usize) % self.slots.len();
-        // The modulo above cannot leave the vector.
+        // splint::allow(P1, "the modulo keeps the index inside the ring, which `new` makes non-empty")
         &self.slots[idx]
     }
 
@@ -115,21 +115,9 @@ impl WindowRing {
         slot.count.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The count recorded for the window containing `tick_us` (0 when the
-    /// slot has been recycled for a newer window).
-    #[must_use]
-    pub fn count_at(&self, tick_us: u64) -> u64 {
-        let epoch = self.epoch_of(tick_us);
-        let slot = self.slot_of(epoch);
-        if slot.epoch.load(Ordering::Acquire) == epoch {
-            slot.count.load(Ordering::Relaxed)
-        } else {
-            0
-        }
-    }
-
     /// Total count over the `n` windows ending at (and including) the one
-    /// containing `now_us` — a recent-rate read-out.
+    /// containing `now_us` — a recent-rate read-out. A window whose slot was
+    /// recycled for a newer one counts 0.
     #[must_use]
     pub fn recent(&self, now_us: u64, n: usize) -> u64 {
         let end = self.epoch_of(now_us);
@@ -186,14 +174,9 @@ impl EntropySketch {
     /// Records one arrival of `id`.
     pub fn add(&mut self, id: u64) {
         let idx = (mix64(id) as usize) % ENTROPY_BUCKETS;
+        // splint::allow(P1, "the modulo keeps the index inside the fixed bucket array")
         self.counts[idx] = self.counts[idx].saturating_add(1);
         self.total += 1;
-    }
-
-    /// Arrivals recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Buckets with at least one arrival (≈ distinct ids while well under
@@ -334,15 +317,15 @@ mod tests {
         ring.record(100, 1);
         ring.record(900, 2);
         ring.record(1_500, 5);
-        assert_eq!(ring.count_at(500), 3);
-        assert_eq!(ring.count_at(1_999), 5);
+        assert_eq!(ring.recent(500, 1), 3);
+        assert_eq!(ring.recent(1_999, 1), 5);
         assert_eq!(ring.recent(1_999, 2), 8);
         // Window 0's slot is reused by window 4; the old count is gone and
         // stale ticks cannot resurrect it.
         ring.record(4_200, 7);
-        assert_eq!(ring.count_at(500), 0);
+        assert_eq!(ring.recent(500, 1), 0);
         ring.record(300, 9);
-        assert_eq!(ring.count_at(4_200), 7);
+        assert_eq!(ring.recent(4_200, 1), 7);
     }
 
     #[test]
@@ -361,7 +344,7 @@ mod tests {
         for t in threads {
             t.join().expect("recorder thread");
         }
-        assert_eq!(ring.count_at(2_500), 40_000);
+        assert_eq!(ring.recent(2_500, 1), 40_000);
     }
 
     #[test]
@@ -371,7 +354,7 @@ mod tests {
         for i in 0..40u64 {
             fresh.add(i);
         }
-        assert_eq!(fresh.total(), 40);
+        assert_eq!(fresh.total, 40);
         assert!(fresh.depth() < 0.1, "depth {}", fresh.depth());
         assert!(fresh.norm_entropy() > 0.9);
 

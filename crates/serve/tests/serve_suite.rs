@@ -495,6 +495,21 @@ fn malformed_requests_answer_400_and_the_worker_survives() {
 }
 
 #[test]
+fn deeply_nested_json_answers_400_not_a_dead_server() {
+    let server = test_server();
+    // Each `[` is one level of the parser's recursion: unbounded, 300 000
+    // of them overflow a worker's stack and abort the whole process.
+    let body = "[".repeat(300_000);
+    let url = format!("{}/attack", server.url());
+    let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST nested body");
+    assert_eq!(r.status, 400, "{:?}", r.body_str());
+
+    let health = httpc::get(&format!("{}/healthz", server.url()), TIMEOUT).expect("healthz");
+    assert_eq!(health.status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_header_answers_400_not_a_hung_worker() {
     let server = test_server();
     // A single 128 KiB header blows the 64 KiB head limit.
