@@ -39,7 +39,8 @@
 //! cargo run --release --bin attack_server -- --detect-roc --json BENCH_detect.json
 //!
 //! # Server-side tracing: --trace PATH keeps a chrome://tracing file of
-//! # request spans (resolve/coalesce/infer), rewritten every few seconds.
+//! # request spans (parse/resolve/victim/infer/serialize) and coalesce
+//! # events, rewritten every few seconds.
 //! cargo run --release --bin attack_server -- --trace serve-trace.json
 //! ```
 //!

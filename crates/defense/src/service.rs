@@ -49,6 +49,14 @@ pub const MAX_CANDIDATES: usize = 64;
 pub const MAX_BATCH_SIZE: usize = 64;
 /// Largest image side a request may ask for, in pixels (the paper uses 99).
 pub const MAX_IMAGE_PX: usize = 128;
+/// Most image scales a request may list: as many as `AttackConfig::{paper,
+/// fast}` and every request profile of the repo use. Each scale adds `2m`
+/// channels to every rendered image of an `m`-layer FEOL.
+pub const MAX_IMAGE_SCALES: usize = 3;
+/// Pixel sizes a request may ask for, in µm (the paper uses 0.05–0.2). The
+/// lower end is one database unit, so a pixel never rounds to zero; the
+/// upper end keeps `um(scale) · image_px` far inside `i64`.
+pub const IMAGE_SCALE_RANGE_UM: std::ops::RangeInclusive<f64> = 0.001..=10.0;
 /// Most training benchmarks a request may list: as many as there are
 /// benchmarks, so every corpus of the repo and a leave-one-out corpus over
 /// `Benchmark::all()` fit. A cold resolve builds and trains on each.
@@ -153,6 +161,11 @@ impl AttackRequest {
             ("candidates", attack.candidates, 2..=MAX_CANDIDATES),
             ("batch_size", attack.batch_size, 1..=MAX_BATCH_SIZE),
             ("image_px", attack.image_px, 1..=MAX_IMAGE_PX),
+            (
+                "image_scales_um length",
+                attack.image_scales_um.len(),
+                1..=MAX_IMAGE_SCALES,
+            ),
         ] {
             if !range.contains(&value) {
                 return Err(format!(
@@ -161,6 +174,15 @@ impl AttackRequest {
                     range.end()
                 ));
             }
+        }
+        // `contains` is false for NaN and the infinities too.
+        let scales = &IMAGE_SCALE_RANGE_UM;
+        if let Some(bad) = attack.image_scales_um.iter().find(|s| !scales.contains(s)) {
+            return Err(format!(
+                "attack image_scales_um entry {bad} outside [{}, {}] µm",
+                scales.start(),
+                scales.end()
+            ));
         }
         Ok(())
     }
@@ -333,6 +355,14 @@ mod tests {
         let mut paper = good.clone();
         paper.eval.attack = AttackConfig::paper();
         assert_eq!(paper.validate(), Ok(()));
+        let mut fast = good.clone();
+        fast.eval.attack = AttackConfig::fast();
+        assert_eq!(fast.validate(), Ok(()));
+        // The scale bounds themselves are admitted.
+        let mut edges = good.clone();
+        edges.eval.attack.image_scales_um =
+            vec![*IMAGE_SCALE_RANGE_UM.start(), *IMAGE_SCALE_RANGE_UM.end()];
+        assert_eq!(edges.validate(), Ok(()));
 
         let refused = |set: fn(&mut AttackConfig)| {
             let mut bad = good.clone();
@@ -348,6 +378,26 @@ mod tests {
             (refused(|a| a.batch_size = MAX_BATCH_SIZE + 1), "batch_size"),
             (refused(|a| a.image_px = 0), "image_px"),
             (refused(|a| a.image_px = MAX_IMAGE_PX + 1), "image_px"),
+            (refused(|a| a.image_scales_um.clear()), "image_scales_um"),
+            (
+                refused(|a| a.image_scales_um = vec![0.1; MAX_IMAGE_SCALES + 1]),
+                "image_scales_um",
+            ),
+            (refused(|a| a.image_scales_um[1] = 0.0), "image_scales_um"),
+            (refused(|a| a.image_scales_um[1] = -0.1), "image_scales_um"),
+            (
+                refused(|a| a.image_scales_um[0] = 0.0004),
+                "image_scales_um",
+            ),
+            (refused(|a| a.image_scales_um[2] = 10.5), "image_scales_um"),
+            (
+                refused(|a| a.image_scales_um[2] = f64::NAN),
+                "image_scales_um",
+            ),
+            (
+                refused(|a| a.image_scales_um[2] = f64::INFINITY),
+                "image_scales_um",
+            ),
         ] {
             assert!(problem.contains(knob), "{knob}: {problem}");
         }

@@ -118,7 +118,7 @@ fn reason(status: u16) -> &'static str {
 /// Reads one `\n`-terminated line from a head-limited reader. A line that
 /// ends without a terminator ran into [`MAX_HEAD_BYTES`] (or EOF), so the
 /// head is unparsable either way — reject it instead of buffering more.
-fn read_head_line(reader: &mut BufReader<std::io::Take<&mut TcpStream>>) -> Result<String, String> {
+fn read_head_line<R: Read>(reader: &mut BufReader<std::io::Take<R>>) -> Result<String, String> {
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -131,7 +131,8 @@ fn read_head_line(reader: &mut BufReader<std::io::Take<&mut TcpStream>>) -> Resu
     Ok(line)
 }
 
-/// Reads and parses one request from `stream`.
+/// Reads and parses one request from `stream` (the server passes its
+/// [`TcpStream`]).
 ///
 /// # Errors
 ///
@@ -140,7 +141,7 @@ fn read_head_line(reader: &mut BufReader<std::io::Take<&mut TcpStream>>) -> Resu
 /// exceeds [`MAX_BODY_BYTES`]. Body memory grows with the bytes that
 /// actually arrive, never with the declared `Content-Length` alone — a
 /// handful of cheap connections must not be able to pin gigabytes.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
     let mut reader = BufReader::new(Read::take(stream, MAX_HEAD_BYTES));
     let line = read_head_line(&mut reader)?;
     let mut parts = line.split_whitespace();

@@ -20,11 +20,12 @@
 //!   candidate matches with CCR-style confidences
 //!   ([`deepsplit_defense::service::AttackResponse`]).
 //!
-//! Between the two sits the serving machinery: an in-process LRU of
-//! deserialized models ([`lru`]), single-flight request batching (N
-//! concurrent requests for one cold model cost one training run), and a
-//! `/metrics` endpoint ([`metrics`]) surfacing store hit/miss counters,
-//! coalescing stats and latency percentiles.
+//! Between the two sits the serving machinery: in-process LRUs ([`lru`]) of
+//! deserialized models, implemented layouts and defended, prepared victims
+//! (so a repeated `/attack` spec pays for inference only), single-flight
+//! request batching (N concurrent requests for one cold model cost one
+//! training run), and a `/metrics` endpoint ([`metrics`]) surfacing store
+//! and cache counters, coalescing stats and latency percentiles.
 //!
 //! ```no_run
 //! use deepsplit_core::store::DiskModelStore;
@@ -50,5 +51,5 @@ pub use detect::{
 };
 pub use http::{Request, Response};
 pub use lru::{Lru, LruCounters, ModelLru};
-pub use metrics::{EndpointLatencies, LatencySnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{CacheCounters, EndpointLatencies, LatencySnapshot, Metrics, MetricsSnapshot};
 pub use server::{start, AttackServer, RunningServer, ServeConfig};

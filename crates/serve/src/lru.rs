@@ -5,8 +5,11 @@
 //! warm cells. The server therefore keeps the last `capacity` *decoded*
 //! models behind [`std::sync::Arc`]s ([`ModelLru`]) — concurrent requests
 //! for the same model share one allocation, and eviction is by least-recent
-//! use. The implemented layouts of the evaluation protocols it has served
-//! live in an [`Lru`] of the same kind, so neither grows without bound.
+//! use. Two more caches of the same kind keep the server's layout work
+//! bounded: the implemented layouts of the evaluation protocols it has
+//! served, and the victim memo, which holds each victim spec's defended,
+//! prepared design so that a warm `/attack` runs inference only (see
+//! [`crate::server`]). None of the three grows without bound.
 
 use deepsplit_core::fingerprint::CorpusFingerprint;
 use deepsplit_core::sync::lock_or_recover;

@@ -103,6 +103,17 @@ pub struct EndpointLatencies {
     pub other: LatencySnapshot,
 }
 
+/// Usage counters of the server's three in-process caches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Decoded models.
+    pub models: LruCounters,
+    /// Defended, prepared victims.
+    pub victims: LruCounters,
+    /// Implemented layouts per evaluation protocol.
+    pub layouts: LruCounters,
+}
+
 /// One coherent `/metrics` read-out.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -127,6 +138,10 @@ pub struct MetricsSnapshot {
     pub store: StoreCounters,
     /// In-process deserialized-model LRU counters.
     pub lru: LruCounters,
+    /// Victim memo counters: one miss per defended, prepared victim built.
+    pub victim_cache: LruCounters,
+    /// Layout cache counters: one miss per evaluation protocol implemented.
+    pub layout_cache: LruCounters,
     /// Real-traffic latency percentiles: `ModelGet` + `ModelPut` + `Attack`
     /// merged, with `Other`-class probes deliberately excluded.
     pub latency: LatencySnapshot,
@@ -192,12 +207,12 @@ impl Metrics {
         self.epochs_trained.fetch_add(epochs, Ordering::Relaxed);
     }
 
-    /// A coherent snapshot, folding in the store, LRU, and detection
+    /// A coherent snapshot, folding in the store, cache and detection
     /// counters.
     pub fn snapshot(
         &self,
         store: StoreCounters,
-        lru: LruCounters,
+        caches: CacheCounters,
         detection: DetectionSnapshot,
     ) -> MetricsSnapshot {
         let model_get = self.latency_model_get.snapshot();
@@ -218,7 +233,9 @@ impl Metrics {
             epochs_trained: self.epochs_trained.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             store,
-            lru,
+            lru: caches.models,
+            victim_cache: caches.victims,
+            layout_cache: caches.layouts,
             latency: LatencySnapshot::from_hist(&traffic),
             endpoints: EndpointLatencies {
                 model_get: LatencySnapshot::from_hist(&model_get),
@@ -238,7 +255,7 @@ impl Metrics {
     pub fn prometheus(
         &self,
         store: StoreCounters,
-        lru: LruCounters,
+        caches: CacheCounters,
         detection: &DetectionSnapshot,
     ) -> String {
         let mut w = PromWriter::new();
@@ -307,26 +324,33 @@ impl Metrics {
             "Model-store saves.",
             store.saves as u64,
         );
-        w.counter(
-            "deepsplit_lru_hits_total",
-            "Deserialized-model LRU hits.",
-            lru.hits as u64,
-        );
-        w.counter(
-            "deepsplit_lru_misses_total",
-            "Deserialized-model LRU misses.",
-            lru.misses as u64,
-        );
-        w.counter(
-            "deepsplit_lru_evictions_total",
-            "Deserialized-model LRU evictions.",
-            lru.evictions as u64,
-        );
-        w.gauge(
-            "deepsplit_lru_entries",
-            "Models currently resident in the LRU.",
-            lru.len as f64,
-        );
+        let caches = [
+            ("lru", "deserialized-model LRU", caches.models),
+            ("victim_cache", "victim memo", caches.victims),
+            ("layout_cache", "layout cache", caches.layouts),
+        ];
+        for (name, what, counters) in caches {
+            w.counter(
+                &format!("deepsplit_{name}_hits_total"),
+                &format!("Hits of the {what}."),
+                counters.hits as u64,
+            );
+            w.counter(
+                &format!("deepsplit_{name}_misses_total"),
+                &format!("Misses of the {what}."),
+                counters.misses as u64,
+            );
+            w.counter(
+                &format!("deepsplit_{name}_evictions_total"),
+                &format!("Evictions from the {what}."),
+                counters.evictions as u64,
+            );
+            w.gauge(
+                &format!("deepsplit_{name}_entries"),
+                &format!("Entries resident in the {what}."),
+                counters.len as f64,
+            );
+        }
         let endpoints = [
             ("model_get", &self.latency_model_get),
             ("model_put", &self.latency_model_put),
@@ -456,7 +480,7 @@ mod tests {
         m.record_training(12);
         let s = m.snapshot(
             StoreCounters::default(),
-            LruCounters::default(),
+            CacheCounters::default(),
             DetectionSnapshot::default(),
         );
         assert_eq!(s.requests_total, 3);
@@ -493,7 +517,7 @@ mod tests {
         }
         let s = m.snapshot(
             StoreCounters::default(),
-            LruCounters::default(),
+            CacheCounters::default(),
             DetectionSnapshot::default(),
         );
         assert_eq!(s.latency.samples, 10);
@@ -516,7 +540,7 @@ mod tests {
         }
         let s = m.snapshot(
             StoreCounters::default(),
-            LruCounters::default(),
+            CacheCounters::default(),
             DetectionSnapshot::default(),
         );
         assert_eq!(
@@ -535,12 +559,33 @@ mod tests {
         let m = Metrics::new();
         m.record_request(Endpoint::Attack, 200, Duration::from_millis(5));
         m.record_request(Endpoint::Other, 200, Duration::from_micros(80));
+        let caches = CacheCounters {
+            victims: LruCounters {
+                hits: 21,
+                misses: 3,
+                len: 3,
+                ..LruCounters::default()
+            },
+            layouts: LruCounters {
+                evictions: 1,
+                ..LruCounters::default()
+            },
+            ..CacheCounters::default()
+        };
         let body = m.prometheus(
             StoreCounters::default(),
-            LruCounters::default(),
+            caches,
             &DetectionSnapshot::default(),
         );
         for series in [
+            "deepsplit_lru_hits_total 0",
+            "# TYPE deepsplit_victim_cache_hits_total counter",
+            "deepsplit_victim_cache_hits_total 21",
+            "deepsplit_victim_cache_misses_total 3",
+            "deepsplit_victim_cache_evictions_total 0",
+            "# TYPE deepsplit_victim_cache_entries gauge",
+            "deepsplit_victim_cache_entries 3",
+            "deepsplit_layout_cache_evictions_total 1",
             "deepsplit_requests_total 2",
             "deepsplit_attacks_total 1",
             "deepsplit_errors_total 0",
@@ -563,7 +608,7 @@ mod tests {
         }
         let s = m.snapshot(
             StoreCounters::default(),
-            LruCounters::default(),
+            CacheCounters::default(),
             DetectionSnapshot::default(),
         );
         assert_eq!(s.latency.samples, 10_000);

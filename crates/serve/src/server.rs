@@ -16,6 +16,16 @@
 //! deserialized model from the in-process LRU — N simultaneous requests for
 //! a cold cell cost one training run, not N.
 //!
+//! A warm `/attack` runs inference, not layout work. What a request's victim
+//! spec alone decides (the defended layout, its split, candidates and
+//! features, the proximity CCR and the broken-pin total) is built once and
+//! kept in a bounded memo of [`VICTIM_CACHE_CAPACITY`] victims, keyed by
+//! the layout protocol together with the model fingerprint. Every request
+//! still resolves its model, ranks, scores and passes the detector, so no
+//! whole response is memoized: a cached answer would stop running the
+//! attack it reports, and the detector's deceived rankings are salted per
+//! client.
+//!
 //! When the query-stream adversary detector is enabled
 //! ([`ServeConfig::detect`]), every `/attack` arrival is admitted through it
 //! first: flagged clients are answered `429` or served deceptively re-noised
@@ -25,7 +35,7 @@
 use crate::detect::{deceive_response, fingerprint_id, response_ids, Action, Detector};
 use crate::http::{self, Request, Response, Server};
 use crate::lru::{Lru, ModelLru};
-use crate::metrics::{Endpoint, Metrics, MetricsSnapshot};
+use crate::metrics::{CacheCounters, Endpoint, Metrics, MetricsSnapshot};
 use crate::window::hash_str;
 use deepsplit_core::attack::attack_ranked;
 use deepsplit_core::config::AttackConfig;
@@ -41,8 +51,10 @@ use deepsplit_defense::service::{
 use deepsplit_flow::attack::network_flow_attack;
 use deepsplit_flow::metrics::ccr;
 use deepsplit_flow::proximity::proximity_attack;
+use deepsplit_layout::design::Design;
 use deepsplit_netlist::benchmarks::Benchmark;
 use deepsplit_obs as obs;
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -82,6 +94,12 @@ impl Default for ServeConfig {
 /// distinct `(benchmark, scale, seeds, implement, train_benchmarks)` a
 /// client sends holds a victim and its corpus layouts until evicted.
 pub const BASE_CACHE_CAPACITY: usize = 4;
+
+/// Victim specs whose defended, prepared design the server keeps: each
+/// distinct layout protocol, split layer, defense and attack feature config
+/// a client sends holds one until evicted. The live red-team profiles query
+/// three victims.
+pub const VICTIM_CACHE_CAPACITY: usize = 8;
 
 /// Single-flight registry: at most one in-flight resolution per fingerprint.
 #[derive(Debug, Default)]
@@ -137,17 +155,60 @@ struct ResolvedModel {
     epochs: usize,
 }
 
+/// What a `/attack` answer needs from its victim spec alone: the victim
+/// defended exactly as a matrix cell defends it, split and prepared, plus
+/// the two numbers that read nothing else. No model enters it, so a request
+/// that finds it still runs inference.
+struct Victim {
+    /// The defended layout; the network-flow baseline reads its netlist.
+    design: Design,
+    /// Fragments, candidate sets and features of the split victim.
+    prepared: PreparedDesign,
+    /// CCR of the naïve proximity attack.
+    proximity_ccr: f64,
+    /// Broken sink pins over every sink fragment (`expected_ccr`'s total).
+    total_sink_pins: usize,
+}
+
+impl Victim {
+    /// Defends and prepares `base`'s victim for `spec` on `threads`; the
+    /// prepared design is the same at every thread count.
+    fn build(base: &EvalBase, spec: &AttackRequest, threads: usize) -> Victim {
+        let layer = spec.layer();
+        let defended =
+            deepsplit_defense::apply(&base.victim, &spec.eval.implement, layer, &spec.defense);
+        let config = AttackConfig {
+            threads,
+            ..spec.eval.attack.clone()
+        };
+        let prepared = PreparedDesign::prepare(&defended.design, layer, &config);
+        let view = &prepared.view;
+        Victim {
+            proximity_ccr: ccr(view, &proximity_attack(view)),
+            total_sink_pins: view.total_broken_sinks(),
+            design: defended.design,
+            prepared,
+        }
+    }
+}
+
 /// The shared state behind every worker thread.
 pub struct AttackServer {
     store: Arc<dyn ModelStore + Send + Sync>,
     lru: ModelLru,
     metrics: Metrics,
     inflight: Inflight,
-    /// Implemented victim + corpus layouts per `(benchmark, eval)` — place &
-    /// route dominates request cost for warm models, and repeat queries
-    /// against one victim are the expected traffic shape. The last
-    /// [`BASE_CACHE_CAPACITY`] protocols queried.
+    /// Implemented victim + corpus layouts per `(benchmark, eval)`: place &
+    /// route dominates the cost of a victim or a model built cold. Fetched
+    /// only when one is; the last [`BASE_CACHE_CAPACITY`] protocols.
     bases: Lru<EvalBase>,
+    /// The defended, prepared victim per spec, keyed by [`victim_key`]:
+    /// repeat queries against one victim are the expected traffic shape,
+    /// and without it defend → split → prepare is half a warm request. The
+    /// last [`VICTIM_CACHE_CAPACITY`] specs. Responses are not memoized:
+    /// each request still resolves its model, runs inference and passes
+    /// the detector.
+    victims: Lru<Victim>,
     inference_threads: usize,
     detect: Detector,
     /// Monotonic origin of the detector's tick axis.
@@ -163,6 +224,7 @@ impl AttackServer {
             metrics: Metrics::new(),
             inflight: Inflight::default(),
             bases: Lru::new(BASE_CACHE_CAPACITY),
+            victims: Lru::new(VICTIM_CACHE_CAPACITY),
             inference_threads: config.inference_threads.max(1),
             detect: Detector::new(config.detect.clone()),
             started: Instant::now(),
@@ -173,9 +235,17 @@ impl AttackServer {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot(
             self.store.counters(),
-            self.lru.counters(),
+            self.cache_counters(),
             self.detect.snapshot(),
         )
+    }
+
+    fn cache_counters(&self) -> CacheCounters {
+        CacheCounters {
+            models: self.lru.counters(),
+            victims: self.victims.counters(),
+            layouts: self.bases.counters(),
+        }
     }
 
     /// The query-stream adversary detector (for assertions and reporting).
@@ -244,7 +314,7 @@ impl AttackServer {
                 200,
                 self.metrics.prometheus(
                     self.store.counters(),
-                    self.lru.counters(),
+                    self.cache_counters(),
                     &self.detect.snapshot(),
                 ),
             );
@@ -278,20 +348,9 @@ impl AttackServer {
     }
 
     fn handle_attack(&self, req: &Request) -> Response {
-        let Some(json) = req.body_str() else {
-            return Response::error(400, "attack request is not UTF-8");
-        };
-        let spec: AttackRequest = match serde_json::from_str(json) {
-            Ok(s) => s,
-            Err(e) => return Response::error(400, format!("unparsable attack request: {e}")),
-        };
-        if let Err(problem) = spec.validate() {
-            return Response::error(400, problem);
-        }
-        // `validate` guarantees the benchmark resolves, but the request
-        // path never banks on that with a panic.
-        let Some(victim_bench) = spec.victim() else {
-            return Response::error(400, format!("unknown benchmark `{}`", spec.benchmark));
+        let (spec, victim_bench) = match parse_attack(req) {
+            Ok(parsed) => parsed,
+            Err(problem) => return Response::error(400, problem),
         };
         // Admit through the detector before paying for evaluation. A
         // rate-limited arrival still feeds the client's window (churn and
@@ -320,6 +379,7 @@ impl AttackServer {
         }
         let (candidates, sinks) = response_ids(&response);
         self.detect.enrich(&client, &candidates, &sinks);
+        let _span = obs::span("serve.serialize");
         match serde_json::to_string(&response) {
             Ok(json) => Response::json(200, json),
             Err(e) => Response::error(500, format!("serialise attack response: {e}")),
@@ -334,43 +394,42 @@ impl AttackServer {
         fp: CorpusFingerprint,
     ) -> AttackResponse {
         let _request_span = obs::span("serve.attack");
-        let layer = spec.layer();
-        let base = self.base_of(victim_bench, &spec.eval);
+        // The layouts are fetched only when a model or a victim has to be
+        // built; a request that finds both in memory never asks for them.
+        let base_cell = OnceCell::new();
+        let base =
+            || -> &EvalBase { base_cell.get_or_init(|| self.base_of(victim_bench, &spec.eval)) };
         let resolve_started = Instant::now();
         let resolved = {
             let _span = obs::span("serve.resolve");
-            self.resolve_model(fp, &base, spec)
+            self.resolve_model(fp, base, spec)
         };
         let resolve_ms = resolve_started.elapsed().as_secs_f64() * 1000.0;
+        let victim = self.victim_of(
+            victim_key(base_key(victim_bench, &spec.eval), fp),
+            spec,
+            base,
+        );
 
-        // Defend the victim exactly as a matrix cell would, then rank. The
-        // server, not the request, sets how many threads that takes; the
-        // prepared design is the same at every thread count.
-        let defended =
-            deepsplit_defense::apply(&base.victim, &spec.eval.implement, layer, &spec.defense);
-        let prepare_config = AttackConfig {
-            threads: self.inference_threads,
-            ..spec.eval.attack.clone()
-        };
-        let victim = PreparedDesign::prepare(&defended.design, layer, &prepare_config);
+        // The server, not the request, sets how many threads inference
+        // takes; the rankings are the same at every thread count.
+        let view = &victim.prepared.view;
         let ranked = {
             let _span = obs::span("serve.infer");
-            attack_ranked(&resolved.model, &victim, spec.top_k, self.inference_threads)
+            attack_ranked(
+                &resolved.model,
+                &victim.prepared,
+                spec.top_k,
+                self.inference_threads,
+            )
         };
-        let dl_ccr = ccr(&victim.view, &ranked.assignment());
-        let rankings = rankings_of(&ranked, &victim.view);
-        let total_sink_pins: usize = victim
-            .view
-            .sinks
-            .iter()
-            .map(|&s| victim.view.fragment(s).sink_count)
-            .sum();
-        let proximity_ccr = ccr(&victim.view, &proximity_attack(&victim.view));
+        let dl_ccr = ccr(view, &ranked.assignment());
+        let rankings = rankings_of(&ranked, view);
         let flow = spec.include_flow.then(|| {
             network_flow_attack(
-                &victim.view,
-                &defended.design.netlist,
-                &defended.design.library,
+                view,
+                &victim.design.netlist,
+                &victim.design.library,
                 &spec.eval.flow,
             )
         });
@@ -382,9 +441,9 @@ impl AttackServer {
             model_cached: resolved.cached,
             trained_epochs: resolved.epochs,
             dl_ccr,
-            expected_ccr: expected_ccr(&rankings, total_sink_pins),
-            chance_ccr: 1.0 / victim.view.num_source_fragments().max(1) as f64,
-            proximity_ccr,
+            expected_ccr: expected_ccr(&rankings, victim.total_sink_pins),
+            chance_ccr: 1.0 / view.num_source_fragments().max(1) as f64,
+            proximity_ccr: victim.proximity_ccr,
             flow,
             inference_ms: ranked.inference.as_secs_f64() * 1000.0,
             resolve_ms,
@@ -392,12 +451,30 @@ impl AttackServer {
         }
     }
 
+    /// The memoized [`Victim`] under `key`, built from `base()` on a miss.
+    fn victim_of<'b>(
+        &self,
+        key: CorpusFingerprint,
+        spec: &AttackRequest,
+        base: impl FnOnce() -> &'b EvalBase,
+    ) -> Arc<Victim> {
+        let _span = obs::span("serve.victim");
+        if let Some(victim) = self.victims.get(&key) {
+            return victim;
+        }
+        // Built outside the lock, as the layouts are: a racing duplicate
+        // build is wasted work, not a wrong answer.
+        let built = Arc::new(Victim::build(base(), spec, self.inference_threads));
+        self.victims.put(key, Arc::clone(&built));
+        built
+    }
+
     /// Resolves the model for `fp` through LRU → single-flight → store →
-    /// training, in that order.
-    fn resolve_model(
+    /// training, in that order; only training reads the layouts (`base`).
+    fn resolve_model<'b>(
         &self,
         fp: CorpusFingerprint,
-        base: &EvalBase,
+        base: impl Fn() -> &'b EvalBase,
         spec: &AttackRequest,
     ) -> ResolvedModel {
         loop {
@@ -425,7 +502,7 @@ impl AttackServer {
                     self.store.as_ref(),
                     &train_eval.attack,
                     self.inference_threads,
-                    || defended_corpus(base, layer, &spec.defense, &train_eval),
+                    || defended_corpus(base(), layer, &spec.defense, &train_eval),
                 );
                 let trained_here = report.is_some();
                 let epochs = report.map(|r| r.epoch_loss.len()).unwrap_or(0);
@@ -466,6 +543,25 @@ impl AttackServer {
     }
 }
 
+/// Reads one `/attack` body: UTF-8, JSON, then [`AttackRequest::validate`].
+///
+/// # Errors
+///
+/// Returns the 400 message of the first problem found.
+fn parse_attack(req: &Request) -> Result<(AttackRequest, Benchmark), String> {
+    let _span = obs::span("serve.parse");
+    let json = req.body_str().ok_or("attack request is not UTF-8")?;
+    let spec: AttackRequest =
+        serde_json::from_str(json).map_err(|e| format!("unparsable attack request: {e}"))?;
+    spec.validate()?;
+    // `validate` guarantees the benchmark resolves, but the request path
+    // never banks on that with a panic.
+    let victim = spec
+        .victim()
+        .ok_or_else(|| format!("unknown benchmark `{}`", spec.benchmark))?;
+    Ok((spec, victim))
+}
+
 /// The detection key of one `/attack` request: the self-reported client id
 /// (sanitised to printable ASCII, length-capped so a hostile id cannot bloat
 /// labels or state), else the transport peer IP, else a shared bucket.
@@ -499,6 +595,19 @@ fn base_key(bench: Benchmark, eval: &EvalConfig) -> CorpusFingerprint {
     h.write_u64(eval.victim_seed);
     for tb in &eval.train_benchmarks {
         h.write_str(tb.name());
+    }
+    h.finish()
+}
+
+/// The victim memo's key: the layout protocol ([`base_key`]) and the model
+/// fingerprint together. Neither names a victim alone: the fingerprint
+/// hashes the training corpus, not the victim benchmark or `victim_seed`,
+/// and the base key leaves out the split layer, the defense and the attack
+/// config.
+fn victim_key(base: CorpusFingerprint, model: CorpusFingerprint) -> CorpusFingerprint {
+    let mut h = StableHasher::new();
+    for word in base.0.into_iter().chain(model.0) {
+        h.write_u64(word);
     }
     h.finish()
 }

@@ -379,7 +379,7 @@ fn attack_endpoint_refuses_bad_specs() {
 #[test]
 fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
     use deepsplit_defense::service::{
-        MAX_BATCH_SIZE, MAX_EPOCHS, MAX_IMAGE_PX, MAX_TRAIN_BENCHMARKS,
+        MAX_BATCH_SIZE, MAX_EPOCHS, MAX_IMAGE_PX, MAX_IMAGE_SCALES, MAX_TRAIN_BENCHMARKS,
     };
     let server = test_server();
     let url = format!("{}/attack", server.url());
@@ -420,6 +420,36 @@ fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
                 ..good.clone()
             },
         ),
+        // The image channel count is 2·m·len: 48 scales in a 1 kB request
+        // make every rendered image 16 times as large as 3 do.
+        (
+            "image_scales_um",
+            AttackConfig {
+                image_scales_um: vec![0.1; 48],
+                ..good.clone()
+            },
+        ),
+        (
+            "image_scales_um",
+            AttackConfig {
+                image_scales_um: vec![0.1; MAX_IMAGE_SCALES + 1],
+                ..good.clone()
+            },
+        ),
+        (
+            "image_scales_um",
+            AttackConfig {
+                image_scales_um: vec![0.1, 0.0, 0.9],
+                ..good.clone()
+            },
+        ),
+        (
+            "image_scales_um",
+            AttackConfig {
+                image_scales_um: vec![0.1, 0.3, 1e12],
+                ..good.clone()
+            },
+        ),
     ] {
         let mut bad = tiny_request();
         bad.eval.attack = attack;
@@ -441,11 +471,12 @@ fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
     assert!(r.body_str().expect("body").contains("train_benchmarks"));
     let health = httpc::get(&format!("{}/healthz", server.url()), TIMEOUT).expect("healthz");
     assert_eq!(health.status, 200);
+    let m = metrics_of(&server);
     assert_eq!(
-        metrics_of(&server).models_trained,
-        0,
+        m.models_trained, 0,
         "a refused request must never reach training"
     );
+    assert_eq!(m.victim_cache.misses, 0, "…nor build a victim");
     server.shutdown();
 }
 
