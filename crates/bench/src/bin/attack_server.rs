@@ -1,12 +1,15 @@
 //! The attack-inference server binary, plus a load generator and the
 //! adversary-detection red team for the CI perf/detection trajectories.
+//! The red-team traffic, live and offline, is defined once in
+//! `deepsplit_bench::redteam`.
 //!
 //! ```text
 //! # Serve a disk-backed model store + ranked inference on port 8077:
 //! cargo run --release --bin attack_server -- --cache-dir .model-store
 //!
 //! # Knobs: --addr HOST:PORT, --threads N (HTTP workers), --lru N
-//! # (deserialized-model cache), --inference-threads N.
+//! # (deserialized-model cache). Each request trains, prepares and infers
+//! # on one thread.
 //!
 //! # Query-stream adversary detection (off by default): --detect turns it
 //! # on; --detect-window-ms N sets the scoring window, --detect-trigger N
@@ -48,14 +51,10 @@
 //! client of this server process, gone when it exits.
 
 use deepsplit_bench::cli::{usize_arg, value_arg};
-use deepsplit_core::config::AttackConfig;
+use deepsplit_bench::redteam::{percentile_ms, RocReport, TrafficProfile};
 use deepsplit_core::httpc;
 use deepsplit_core::store::{DiskModelStore, MemoryModelStore, ModelStore};
-use deepsplit_defense::eval::EvalConfig;
-use deepsplit_defense::service::AttackRequest;
-use deepsplit_netlist::benchmarks::Benchmark;
-use deepsplit_serve::detect::profiles::Profile;
-use deepsplit_serve::detect::{roc, Countermeasure};
+use deepsplit_serve::detect::Countermeasure;
 use deepsplit_serve::{start, DetectionSnapshot, EndpointLatencies, MetricsSnapshot, ServeConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,60 +103,6 @@ struct ServeBenchReport {
     server_detection: Option<DetectionSnapshot>,
 }
 
-/// A deliberately tiny evaluation protocol, mirroring the serve test suite:
-/// a cold `/attack` trains in seconds, so red-team profiles can run against
-/// a live server inside a CI job.
-fn tiny_eval() -> EvalConfig {
-    EvalConfig {
-        attack: AttackConfig {
-            use_images: false,
-            candidates: 8,
-            epochs: 4,
-            batch_size: 16,
-            threads: 2,
-            ..AttackConfig::fast()
-        },
-        scale: 0.4,
-        train_benchmarks: vec![Benchmark::C880],
-        recovery_rounds: 6,
-        train_query_cap: 150,
-        ..EvalConfig::fast()
-    }
-}
-
-/// The `i`-th request body of a red-team profile. Harvest hammers one
-/// victim spec (same fingerprint, same candidate universe, machine-gun
-/// pacing); benign cycles distinct victims with jittered pacing; stealthy
-/// harvests on every third request and hides behind benign traffic
-/// otherwise.
-fn profile_spec(profile: Profile, client: &str, i: usize) -> AttackRequest {
-    let benign_victims = [Benchmark::C432, Benchmark::C1355, Benchmark::C1908];
-    let bench = match profile {
-        Profile::Harvest => Benchmark::C432,
-        Profile::Stealthy if i.is_multiple_of(3) => Benchmark::C432,
-        // Skip the harvest victim in stealthy cover traffic so the cover
-        // and the harvest sub-stream stay distinguishable.
-        Profile::Stealthy => benign_victims[1 + i % 2],
-        Profile::Benign => benign_victims[i % benign_victims.len()],
-    };
-    AttackRequest {
-        eval: tiny_eval(),
-        top_k: 0,
-        client: Some(client.to_string()),
-        ..AttackRequest::fast(bench)
-    }
-}
-
-/// How long the `i`-th request of a profile waits before firing:
-/// deterministic jitter for benign/stealthy cover, nothing for harvest.
-fn profile_pause(profile: Profile, i: usize) -> Duration {
-    match profile {
-        Profile::Harvest => Duration::ZERO,
-        Profile::Stealthy => Duration::from_millis(60 + (i as u64 * 29) % 120),
-        Profile::Benign => Duration::from_millis(120 + (i as u64 * 37) % 160),
-    }
-}
-
 /// Outcome tallies of one loadgen worker.
 #[derive(Default)]
 struct WorkerTally {
@@ -176,7 +121,7 @@ fn loadgen(
     path: &str,
     requests: usize,
     concurrency: usize,
-    profile: Option<Profile>,
+    profile: Option<TrafficProfile>,
     client: String,
     json_out: Option<String>,
 ) {
@@ -206,8 +151,8 @@ fn loadgen(
                             httpc::get(&url, timeout).map(|r| (r, t0.elapsed()))
                         }
                         Some(p) => {
-                            std::thread::sleep(profile_pause(p, i));
-                            let spec = profile_spec(p, &client, i);
+                            std::thread::sleep(p.pause(i));
+                            let spec = p.request(&client, i);
                             let body = serde_json::to_string(&spec).expect("serialise attack spec");
                             let t0 = Instant::now();
                             httpc::post(&format!("{base}/attack"), body.as_bytes(), timeout)
@@ -270,10 +215,10 @@ fn loadgen(
         profile: profile.map(|p| p.name().to_string()),
         wall_s: wall.as_secs_f64(),
         requests_per_sec: latencies_us.len() as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ms: deepsplit_serve::metrics::percentile_ms(&latencies_us, 0.50),
-        p90_ms: deepsplit_serve::metrics::percentile_ms(&latencies_us, 0.90),
-        p99_ms: deepsplit_serve::metrics::percentile_ms(&latencies_us, 0.99),
-        p999_ms: deepsplit_serve::metrics::percentile_ms(&latencies_us, 0.999),
+        p50_ms: percentile_ms(&latencies_us, 0.50),
+        p90_ms: percentile_ms(&latencies_us, 0.90),
+        p99_ms: percentile_ms(&latencies_us, 0.99),
+        p999_ms: percentile_ms(&latencies_us, 0.999),
         server_endpoints: scraped.as_ref().map(|m| m.endpoints),
         server_detection: scraped.map(|m| m.detection),
     };
@@ -307,13 +252,13 @@ fn loadgen(
     }
 }
 
-/// Offline detection ROC: deterministic synthetic profile streams through a
-/// fresh detector, swept across thresholds — `BENCH_detect.json`.
+/// Offline detection ROC: the red-team streams through a fresh detector,
+/// swept across thresholds — `BENCH_detect.json`.
 fn detect_roc(args: &[String]) {
     let requests = usize_arg(args, "--requests", 240);
     let window_ms = usize_arg(args, "--window-ms", 1_000);
     let seed = usize_arg(args, "--seed", 42) as u64;
-    let report = roc::run(requests, window_ms as u64 * 1_000, seed);
+    let report = RocReport::run(requests, window_ms as u64 * 1_000, seed);
     eprintln!(
         "detect_roc: {} requests/profile, {window_ms}ms windows, seed {seed} — AUC harvest {:.4}, stealthy {:.4} (benign mean {:.3}, harvest mean {:.3})",
         report.requests_per_profile,
@@ -345,8 +290,8 @@ fn main() {
         let concurrency = usize_arg(&args, "--concurrency", 1);
         let path = value_arg(&args, "--path").unwrap_or_else(|| "/healthz".to_string());
         let profile = value_arg(&args, "--profile").map(|p| {
-            Profile::from_name(&p).unwrap_or_else(|| {
-                let names = Profile::all().map(Profile::name).join("|");
+            TrafficProfile::from_name(&p).unwrap_or_else(|| {
+                let names = TrafficProfile::all().map(TrafficProfile::name).join("|");
                 panic!("bad --profile `{p}` ({names})")
             })
         });
@@ -382,11 +327,6 @@ fn main() {
         addr: value_arg(&args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".to_string()),
         threads: usize_arg(&args, "--threads", ServeConfig::default().threads),
         lru_capacity: usize_arg(&args, "--lru", ServeConfig::default().lru_capacity),
-        inference_threads: usize_arg(
-            &args,
-            "--inference-threads",
-            ServeConfig::default().inference_threads,
-        ),
         detect,
     };
     let store: Arc<dyn ModelStore + Send + Sync> = match value_arg(&args, "--cache-dir") {

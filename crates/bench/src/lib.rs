@@ -11,10 +11,16 @@
 //! * `figure5` — loss/feature ablation (paper Fig. 5),
 //! * `stats` — benchmark-suite statistics.
 //!
+//! Beside them, `defense_matrix` runs the attack-vs-defense matrix and
+//! `attack_server` serves the attack; its load generator and detection
+//! artifact send the red-team traffic of [`redteam`].
+//!
 //! Profiles scale the experiment to the machine: `fast` (default) caps design
 //! sizes and uses reduced image resolution; `medium` runs the mid-sized
 //! designs at full size; `paper` uses the paper's exact parameters
 //! (99×99 images, n = 31, full-size designs — expect very long CPU runtimes).
+
+pub mod redteam;
 
 use deepsplit_core::config::AttackConfig;
 use deepsplit_core::dataset::PreparedDesign;
@@ -225,12 +231,12 @@ pub struct Table3Report {
 }
 
 /// Trains the attack for one split layer over the paper's training designs.
-pub fn train_for_layer(profile: &Profile, layer: Layer) -> train::TrainedAttack {
+pub(crate) fn train_for_layer(profile: &Profile, layer: Layer) -> train::TrainedAttack {
     train_for_layer_with_report(profile, layer).0
 }
 
 /// Like [`train_for_layer`] but also returns the report.
-pub fn train_for_layer_with_report(
+pub(crate) fn train_for_layer_with_report(
     profile: &Profile,
     layer: Layer,
 ) -> (train::TrainedAttack, train::TrainReport) {
@@ -245,7 +251,7 @@ pub fn train_for_layer_with_report(
 }
 
 /// Attacks one design with all three attacks; returns the Table 3 cell.
-pub fn attack_design(
+pub(crate) fn attack_design(
     profile: &Profile,
     trained: &train::TrainedAttack,
     design: &Design,

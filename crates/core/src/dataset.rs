@@ -23,7 +23,7 @@ use deepsplit_nn::tensor::Tensor;
 use std::collections::HashMap;
 
 /// Identifies a rendered image: `(fragment index, virtual pin)`.
-pub type ImageKey = (u32, Point);
+pub(crate) type ImageKey = (u32, Point);
 
 /// A design prepared for training or attack: split view, candidates, raw
 /// features and pre-rendered images.
@@ -122,7 +122,8 @@ impl PreparedDesign {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn vectors(&self, i: usize, norm: &Normalizer) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn vectors(&self, i: usize, norm: &Normalizer) -> Tensor {
         self.stacked_vectors(&[i], norm)
     }
 
@@ -224,7 +225,7 @@ impl PreparedDesign {
 /// # Panics
 ///
 /// Panics if shapes differ or the list is empty.
-pub fn stack_batch(parts: &[&Tensor]) -> Tensor {
+pub(crate) fn stack_batch(parts: &[&Tensor]) -> Tensor {
     assert!(!parts.is_empty(), "stack of nothing");
     let shape = parts[0].shape().to_vec();
     assert_eq!(shape[0], 1, "expected unit batch dim");
@@ -241,7 +242,7 @@ pub fn stack_batch(parts: &[&Tensor]) -> Tensor {
 
 /// Fits the feature normaliser over all candidates of the given designs
 /// (training designs only, per standard protocol).
-pub fn fit_normalizer(designs: &[PreparedDesign]) -> Normalizer {
+pub(crate) fn fit_normalizer(designs: &[PreparedDesign]) -> Normalizer {
     let rows = designs.iter().flat_map(|d| d.raw_features.iter().flatten());
     Normalizer::fit(rows)
 }

@@ -54,7 +54,7 @@ impl StableHasher {
     }
 
     /// Hashes a length-prefixed byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_raw(&(bytes.len() as u64).to_le_bytes());
         self.write_raw(bytes);
     }
@@ -80,7 +80,8 @@ impl StableHasher {
     }
 
     /// Hashes a boolean.
-    pub fn write_bool(&mut self, v: bool) {
+    #[cfg(test)]
+    pub(crate) fn write_bool(&mut self, v: bool) {
         self.write_raw(&[u8::from(v)]);
     }
 
@@ -99,7 +100,8 @@ pub struct CorpusFingerprint(pub [u64; 2]);
 impl CorpusFingerprint {
     /// Fingerprints a sequence of pre-canonicalized parts (typically the
     /// JSON encodings of the corpus-determining configs, in a fixed order).
-    pub fn of_parts<S: AsRef<str>>(parts: &[S]) -> CorpusFingerprint {
+    #[cfg(test)]
+    pub(crate) fn of_parts<S: AsRef<str>>(parts: &[S]) -> CorpusFingerprint {
         let mut h = StableHasher::new();
         for p in parts {
             h.write_str(p.as_ref());

@@ -14,7 +14,7 @@
 //! `[other M1 … other Mm, own M1 … own Mm]` (ascending significance).
 
 use crate::config::AttackConfig;
-use deepsplit_layout::geom::{um, Layer, Point, Segment};
+use deepsplit_layout::geom::{um, Point, Segment};
 use deepsplit_layout::split::{FragId, SplitView};
 use deepsplit_nn::tensor::Tensor;
 use std::collections::HashMap;
@@ -29,8 +29,7 @@ type ViaIndex = HashMap<(i64, i64), Vec<(u32, u8, Point)>>;
 /// Holds a spatial index over all FEOL geometry of a split view; one instance
 /// serves every image of that view.
 #[derive(Debug)]
-pub struct ImageExtractor<'v> {
-    view: &'v SplitView,
+pub struct ImageExtractor {
     px: usize,
     scales_dbu: Vec<i64>,
     feol_layers: u8,
@@ -39,9 +38,9 @@ pub struct ImageExtractor<'v> {
     bucket: i64,
 }
 
-impl<'v> ImageExtractor<'v> {
+impl ImageExtractor {
     /// Builds the extractor for a view under the given configuration.
-    pub fn new(view: &'v SplitView, config: &AttackConfig) -> ImageExtractor<'v> {
+    pub fn new(view: &SplitView, config: &AttackConfig) -> ImageExtractor {
         let px = config.image_px;
         let scales_dbu: Vec<i64> = config.image_scales_um.iter().map(|&s| um(s)).collect();
         // Bucket size: the largest image window, so any window overlaps a
@@ -70,7 +69,6 @@ impl<'v> ImageExtractor<'v> {
             }
         }
         ImageExtractor {
-            view,
             px,
             scales_dbu,
             feol_layers: view.split_layer.0,
@@ -81,7 +79,7 @@ impl<'v> ImageExtractor<'v> {
     }
 
     /// Number of channels per image.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.scales_dbu.len() * 2 * self.feol_layers as usize
     }
 
@@ -178,17 +176,13 @@ impl<'v> ImageExtractor<'v> {
             }
         }
     }
-
-    /// The split layer this extractor renders for.
-    pub fn split_layer(&self) -> Layer {
-        self.view.split_layer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use deepsplit_layout::design::{Design, ImplementConfig};
+    use deepsplit_layout::geom::Layer;
     use deepsplit_layout::split::split_design;
     use deepsplit_netlist::benchmarks::{generate_with, Benchmark};
     use deepsplit_netlist::library::CellLibrary;

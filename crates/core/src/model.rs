@@ -110,8 +110,8 @@ pub enum LossKind {
 }
 
 /// The shared convolutional tower of the image part.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConvTower {
+#[derive(Debug, Clone)]
+pub(crate) struct ConvTower {
     convs: Vec<Conv2d>,
     acts: Vec<LeakyRelu>,
     pool: GlobalAvgPool,
@@ -201,7 +201,7 @@ impl ConvTower {
     }
 
     /// Layer shape description for the Table 2 printout.
-    pub fn describe(&self, px: usize) -> Vec<(String, String)> {
+    pub(crate) fn describe(&self, px: usize) -> Vec<(String, String)> {
         let mut rows = Vec::new();
         let mut side = px;
         for stage in 0..4 {
@@ -240,7 +240,7 @@ impl Params for ConvTower {
 
 /// What [`ConvTower::forward`] keeps for [`ConvTower::backward`].
 #[derive(Debug)]
-pub struct TowerTape {
+pub(crate) struct TowerTape {
     convs: [(ConvTape, Vec<bool>); CONVS],
     pool: [usize; 4],
     fc3: DenseTape,
@@ -262,7 +262,7 @@ pub struct ModelTape {
 }
 
 /// The complete attack network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackModel {
     /// Feature families consumed.
     pub kind: ModelKind,
@@ -334,7 +334,7 @@ impl AttackModel {
     /// # Panics
     ///
     /// Panics for [`ModelKind::VecOnly`] models.
-    pub fn embed(&self, imgs: &Tensor) -> Tensor {
+    pub(crate) fn embed(&self, imgs: &Tensor) -> Tensor {
         self.tower
             .as_ref()
             .expect("VecOnly model has no image tower")
@@ -342,7 +342,7 @@ impl AttackModel {
     }
 
     /// The image channels the tower takes (0 without one).
-    pub fn image_channels(&self) -> usize {
+    pub(crate) fn image_channels(&self) -> usize {
         self.tower
             .as_ref()
             .and_then(|t| t.convs.first())
@@ -530,7 +530,7 @@ impl AttackModel {
     }
 
     /// Ranking probability per candidate (implements paper Eq. 2).
-    pub fn candidate_scores(&self, raw: &Tensor) -> Vec<f32> {
+    pub(crate) fn candidate_scores(&self, raw: &Tensor) -> Vec<f32> {
         match self.loss {
             LossKind::SoftmaxRegression => raw.data().to_vec(),
             LossKind::TwoClass => deepsplit_nn::loss::two_class_probabilities(raw),

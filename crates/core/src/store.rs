@@ -74,7 +74,7 @@ pub fn atomic_publish(dir: &Path, file_name: &str, contents: impl AsRef<[u8]>) {
 
 /// The HTTP resource a model lives under — shared by [`RemoteModelStore`]
 /// and the `deepsplit-serve` router, so client and server can never drift.
-pub fn model_resource(key: &CorpusFingerprint) -> String {
+pub(crate) fn model_resource(key: &CorpusFingerprint) -> String {
     format!("/models/{}", key.to_hex())
 }
 
@@ -163,12 +163,14 @@ impl MemoryModelStore {
     }
 
     /// Number of models currently held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         lock_or_recover(&self.models).len()
     }
 
     /// Whether the store holds no models.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -435,7 +437,7 @@ pub mod conformance {
     use crate::PIPELINE_VERSION;
 
     /// A tiny untrained model whose weights differ per `seed` — enough to
-    /// tell two stored entries apart by their encodings.
+    /// tell two stored entries apart by their blobs.
     pub fn model(seed: u64) -> TrainedAttack {
         TrainedAttack {
             model: AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, seed),
@@ -449,14 +451,13 @@ pub mod conformance {
         CorpusFingerprint([n, !n])
     }
 
-    /// The canonical identity of a model for equality assertions: its JSON
-    /// encoding, which is bit-exact for every float.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the model cannot be serialised.
-    pub fn encoding(model: &TrainedAttack) -> String {
-        model.to_json().expect("serialise model for comparison")
+    /// A `<fingerprint>.json` entry as the older JSON stores wrote it: the
+    /// model's config and normaliser under the same field names (the
+    /// weights, which no build reads any more, are left out).
+    fn legacy_json(model: &TrainedAttack) -> Vec<u8> {
+        let normalizer = serde_json::to_string(&model.normalizer).expect("serialise normaliser");
+        let config = serde_json::to_string(&model.config).expect("serialise config");
+        format!(r#"{{"normalizer":{normalizer},"config":{config}}}"#).into_bytes()
     }
 
     /// Entries a store must read as a miss, each with the file it would sit
@@ -489,11 +490,7 @@ pub mod conformance {
                 patched(12, (PIPELINE_VERSION + 1).to_le_bytes()),
                 "blob",
             ),
-            (
-                "legacy JSON entry",
-                encoding(&model(7)).into_bytes(),
-                "json",
-            ),
+            ("legacy JSON entry", legacy_json(&model(7)), "json"),
         ];
         cases
             .into_iter()
@@ -523,35 +520,31 @@ pub mod conformance {
         let first = model(1);
         store.save(&key(1), &first);
         let back = store.load(&key(1)).expect("saved model must load");
-        assert_eq!(
-            encoding(&back),
-            encoding(&first),
+        assert!(
+            back.to_blob() == first.to_blob(),
             "round trip must reproduce the exact bytes"
         );
 
         // Overwrite replaces the previous entry.
         let second = model(2);
-        assert_ne!(
-            encoding(&first),
-            encoding(&second),
+        assert!(
+            first.to_blob() != second.to_blob(),
             "distinct seeds must produce distinguishable models"
         );
         store.save(&key(1), &second);
         let back = store.load(&key(1)).expect("overwritten model must load");
-        assert_eq!(
-            encoding(&back),
-            encoding(&second),
+        assert!(
+            back.to_blob() == second.to_blob(),
             "save must replace, not preserve, the previous entry"
         );
 
         // Keys are independent.
         store.save(&key(2), &first);
         let other = store.load(&key(2)).expect("second key must load");
-        assert_eq!(encoding(&other), encoding(&first));
+        assert!(other.to_blob() == first.to_blob());
         let untouched = store.load(&key(1)).expect("first key must survive");
-        assert_eq!(
-            encoding(&untouched),
-            encoding(&second),
+        assert!(
+            untouched.to_blob() == second.to_blob(),
             "writing one key must not disturb another"
         );
         assert!(
@@ -575,9 +568,8 @@ pub mod conformance {
         let third = model(3);
         store.save_blob(&key(2), &third.to_blob(), &third);
         let replaced = store.load(&key(2)).expect("save_blob result must load");
-        assert_eq!(
-            encoding(&replaced),
-            encoding(&third),
+        assert!(
+            replaced.to_blob() == third.to_blob(),
             "save_blob must replace like save"
         );
 
@@ -623,7 +615,7 @@ pub mod conformance {
 
 #[cfg(test)]
 mod tests {
-    use super::conformance::{encoding, key, model};
+    use super::conformance::{key, model};
     use super::*;
 
     fn temp_store_dir(tag: &str) -> PathBuf {
@@ -665,7 +657,7 @@ mod tests {
         let back = reopened
             .load(&key(7))
             .expect("entry persisted by the first instance must load");
-        assert_eq!(encoding(&back), encoding(&saved));
+        assert!(back.to_blob() == saved.to_blob());
         assert_eq!(
             reopened.counters(),
             StoreCounters {
@@ -704,7 +696,7 @@ mod tests {
         let healed = store
             .load(&key(9))
             .expect("overwriting a corrupt entry must heal it");
-        assert_eq!(encoding(&healed), encoding(&model(9)));
+        assert!(healed.to_blob() == model(9).to_blob());
         std::fs::remove_dir_all(&dir)
     }
 

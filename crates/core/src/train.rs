@@ -42,7 +42,7 @@ use std::ops::Range;
 
 /// A trained attack: model plus the feature normaliser fitted on the
 /// training designs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainedAttack {
     /// The network.
     pub model: AttackModel,
@@ -53,24 +53,6 @@ pub struct TrainedAttack {
 }
 
 impl TrainedAttack {
-    /// Serialises the trained attack to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns any serde error.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Restores a trained attack from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns any serde error.
-    pub fn from_json(s: &str) -> serde_json::Result<TrainedAttack> {
-        serde_json::from_str(s)
-    }
-
     /// The model blob: what the model stores keep. In order, [`BLOB_MAGIC`],
     /// [`BLOB_FORMAT`] and [`PIPELINE_VERSION`] (little-endian `u32`), the
     /// header's length (`u32`) and the header, JSON of the config, the
@@ -190,8 +172,9 @@ const BLOB_PREFIX: usize = 8 + 3 * 4;
 /// The longest header a blob may declare. A real one is a few kB.
 const MAX_BLOB_HEADER: usize = 64 * 1024;
 
-/// More image channels than any layer stack renders.
-const MAX_IMAGE_CHANNELS: usize = 1024;
+/// The most image channels a blob may declare: more than any layer stack
+/// renders.
+pub const MAX_IMAGE_CHANNELS: usize = 1024;
 
 /// What a blob's header records besides the weights.
 #[derive(Debug, Serialize, Deserialize)]
@@ -709,19 +692,6 @@ mod tests {
         assert!(report.epoch_loss.iter().all(|l| l.is_finite()));
     }
 
-    #[test]
-    fn serialization_round_trip() {
-        let config = AttackConfig {
-            epochs: 1,
-            ..tiny_config(false)
-        };
-        let designs = vec![prepared(Benchmark::C432, 1, &config)];
-        let (trained, _) = train(&designs, &config);
-        let json = trained.to_json().unwrap();
-        let back = TrainedAttack::from_json(&json).unwrap();
-        assert_eq!(back.config, trained.config);
-    }
-
     fn weight_bits(t: &TrainedAttack) -> Vec<Vec<u32>> {
         let mut bits = Vec::new();
         t.model
@@ -763,10 +733,6 @@ mod tests {
             assert_eq!(back.normalizer, trained.normalizer, "{case}");
             assert_eq!(back.config, trained.config, "{case}");
             assert!(back.to_blob() == blob, "{case}: re-encoding moves bytes");
-            assert!(
-                back.to_json().unwrap() == trained.to_json().unwrap(),
-                "{case}"
-            );
         }
     }
 
@@ -846,15 +812,15 @@ mod tests {
         assert!(report.is_none(), "warm run must not train");
         assert_eq!(store.counters().hits, 1);
         assert_eq!(store.counters().misses, 1);
-        // The cached model carries the same weights: identical JSON encoding.
-        assert_eq!(cold.to_json().unwrap(), warm.to_json().unwrap());
+        // The cached model carries the same weights: identical blobs.
+        assert!(cold.to_blob() == warm.to_blob());
     }
 
     /// Pins the trained bits. The model store is content-addressed, so a
     /// change to the kernels' numerics or the gradient order must show up
     /// here rather than as a store silently serving stale weights. Every
-    /// thread count trains the pinned bits; `to_json` also records
-    /// `config.threads`, so the other counts compare the model and the
+    /// thread count trains the pinned bits; a blob also records
+    /// `config.threads`, so the other counts compare the weights and the
     /// normaliser alone.
     #[test]
     fn trained_weights_are_pinned() {
@@ -866,14 +832,14 @@ mod tests {
             (
                 "VecOnly",
                 tiny_config(false),
-                "f6c131567cefb99aa558a1d333f468d8",
+                "3b2bc1d80e751fb194b333fd07bf0dbf",
             ),
             (
                 "VecImg",
                 tiny_config(true),
-                "1643c63ee65e109539f8edef05c71c3f",
+                "e7dd81ae13b065a7a94e7440a43415e9",
             ),
-            ("TwoClass", two_class, "c04dedb435d3f04b6e010984edfff345"),
+            ("TwoClass", two_class, "069bde0f9700e9b6c8911ca506da58e0"),
         ] {
             let config = AttackConfig {
                 epochs: 2,
@@ -883,7 +849,7 @@ mod tests {
             let designs = vec![prepared(Benchmark::C432, 1, &config)];
             let (trained, _) = train(&designs, &config);
             let mut h = crate::fingerprint::StableHasher::new();
-            h.write_str(&trained.to_json().unwrap());
+            h.write_bytes(&trained.to_blob());
             assert_eq!(
                 h.finish().to_hex(),
                 pinned,
@@ -891,14 +857,11 @@ mod tests {
                  PIPELINE_VERSION, so that stores filled before the change \
                  miss instead of serving the old weights, and pin the new digest"
             );
-            let weights = |t: &TrainedAttack| {
-                let model = serde_json::to_string(&t.model).unwrap();
-                (model, serde_json::to_string(&t.normalizer).unwrap())
-            };
             for threads in [2, 3] {
                 let (other, _) = train_with_threads(&designs, &config, threads);
                 assert!(
-                    weights(&other) == weights(&trained),
+                    weight_bits(&other) == weight_bits(&trained)
+                        && other.normalizer == trained.normalizer,
                     "{case}: {threads} threads train other weights"
                 );
             }
@@ -918,11 +881,11 @@ mod tests {
             prepared(Benchmark::C880, 2, &config),
         ];
         let (one, one_report) = train_with_threads(&designs, &config, 1);
-        let model = serde_json::to_string(&one.model).unwrap();
+        let model = weight_bits(&one);
         for threads in [2, 3, 7] {
             let (many, report) = train_with_threads(&designs, &config, threads);
             assert!(
-                serde_json::to_string(&many.model).unwrap() == model,
+                weight_bits(&many) == model,
                 "{threads} threads train other weights"
             );
             let bits =

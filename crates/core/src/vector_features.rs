@@ -29,14 +29,13 @@ use deepsplit_layout::geom::to_um;
 use deepsplit_layout::split::{FragId, SplitView};
 use deepsplit_netlist::library::CellLibrary;
 use deepsplit_netlist::netlist::Netlist;
-use deepsplit_nn::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Number of vector features per VPP (paper Table 2: `fc1 27 × 128`).
 pub const VECTOR_DIM: usize = 27;
 
 /// Extracts the 27 vector features of one candidate VPP.
-pub fn vpp_features(
+pub(crate) fn vpp_features(
     view: &SplitView,
     sink: FragId,
     cand: &Candidate,
@@ -132,38 +131,12 @@ impl Normalizer {
         }
     }
 
-    /// Identity normaliser.
-    pub fn identity() -> Normalizer {
-        Normalizer {
-            mean: vec![0.0; VECTOR_DIM],
-            std: vec![1.0; VECTOR_DIM],
-        }
-    }
-
     /// Applies the normalisation in place.
     pub fn apply(&self, row: &mut [f32; VECTOR_DIM]) {
         for (x, (m, s)) in row.iter_mut().zip(self.mean.iter().zip(&self.std)) {
             *x = (*x - m) / s;
         }
     }
-}
-
-/// Builds the `[n, 27]` normalised feature tensor of a candidate set.
-pub fn feature_tensor(
-    view: &SplitView,
-    sink: FragId,
-    candidates: &[Candidate],
-    nl: &Netlist,
-    lib: &CellLibrary,
-    norm: &Normalizer,
-) -> Tensor {
-    let mut data = Vec::with_capacity(candidates.len() * VECTOR_DIM);
-    for cand in candidates {
-        let mut row = vpp_features(view, sink, cand, nl, lib);
-        norm.apply(&mut row);
-        data.extend_from_slice(&row);
-    }
-    Tensor::from_vec(&[candidates.len(), VECTOR_DIM], data)
 }
 
 #[cfg(test)]
@@ -263,21 +236,5 @@ mod tests {
                 "mean not ~0 after normalisation"
             );
         }
-    }
-
-    #[test]
-    fn tensor_shape_matches() {
-        let (d, v) = setup();
-        let sets = select_candidates(&v, &AttackConfig::fast());
-        let set = sets.iter().find(|s| s.candidates.len() >= 2).unwrap();
-        let t = feature_tensor(
-            &v,
-            set.sink,
-            &set.candidates,
-            &d.netlist,
-            &d.library,
-            &Normalizer::identity(),
-        );
-        assert_eq!(t.shape(), &[set.candidates.len(), VECTOR_DIM]);
     }
 }

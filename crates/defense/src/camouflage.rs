@@ -30,7 +30,7 @@ use rand::SeedableRng;
 
 /// What one camouflage pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CamoOutcome {
+pub(crate) struct CamoOutcome {
     /// Dummy cells added (two per pair).
     pub cells: usize,
     /// Dummy cut vias terminating the pairs' decoy stubs.
@@ -90,7 +90,7 @@ fn free_slots(design: &Design, pair_sites: usize) -> Vec<Slot> {
 /// Inserts camouflage pairs into `design`: netlist surgery, placement into
 /// free sites, a full re-route, and a decoy stub on every pair's net.
 /// Returns the cells-and-vias ledger.
-pub fn insert_camouflage(
+pub(crate) fn insert_camouflage(
     design: &mut Design,
     implement: &ImplementConfig,
     split_layer: Layer,

@@ -38,7 +38,12 @@ const DETOUR_MAX_STEPS: i64 = 5;
 /// Decoys are deterministic for a fixed seed and never merge or detach
 /// existing fragments: every stub is anchored at an existing wire endpoint of
 /// its own net and only *adds* geometry.
-pub fn insert_decoys(design: &mut Design, split_layer: Layer, strength: f64, seed: u64) -> usize {
+pub(crate) fn insert_decoys(
+    design: &mut Design,
+    split_layer: Layer,
+    strength: f64,
+    seed: u64,
+) -> usize {
     let m = split_layer.0;
     let die = design.floorplan.die;
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdec0_15e5);

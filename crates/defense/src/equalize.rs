@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
 /// Bin grid edge: the die splits into `DENSITY_BINS × DENSITY_BINS` bins.
-pub const DENSITY_BINS: usize = 8;
+pub(crate) const DENSITY_BINS: usize = 8;
 
 /// Density contrast below which the smoothing loop declares victory at zero
 /// strength; the threshold scales down linearly with `strength`, so a
@@ -40,7 +40,7 @@ const MAX_PASSES: usize = 3;
 /// clamp to the nearest core bin). Row-major, index `by * bins + bx`. The
 /// core grid keeps the histogram aligned with where cells can actually move,
 /// so smoothing never chases contrast into the empty pad ring.
-pub fn virtual_pin_bins(design: &Design, split_layer: Layer, bins: usize) -> Vec<usize> {
+pub(crate) fn virtual_pin_bins(design: &Design, split_layer: Layer, bins: usize) -> Vec<usize> {
     let core = design.floorplan.core;
     let w = core.width().max(1);
     let h = core.height().max(1);
@@ -57,7 +57,7 @@ pub fn virtual_pin_bins(design: &Design, split_layer: Layer, bins: usize) -> Vec
 
 /// Coefficient of variation (σ / µ) of a bin histogram — the contrast the
 /// image channel sees. `0.0` for an empty histogram.
-pub fn density_cv(counts: &[usize]) -> f64 {
+pub(crate) fn density_cv(counts: &[usize]) -> f64 {
     let n = counts.len() as f64;
     let mean = counts.iter().sum::<usize>() as f64 / n.max(1.0);
     if mean <= 0.0 {
@@ -87,7 +87,7 @@ fn bin_of(design: &Design, id: InstId, bins: usize) -> usize {
 /// Smooths virtual-pin density by swapping equal-width cells from the
 /// densest bins into the sparsest, re-routing after every pass. Returns the
 /// number of cells that ended up displaced.
-pub fn equalize_pin_density(
+pub(crate) fn equalize_pin_density(
     design: &mut Design,
     implement: &ImplementConfig,
     split_layer: Layer,

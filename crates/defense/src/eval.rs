@@ -8,7 +8,7 @@
 //! seen the defense during training. Evaluating a defended layout against an
 //! undefended model would overstate every defense.
 
-use crate::{apply, DefenseConfig, DefenseStats};
+use crate::{apply, DefendedDesign, DefenseConfig, DefenseStats};
 use deepsplit_core::attack::attack_with_threads;
 use deepsplit_core::config::AttackConfig;
 use deepsplit_core::dataset::PreparedDesign;
@@ -261,6 +261,46 @@ pub fn corpus_fingerprint(
     h.finish()
 }
 
+/// A cell's victim, defended, split and prepared: everything an attack on
+/// it reads besides the model. [`attack_cell`] builds one per cell; the
+/// attack server keeps the ones its requests name.
+#[derive(Debug)]
+pub struct Victim {
+    /// The defended layout (the network-flow baseline and functional
+    /// recovery read its netlist) and what the defense cost.
+    pub defended: DefendedDesign,
+    /// Fragments, candidate sets and features of the split victim.
+    pub prepared: PreparedDesign,
+    /// CCR of the naïve proximity attack.
+    pub proximity_ccr: f64,
+}
+
+impl Victim {
+    /// Defends `base`'s victim with `defense`, splits it after
+    /// `split_layer` and prepares it under `cfg.attack` on `threads`
+    /// threads; the prepared design is the same at every thread count.
+    pub fn build(
+        base: &EvalBase,
+        split_layer: Layer,
+        defense: &DefenseConfig,
+        cfg: &EvalConfig,
+        threads: usize,
+    ) -> Victim {
+        let defended = apply(&base.victim, &cfg.implement, split_layer, defense);
+        let attack = AttackConfig {
+            threads,
+            ..cfg.attack.clone()
+        };
+        let prepared = PreparedDesign::prepare(&defended.design, split_layer, &attack);
+        let proximity_ccr = ccr(&prepared.view, &proximity_attack(&prepared.view));
+        Victim {
+            defended,
+            prepared,
+            proximity_ccr,
+        }
+    }
+}
+
 /// Attack phase of one cell: defends the victim and runs the trained DL
 /// attack plus the network-flow, proximity and functional-recovery
 /// evaluations, with `threads` workers for DL inference.
@@ -275,42 +315,33 @@ pub fn attack_cell(
     trained: &TrainedAttack,
     threads: usize,
 ) -> EvalOutcome {
-    let defended = apply(&base.victim, &cfg.implement, split_layer, defense);
-    let victim = PreparedDesign::prepare(&defended.design, split_layer, &cfg.attack);
-    let outcome = attack_with_threads(trained, &victim, threads);
-    let dl_ccr = ccr(&victim.view, &outcome.assignment);
-
-    let proximity_ccr = ccr(&victim.view, &proximity_attack(&victim.view));
-    let flow_ccr = match network_flow_attack(
-        &victim.view,
-        &defended.design.netlist,
-        &defended.design.library,
-        &cfg.flow,
-    ) {
-        FlowOutcome::Completed(a) => Some(ccr(&victim.view, &a)),
+    let victim = Victim::build(base, split_layer, defense, cfg, cfg.attack.threads);
+    let (design, view) = (&victim.defended.design, &victim.prepared.view);
+    let outcome = attack_with_threads(trained, &victim.prepared, threads);
+    let flow_ccr = match network_flow_attack(view, &design.netlist, &design.library, &cfg.flow) {
+        FlowOutcome::Completed(a) => Some(ccr(view, &a)),
         FlowOutcome::TimedOut => None,
     };
-    let recovery = functional_recovery(
-        &defended.design,
-        &victim.view,
-        &outcome.assignment,
-        cfg.recovery_rounds,
-        cfg.victim_seed,
-    );
-
+    let scores = AttackScores {
+        sink_fragments: view.num_sink_fragments(),
+        source_fragments: view.num_source_fragments(),
+        dl_ccr: ccr(view, &outcome.assignment),
+        flow_ccr,
+        proximity_ccr: victim.proximity_ccr,
+        chance_ccr: 1.0 / view.num_source_fragments().max(1) as f64,
+        recovery: functional_recovery(
+            design,
+            view,
+            &outcome.assignment,
+            cfg.recovery_rounds,
+            cfg.victim_seed,
+        ),
+    };
     EvalOutcome {
         benchmark: base.benchmark.name().to_string(),
         split_layer: split_layer.0,
-        defense: defended.stats,
-        scores: AttackScores {
-            sink_fragments: victim.view.num_sink_fragments(),
-            source_fragments: victim.view.num_source_fragments(),
-            dl_ccr,
-            flow_ccr,
-            proximity_ccr,
-            chance_ccr: 1.0 / victim.view.num_source_fragments().max(1) as f64,
-            recovery,
-        },
+        defense: victim.defended.stats,
+        scores,
     }
 }
 

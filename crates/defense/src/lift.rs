@@ -84,7 +84,7 @@ pub fn lift_router_config(base: &RouterConfig, split_layer: Layer) -> RouterConf
 ///
 /// Panics if fewer than two layers sit above the split (see
 /// [`lift_router_config`]).
-pub fn lift_nets(
+pub(crate) fn lift_nets(
     design: &mut Design,
     implement: &ImplementConfig,
     split_layer: Layer,

@@ -51,12 +51,12 @@ pub struct ObfuscationPlan {
 
 impl ObfuscationPlan {
     /// Number of nets the plan detours.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shapes.len()
     }
 
     /// Whether the plan detours nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.shapes.is_empty()
     }
 
@@ -122,7 +122,7 @@ pub fn plan_obfuscation(
 
 /// Detours a `strength` fraction of crossing nets and re-routes the design.
 /// Returns the number of detoured nets.
-pub fn obfuscate_routes(
+pub(crate) fn obfuscate_routes(
     design: &mut Design,
     implement: &ImplementConfig,
     split_layer: Layer,

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// Perturbs `design`'s placement in place and re-routes it. Returns the
 /// number of cells that changed position (two per accepted swap).
-pub fn perturb_placement(
+pub(crate) fn perturb_placement(
     design: &mut Design,
     implement: &ImplementConfig,
     strength: f64,
@@ -43,7 +43,7 @@ pub fn perturb_placement(
 /// edits before paying for one route pass; note that anything ranking nets by
 /// routed exposure (e.g. wire lifting) must rank on post-swap routes, which
 /// is why [`crate::apply`] re-routes between perturbation and lifting.
-pub fn swap_cells(design: &mut Design, strength: f64, seed: u64) -> usize {
+pub(crate) fn swap_cells(design: &mut Design, strength: f64, seed: u64) -> usize {
     let nl = &design.netlist;
     let lib = &design.library;
     let movable: Vec<usize> = nl

@@ -56,7 +56,7 @@ pub const MAX_IMAGE_SCALES: usize = 3;
 /// Pixel sizes a request may ask for, in µm (the paper uses 0.05–0.2). The
 /// lower end is one database unit, so a pixel never rounds to zero; the
 /// upper end keeps `um(scale) · image_px` far inside `i64`.
-pub const IMAGE_SCALE_RANGE_UM: std::ops::RangeInclusive<f64> = 0.001..=10.0;
+pub(crate) const IMAGE_SCALE_RANGE_UM: std::ops::RangeInclusive<f64> = 0.001..=10.0;
 /// Most training benchmarks a request may list: as many as there are
 /// benchmarks, so every corpus of the repo and a leave-one-out corpus over
 /// `Benchmark::all()` fit. A cold resolve builds and trains on each.

@@ -123,7 +123,7 @@ impl SweepConfig {
 }
 
 /// The baseline (undefended) cell for `result`'s `(benchmark, layer)` pair.
-pub fn baseline_of<'a>(
+pub(crate) fn baseline_of<'a>(
     results: &'a [EvalOutcome],
     result: &EvalOutcome,
 ) -> Option<&'a EvalOutcome> {

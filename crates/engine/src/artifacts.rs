@@ -118,7 +118,7 @@ fn artifact_name(index: usize) -> String {
 }
 
 /// The artifact path of cell `index`.
-pub fn artifact_path(dir: &Path, index: usize) -> PathBuf {
+pub(crate) fn artifact_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(artifact_name(index))
 }
 
@@ -130,7 +130,7 @@ pub fn artifact_path(dir: &Path, index: usize) -> PathBuf {
 /// Returns an [`EngineError`] naming the artifact path when serialisation or
 /// the write fails — losing resume state silently would make an interrupted
 /// run unrecoverable, and a bare panic would not say *which* path to fix.
-pub fn write_artifact(
+pub(crate) fn write_artifact(
     dir: &Path,
     index: usize,
     total: usize,
@@ -162,7 +162,7 @@ pub fn write_artifact(
 /// defense kind or strength — e.g. left over from a differently-configured
 /// sweep in the same directory) returns `None`, and the cell is simply
 /// re-evaluated.
-pub fn load_artifact(
+pub(crate) fn load_artifact(
     dir: &Path,
     index: usize,
     total: usize,

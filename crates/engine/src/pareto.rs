@@ -46,13 +46,13 @@ pub struct ParetoFront {
 
 /// `a` dominates `b` when it is at least as good on both minimised axes and
 /// strictly better on one.
-pub fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
+pub(crate) fn dominates(a: (f64, f64), b: (f64, f64)) -> bool {
     a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1)
 }
 
 /// Indices of the non-dominated points of `points` (each `(x, y)`, both
 /// minimised), sorted by ascending `x` then ascending `y` then index.
-pub fn front_indices(points: &[(f64, f64)]) -> Vec<usize> {
+pub(crate) fn front_indices(points: &[(f64, f64)]) -> Vec<usize> {
     let mut front: Vec<usize> = (0..points.len())
         .filter(|&i| !points.iter().any(|&other| dominates(other, points[i])))
         .collect();
@@ -68,7 +68,7 @@ pub fn front_indices(points: &[(f64, f64)]) -> Vec<usize> {
 
 impl ParetoFront {
     /// Computes the per-`(benchmark, layer)` fronts of a matrix.
-    pub fn compute(results: &[EvalOutcome]) -> ParetoFront {
+    pub(crate) fn compute(results: &[EvalOutcome]) -> ParetoFront {
         let mut groups: Vec<ParetoGroup> = Vec::new();
         for r in results {
             if !groups

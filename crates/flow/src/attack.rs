@@ -25,7 +25,7 @@
 
 use crate::mcmf::MinCostFlow;
 use crate::metrics::Assignment;
-use crate::proximity::{candidate_sources, proximity_attack};
+use crate::proximity::candidate_sources;
 use deepsplit_layout::electrical;
 use deepsplit_layout::split::{FragId, SplitView};
 use deepsplit_netlist::library::CellLibrary;
@@ -213,28 +213,11 @@ pub fn network_flow_attack(
     FlowOutcome::Completed(assignment)
 }
 
-/// Convenience wrapper mirroring the paper's relaxation observation: with an
-/// effectively unlimited capacitance slack the flow attack must produce the
-/// same assignment as [`proximity_attack`] for every sink whose nearest
-/// source is among its candidates.
-pub fn relaxed_flow_equals_proximity(view: &SplitView, nl: &Netlist, lib: &CellLibrary) -> bool {
-    let relaxed = FlowAttackConfig {
-        cap_slack: 1e6,
-        max_iterations: 1,
-        ..FlowAttackConfig::default()
-    };
-    let flow = match network_flow_attack(view, nl, lib, &relaxed) {
-        FlowOutcome::Completed(a) => a,
-        FlowOutcome::TimedOut => return false,
-    };
-    let prox: HashMap<FragId, FragId> = proximity_attack(view).into_iter().collect();
-    flow.iter().all(|(sink, src)| prox.get(sink) == Some(src))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ccr;
+    use crate::proximity::proximity_attack;
     use deepsplit_layout::design::{Design, ImplementConfig};
     use deepsplit_layout::geom::Layer;
     use deepsplit_layout::split::split_design;
@@ -271,6 +254,24 @@ mod tests {
             flow_ccr >= prox_ccr - 0.1,
             "flow {flow_ccr} vs proximity {prox_ccr}"
         );
+    }
+
+    /// Convenience wrapper mirroring the paper's relaxation observation: with an
+    /// effectively unlimited capacitance slack the flow attack must produce the
+    /// same assignment as [`proximity_attack`] for every sink whose nearest
+    /// source is among its candidates.
+    fn relaxed_flow_equals_proximity(view: &SplitView, nl: &Netlist, lib: &CellLibrary) -> bool {
+        let relaxed = FlowAttackConfig {
+            cap_slack: 1e6,
+            max_iterations: 1,
+            ..FlowAttackConfig::default()
+        };
+        let flow = match network_flow_attack(view, nl, lib, &relaxed) {
+            FlowOutcome::Completed(a) => a,
+            FlowOutcome::TimedOut => return false,
+        };
+        let prox: HashMap<FragId, FragId> = proximity_attack(view).into_iter().collect();
+        flow.iter().all(|(sink, src)| prox.get(sink) == Some(src))
     }
 
     #[test]

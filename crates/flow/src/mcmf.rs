@@ -48,11 +48,6 @@ impl MinCostFlow {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.graph.len()
-    }
-
     /// Adds a directed edge `from → to` with the given capacity and
     /// non-negative cost. Returns an id usable with [`MinCostFlow::flow_on`].
     ///

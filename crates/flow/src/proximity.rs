@@ -40,13 +40,8 @@ impl SpatialGrid {
         SpatialGrid { cell, buckets, len }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -120,7 +115,7 @@ impl SpatialGrid {
 
 /// Builds the source-virtual-pin index of a split view. Labels are indices
 /// into `view.sources`.
-pub fn source_pin_index(view: &SplitView) -> SpatialGrid {
+pub(crate) fn source_pin_index(view: &SplitView) -> SpatialGrid {
     let die = view.die;
     let n = view.sources.len().max(1);
     // Cell size ≈ die span / sqrt(n) keeps a few points per bucket.
@@ -159,7 +154,7 @@ pub fn proximity_attack(view: &SplitView) -> Assignment {
 /// Like [`proximity_attack`] but returns the `k` best candidate sources per
 /// sink (deduplicated, sorted by distance) — the candidate generator for the
 /// network-flow attack.
-pub fn candidate_sources(view: &SplitView, k: usize) -> HashMap<FragId, Vec<(FragId, i64)>> {
+pub(crate) fn candidate_sources(view: &SplitView, k: usize) -> HashMap<FragId, Vec<(FragId, i64)>> {
     let index = source_pin_index(view);
     let mut out = HashMap::new();
     for &sink in &view.sinks {

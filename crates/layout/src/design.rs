@@ -97,7 +97,7 @@ impl Design {
     }
 
     /// Location of a pin in the layout.
-    pub fn pin_position(&self, inst: InstId, pin: u8) -> Point {
+    pub(crate) fn pin_position(&self, inst: InstId, pin: u8) -> Point {
         place::pin_position(
             &self.netlist,
             &self.library,
@@ -124,7 +124,7 @@ impl Design {
     }
 
     /// Number of metal layers in the stack.
-    pub fn num_layers(&self) -> u8 {
+    pub(crate) fn num_layers(&self) -> u8 {
         self.route_stats.wirelength_per_layer.len() as u8
     }
 }

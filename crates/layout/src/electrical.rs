@@ -12,7 +12,7 @@
 //! Driver delay is likewise a lower bound computed from the linear library
 //! delay model over the lower-bound load.
 
-use crate::geom::{to_um, Layer};
+use crate::geom::to_um;
 use crate::split::{FragId, SplitView};
 use deepsplit_netlist::library::CellLibrary;
 use deepsplit_netlist::netlist::Netlist;
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// Wire capacitance per micrometre of routed wire, in fF/µm. A typical 45 nm
 /// mid-stack value (0.2 fF/µm) — used uniformly across layers.
-pub const WIRE_CAP_FF_PER_UM: f64 = 0.2;
+pub(crate) const WIRE_CAP_FF_PER_UM: f64 = 0.2;
 
 /// Load-capacitance bounds for one VPP, in fF.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,7 +103,8 @@ pub fn driver_delay_ps(
 /// Whether a VPP satisfies the load-capacitance feasibility check used by the
 /// network-flow baseline: the already-known lower bound must not exceed the
 /// driver's maximum by more than `slack` (≥ 0, fraction of the maximum).
-pub fn capacitance_feasible(
+#[cfg(test)]
+fn capacitance_feasible(
     view: &SplitView,
     source: FragId,
     sink: FragId,
@@ -115,16 +116,11 @@ pub fn capacitance_feasible(
     b.lower_ff <= b.upper_ff * (1.0 + slack)
 }
 
-/// Convenience: the FEOL layer count of a view.
-pub fn feol_layers(view: &SplitView) -> u8 {
-    let Layer(m) = view.split_layer;
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::design::{Design, ImplementConfig};
+    use crate::geom::Layer;
     use crate::split::split_design;
     use deepsplit_netlist::benchmarks::{generate_with, Benchmark};
     use deepsplit_netlist::library::CellLibrary;

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Database units per micrometre.
-pub const DBU_PER_UM: i64 = 1000;
+pub(crate) const DBU_PER_UM: i64 = 1000;
 
 /// Converts micrometres to dbu.
 pub fn um(v: f64) -> i64 {
@@ -59,16 +59,6 @@ impl Layer {
     /// The layer above.
     pub fn up(self) -> Layer {
         Layer(self.0 + 1)
-    }
-
-    /// The layer below.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on M1.
-    pub fn down(self) -> Layer {
-        assert!(self.0 > 1, "no layer below M1");
-        Layer(self.0 - 1)
     }
 }
 
@@ -154,16 +144,11 @@ impl Rect {
     }
 
     /// Grows the rectangle to include `p`.
-    pub fn expand_to(&mut self, p: Point) {
+    pub(crate) fn expand_to(&mut self, p: Point) {
         self.lo.x = self.lo.x.min(p.x);
         self.lo.y = self.lo.y.min(p.y);
         self.hi.x = self.hi.x.max(p.x);
         self.hi.y = self.hi.y.max(p.y);
-    }
-
-    /// The center point (rounded down).
-    pub fn center(&self) -> Point {
-        Point::new((self.lo.x + self.hi.x) / 2, (self.lo.y + self.hi.y) / 2)
     }
 }
 

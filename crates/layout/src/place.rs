@@ -66,7 +66,7 @@ impl Placement {
 }
 
 /// Location of a specific pin in the layout (all pins sit on M1).
-pub fn pin_position(
+pub(crate) fn pin_position(
     nl: &Netlist,
     lib: &CellLibrary,
     fp: &Floorplan,

@@ -91,12 +91,13 @@ pub struct NetRoute {
 
 impl NetRoute {
     /// Total wirelength in dbu.
-    pub fn wirelength(&self) -> i64 {
+    pub(crate) fn wirelength(&self) -> i64 {
         self.segments.iter().map(|s| s.len()).sum()
     }
 
     /// Highest metal layer used (0 when unrouted).
-    pub fn max_layer(&self) -> u8 {
+    #[cfg(test)]
+    fn max_layer(&self) -> u8 {
         let seg = self.segments.iter().map(|s| s.layer.0).max().unwrap_or(0);
         let via = self.vias.iter().map(|v| v.lower.0 + 1).max().unwrap_or(0);
         seg.max(via)
@@ -284,7 +285,7 @@ pub fn recompute_stats(routes: &[NetRoute], num_layers: u8) -> RouteStats {
 }
 
 /// All pin positions of a net, driver first.
-pub fn net_pins(
+pub(crate) fn net_pins(
     nl: &Netlist,
     lib: &CellLibrary,
     fp: &Floorplan,

@@ -8,7 +8,7 @@
 
 /// One lexed source line.
 #[derive(Debug, Clone)]
-pub struct SourceLine {
+pub(crate) struct SourceLine {
     /// 1-based line number.
     pub number: usize,
     /// Code with comments removed and string/char literal contents blanked
@@ -25,7 +25,7 @@ pub struct SourceLine {
 /// A `// splint::allow(RULE, "reason")` annotation, attached to the line of
 /// code it suppresses.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// The rule id being allowed (as written).
     pub rule: String,
     /// The justification string; `None` when missing or empty — which is
@@ -39,7 +39,7 @@ pub struct Allow {
 
 /// A fully lexed file.
 #[derive(Debug, Clone)]
-pub struct LexedFile {
+pub(crate) struct LexedFile {
     /// The lexed lines, in order.
     pub lines: Vec<SourceLine>,
     /// Every allow annotation, keyed by the line it applies to via
@@ -49,13 +49,13 @@ pub struct LexedFile {
 
 impl LexedFile {
     /// The allows that apply to `line` (1-based).
-    pub fn allows_for(&self, line: usize) -> impl Iterator<Item = &Allow> {
+    pub(crate) fn allows_for(&self, line: usize) -> impl Iterator<Item = &Allow> {
         self.allows.iter().filter(move |a| a.applies_to == line)
     }
 }
 
 /// Lexes `source` into stripped lines, allow annotations and test regions.
-pub fn lex(source: &str) -> LexedFile {
+pub(crate) fn lex(source: &str) -> LexedFile {
     let mut lines = split_and_strip(source);
     mark_test_regions(&mut lines);
     let allows = collect_allows(&lines);

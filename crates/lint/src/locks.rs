@@ -52,7 +52,7 @@ struct Guard {
 }
 
 /// Per-file L1 result: findings plus the acquisition edges observed.
-pub struct LockAudit {
+pub(crate) struct LockAudit {
     pub findings: Vec<Finding>,
     pub edges: Vec<LockEdge>,
 }
@@ -113,7 +113,7 @@ fn looks_like_lock(receiver: &str, pattern: &str) -> bool {
 }
 
 /// Runs the audit over one lexed file.
-pub fn audit(file: &str, lexed: &LexedFile) -> LockAudit {
+pub(crate) fn audit(file: &str, lexed: &LexedFile) -> LockAudit {
     let mut findings = Vec::new();
     let mut edges = Vec::new();
     let mut guards: Vec<Guard> = Vec::new();

@@ -61,7 +61,7 @@ pub struct Report {
 
 impl Report {
     /// Current schema version.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Builds a report, sorting findings and edges deterministically.
     pub fn new(
@@ -83,7 +83,7 @@ impl Report {
     }
 
     /// Per-`(file, rule)` finding counts — the unit the ratchet compares.
-    pub fn counts(&self) -> BTreeMap<(String, String), usize> {
+    pub(crate) fn counts(&self) -> BTreeMap<(String, String), usize> {
         let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
         for f in &self.findings {
             *counts.entry((f.file.clone(), f.rule.clone())).or_insert(0) += 1;

@@ -13,14 +13,14 @@ use crate::lexer::LexedFile;
 use crate::report::Finding;
 
 /// Rule ids splint knows about; anything else in an allow is an A0 finding.
-pub const KNOWN_RULES: &[&str] = &["D1", "D2", "P1", "L1", "A0"];
+pub(crate) const KNOWN_RULES: &[&str] = &["D1", "D2", "P1", "L1", "A0"];
 
 /// Scope predicates — which workspace files each rule audits. Paths are
 /// workspace-relative with forward slashes.
 pub mod scope {
     /// D1: files whose map iteration order can reach serialized artifacts,
     /// fingerprints or `--json` output.
-    pub fn d1(path: &str) -> bool {
+    pub(crate) fn d1(path: &str) -> bool {
         path.starts_with("crates/engine/src/")
             || path.starts_with("crates/flow/src/")
             || path == "crates/core/src/fingerprint.rs"
@@ -32,7 +32,7 @@ pub mod scope {
     /// D2: content-addressed / artifact-hash paths where wall-clock or
     /// thread identity must never leak in. Metrics and bench code is
     /// deliberately out of scope (timing is its whole point).
-    pub fn d2(path: &str) -> bool {
+    pub(crate) fn d2(path: &str) -> bool {
         path == "crates/core/src/fingerprint.rs"
             || path == "crates/core/src/store.rs"
             || path == "crates/engine/src/artifacts.rs"
@@ -43,12 +43,12 @@ pub mod scope {
 
     /// P1: the panic-isolation boundary — serve worker request paths and
     /// engine worker closures.
-    pub fn p1(path: &str) -> bool {
+    pub(crate) fn p1(path: &str) -> bool {
         path.starts_with("crates/serve/src/") || path == "crates/engine/src/run.rs"
     }
 
     /// L1: every Mutex/RwLock site in serve and the model store.
-    pub fn l1(path: &str) -> bool {
+    pub(crate) fn l1(path: &str) -> bool {
         path.starts_with("crates/serve/src/") || path == "crates/core/src/store.rs"
     }
 }
@@ -72,7 +72,7 @@ fn allowed(lexed: &LexedFile, line: usize, rule: &str) -> bool {
 
 /// A0: every allow annotation must name a known rule and carry a non-empty
 /// reason string; silent suppressions are findings themselves.
-pub fn check_allows(file: &str, lexed: &LexedFile) -> Vec<Finding> {
+pub(crate) fn check_allows(file: &str, lexed: &LexedFile) -> Vec<Finding> {
     let mut out = Vec::new();
     for a in &lexed.allows {
         if !KNOWN_RULES.contains(&a.rule.as_str()) {
@@ -104,7 +104,7 @@ fn is_ident(c: char) -> bool {
 /// Collects identifiers bound to `HashMap`/`HashSet` in `code` — `let x:
 /// HashMap<..>`, `x: HashMap<..>` struct fields / params, `= HashMap::new()`
 /// and qualified `std::collections::HashMap` forms all count.
-pub fn collect_unordered_idents(lexed: &LexedFile, into: &mut BTreeSet<String>) {
+pub(crate) fn collect_unordered_idents(lexed: &LexedFile, into: &mut BTreeSet<String>) {
     for line in &lexed.lines {
         let code = &line.code;
         for ty in ["HashMap", "HashSet"] {
@@ -169,7 +169,11 @@ fn bound_ident(code: &str, ty: &str) -> Option<String> {
 /// file. Flags `X.keys()/.values()/.iter()/.into_iter()/.drain(` and
 /// `for … in [&[mut ]]X` where `X` was declared as HashMap/HashSet anywhere
 /// in the workspace.
-pub fn check_d1(file: &str, lexed: &LexedFile, unordered: &BTreeSet<String>) -> Vec<Finding> {
+pub(crate) fn check_d1(
+    file: &str,
+    lexed: &LexedFile,
+    unordered: &BTreeSet<String>,
+) -> Vec<Finding> {
     const HINT: &str =
         "use a BTreeMap/BTreeSet, or collect and sort by a stable key before emitting";
     let mut out = Vec::new();
@@ -244,7 +248,7 @@ fn receiver_ident(before: &str) -> Option<String> {
 /// content-addressed paths. Timings and spans are observability data — if a
 /// fingerprint, cell key or `--json` artifact ever incorporated them, the
 /// same sweep would hash differently between runs.
-pub fn check_d2(file: &str, lexed: &LexedFile) -> Vec<Finding> {
+pub(crate) fn check_d2(file: &str, lexed: &LexedFile) -> Vec<Finding> {
     const PATTERNS: &[(&str, &str)] = &[
         (
             "SystemTime::now",
@@ -290,7 +294,7 @@ pub fn check_d2(file: &str, lexed: &LexedFile) -> Vec<Finding> {
 
 /// P1: panic sites inside worker request paths — `unwrap`/`expect`,
 /// panic-family macros, and bare slice indexing.
-pub fn check_p1(file: &str, lexed: &LexedFile) -> Vec<Finding> {
+pub(crate) fn check_p1(file: &str, lexed: &LexedFile) -> Vec<Finding> {
     const HINT: &str =
         "return an error (map to a 4xx/5xx response or EngineError) instead of panicking";
     let mut out = Vec::new();

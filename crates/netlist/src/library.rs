@@ -35,7 +35,7 @@ pub enum DriveStrength {
 
 impl DriveStrength {
     /// Numeric multiplier of the drive strength.
-    pub fn factor(self) -> f64 {
+    pub(crate) fn factor(self) -> f64 {
         match self {
             DriveStrength::X1 => 1.0,
             DriveStrength::X2 => 2.0,
@@ -44,7 +44,7 @@ impl DriveStrength {
     }
 
     /// All strengths, weakest first.
-    pub fn all() -> [DriveStrength; 3] {
+    pub(crate) fn all() -> [DriveStrength; 3] {
         [DriveStrength::X1, DriveStrength::X2, DriveStrength::X4]
     }
 }
@@ -113,7 +113,8 @@ impl CellFunction {
     }
 
     /// Number of output pins (zero only for `PadOut`).
-    pub fn num_outputs(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_outputs(self) -> usize {
         match self {
             CellFunction::PadOut => 0,
             _ => 1,
@@ -121,7 +122,7 @@ impl CellFunction {
     }
 
     /// Whether the output is a registered (sequential) value.
-    pub fn is_sequential(self) -> bool {
+    pub(crate) fn is_sequential(self) -> bool {
         matches!(self, CellFunction::Dff)
     }
 
@@ -165,17 +166,8 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// Index of the (single) output pin, if any.
-    pub fn output_pin(&self) -> Option<usize> {
+    pub(crate) fn output_pin(&self) -> Option<usize> {
         self.pins.iter().position(|p| p.dir == PinDir::Output)
-    }
-
-    /// Indices of all input pins.
-    pub fn input_pins(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pins
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.dir == PinDir::Input)
-            .map(|(i, _)| i)
     }
 
     /// Cell width in micrometres given the library site width.
@@ -237,7 +229,7 @@ impl CellLibrary {
     /// # Panics
     ///
     /// Panics if a cell with the same name already exists.
-    pub fn add(&mut self, cell: CellSpec) -> CellKindId {
+    pub(crate) fn add(&mut self, cell: CellSpec) -> CellKindId {
         let id = CellKindId(self.cells.len() as u32);
         let prev = self.by_name.insert(cell.name.clone(), id);
         assert!(prev.is_none(), "duplicate cell name {}", cell.name);
@@ -265,25 +257,19 @@ impl CellLibrary {
     }
 
     /// Iterates over all `(id, spec)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (CellKindId, &CellSpec)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (CellKindId, &CellSpec)> {
         self.cells
             .iter()
             .enumerate()
             .map(|(i, c)| (CellKindId(i as u32), c))
     }
 
-    /// Number of cell templates.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the library holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Finds the id of a combinational cell by function and drive strength.
-    pub fn by_function(&self, function: CellFunction, drive: DriveStrength) -> Option<CellKindId> {
+    pub(crate) fn by_function(
+        &self,
+        function: CellFunction,
+        drive: DriveStrength,
+    ) -> Option<CellKindId> {
         self.iter()
             .find(|(_, c)| c.function == function && c.drive == drive)
             .map(|(id, _)| id)
@@ -646,6 +632,5 @@ mod tests {
         let lib = CellLibrary::nangate45();
         let nand = lib.find("NAND2_X1").unwrap();
         assert_eq!(nand.output_pin(), Some(2));
-        assert_eq!(nand.input_pins().collect::<Vec<_>>(), vec![0, 1]);
     }
 }

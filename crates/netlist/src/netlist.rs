@@ -243,20 +243,6 @@ impl Netlist {
         })
     }
 
-    /// Instances that are primary-output pads.
-    pub fn primary_outputs<'a>(
-        &'a self,
-        lib: &'a CellLibrary,
-    ) -> impl Iterator<Item = InstId> + 'a {
-        self.instances().filter_map(move |(id, inst)| {
-            if lib.cell(inst.cell).function == crate::library::CellFunction::PadOut {
-                Some(id)
-            } else {
-                None
-            }
-        })
-    }
-
     /// Total sink-pin capacitance on `net`, in fF.
     pub fn net_load_ff(&self, net: NetId, lib: &CellLibrary) -> f64 {
         self.net(net)
@@ -350,7 +336,7 @@ impl Netlist {
 
     /// Truncates the sink list of `net` to its first `keep` pins, disconnecting
     /// the removed pins.
-    pub fn truncate_sinks(&mut self, net: NetId, keep: usize) {
+    pub(crate) fn truncate_sinks(&mut self, net: NetId, keep: usize) {
         let removed: Vec<PinRef> = self.nets[net.0 as usize].sinks[keep..].to_vec();
         self.nets[net.0 as usize].sinks.truncate(keep);
         for p in removed {
@@ -376,7 +362,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the new cell has a different pin count.
-    pub fn replace_cell(&mut self, inst: InstId, kind: CellKindId, lib: &CellLibrary) {
+    pub(crate) fn replace_cell(&mut self, inst: InstId, kind: CellKindId, lib: &CellLibrary) {
         assert_eq!(
             lib.cell(self.instances[inst.0 as usize].cell).pins.len(),
             lib.cell(kind).pins.len(),
@@ -387,7 +373,7 @@ impl Netlist {
 
     /// Topological order of instances (combinational edges only; DFF outputs
     /// and pads are treated as sources). Sequential loops are therefore fine.
-    pub fn topo_order(&self, lib: &CellLibrary) -> Vec<InstId> {
+    pub(crate) fn topo_order(&self, lib: &CellLibrary) -> Vec<InstId> {
         let n = self.instances.len();
         let mut indeg = vec![0usize; n];
         let mut out_edges: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -422,7 +408,7 @@ impl Netlist {
 
     /// Combinational logic depth (number of gates on the longest
     /// register/pad-bounded path).
-    pub fn logic_depth(&self, lib: &CellLibrary) -> usize {
+    pub(crate) fn logic_depth(&self, lib: &CellLibrary) -> usize {
         let order = self.topo_order(lib);
         let mut depth = vec![0usize; self.instances.len()];
         let mut max = 0;

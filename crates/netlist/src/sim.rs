@@ -7,7 +7,7 @@
 //! this module provides that check for recovered netlists.
 
 use crate::library::{CellFunction, CellLibrary, PinDir};
-use crate::netlist::{InstId, NetId, Netlist};
+use crate::netlist::{InstId, Netlist};
 use std::collections::HashMap;
 
 /// A functional simulator over a netlist.
@@ -77,19 +77,10 @@ impl<'a> Simulator<'a> {
         self.inputs.len()
     }
 
-    /// Number of primary outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Number of flip-flops.
-    pub fn num_ffs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_ffs(&self) -> usize {
         self.ffs.len()
-    }
-
-    /// Resets all flip-flops to 0.
-    pub fn reset(&mut self) {
-        self.ff_state.fill(false);
     }
 
     /// Evaluates the combinational logic for `input_values` (aligned with the
@@ -170,7 +161,7 @@ impl<'a> Simulator<'a> {
 }
 
 /// Evaluates one library function over its ordered input pins.
-pub fn eval_function(function: CellFunction, ins: &[bool]) -> bool {
+pub(crate) fn eval_function(function: CellFunction, ins: &[bool]) -> bool {
     match function {
         CellFunction::Inv => !ins[0],
         CellFunction::Buf => ins[0],
@@ -245,13 +236,6 @@ pub fn functional_agreement(
     } else {
         agree as f64 / total as f64
     }
-}
-
-/// Looks up the net driven by each primary-input pad, in pad id order.
-pub fn input_nets(nl: &Netlist, lib: &CellLibrary) -> Vec<NetId> {
-    nl.primary_inputs(lib)
-        .filter_map(|id| nl.instance(id).pin_nets[0])
-        .collect()
 }
 
 #[cfg(test)]

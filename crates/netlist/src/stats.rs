@@ -1,7 +1,7 @@
 //! Netlist statistics used to sanity-check generated benchmarks and to report
 //! design characteristics alongside experiment results.
 
-use crate::library::{CellLibrary, PinDir};
+use crate::library::CellLibrary;
 use crate::netlist::Netlist;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -101,21 +101,6 @@ impl fmt::Display for NetlistStats {
             self.cell_area_um2
         )
     }
-}
-
-/// Per-pin-direction pin count of a netlist (used by capacity models).
-pub fn pin_counts(nl: &Netlist, lib: &CellLibrary) -> (usize, usize) {
-    let mut inputs = 0;
-    let mut outputs = 0;
-    for (_, inst) in nl.instances() {
-        for pin in &lib.cell(inst.cell).pins {
-            match pin.dir {
-                PinDir::Input => inputs += 1,
-                PinDir::Output => outputs += 1,
-            }
-        }
-    }
-    (inputs, outputs)
 }
 
 #[cfg(test)]

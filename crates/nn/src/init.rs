@@ -20,7 +20,7 @@ impl Initializer {
 
     /// He-uniform initialisation for a layer with `fan_in` inputs — the
     /// standard choice under (leaky-)ReLU activations.
-    pub fn he_uniform(&mut self, shape: &[usize], fan_in: usize) -> Tensor {
+    pub(crate) fn he_uniform(&mut self, shape: &[usize], fan_in: usize) -> Tensor {
         let bound = (6.0 / fan_in.max(1) as f64).sqrt() as f32;
         let n: usize = shape.iter().product();
         let data: Vec<f32> = (0..n).map(|_| self.rng.gen_range(-bound..bound)).collect();

@@ -30,7 +30,6 @@ use crate::init::Initializer;
 use crate::parallel::for_each_run;
 use crate::tensor::{Scratch, Tensor};
 use crate::workspace::Workspace;
-use serde::{Deserialize, Serialize};
 
 /// Mutable view of one parameter tensor.
 pub struct ParamRef<'a> {
@@ -197,7 +196,7 @@ fn add_bias(y: &mut Tensor, b: &Tensor) {
 }
 
 /// Fully connected layer `y = x W + b` with `x: [rows, in]`, `W: [in, out]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
     b: Tensor,
@@ -273,7 +272,7 @@ impl Layer for Linear {
 }
 
 /// Leaky rectified linear unit `y = max(αx, x)` (the paper uses α = 0.01).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeakyRelu {
     /// Negative-side slope.
     pub alpha: f32,
@@ -337,7 +336,7 @@ impl Layer for LeakyRelu {
 
 /// 3×3 convolution with `same` padding and configurable stride, NCHW layout,
 /// implemented as im2col + matmul.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     /// Kernel `[C*k*k, OC]` as a matmul-ready matrix.
     w: Tensor,
@@ -382,7 +381,7 @@ impl Conv2d {
     }
 
     /// Output spatial size for an input of side `n` ("same" padding).
-    pub fn out_size(&self, n: usize) -> usize {
+    pub(crate) fn out_size(&self, n: usize) -> usize {
         n.div_ceil(self.stride)
     }
 
@@ -571,7 +570,7 @@ impl Layer for Conv2d {
 
 /// Residual MLP block (paper Fig. 4): the output is the sum of the input and
 /// three LReLU-activated dense layers of the same width.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResBlock {
     fc: [Linear; 3],
     act: [LeakyRelu; 3],
@@ -650,7 +649,7 @@ impl Layer for ResBlock {
 }
 
 /// Global average pooling `(n, c, h, w)` → `(n, c)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {}
 
 impl GlobalAvgPool {
@@ -721,104 +720,6 @@ fn pool_into(x: &Tensor, out: &mut [f32]) {
             let s: f32 = xd[base..base + h * w].iter().sum();
             out[b * c + ch] = s * inv;
         }
-    }
-}
-
-/// A stack of `Linear`+`LReLU` pairs (used for the plain dense parts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MlpStack {
-    layers: Vec<Linear>,
-    acts: Vec<LeakyRelu>,
-    /// Whether the final layer is followed by an activation.
-    pub activate_last: bool,
-}
-
-impl MlpStack {
-    /// Builds a stack with the given layer widths, e.g. `[27, 128]` for the
-    /// paper's `fc1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two widths are given.
-    pub fn new(widths: &[usize], activate_last: bool, init: &mut Initializer) -> MlpStack {
-        assert!(widths.len() >= 2, "need at least in/out widths");
-        let mut layers = Vec::new();
-        let mut acts = Vec::new();
-        for w in widths.windows(2) {
-            layers.push(Linear::new(w[0], w[1], init));
-            acts.push(LeakyRelu::new());
-        }
-        MlpStack {
-            layers,
-            acts,
-            activate_last,
-        }
-    }
-}
-
-impl Params for MlpStack {
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
-        for l in &mut self.layers {
-            l.visit_params(f);
-        }
-    }
-
-    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
-        for l in &self.layers {
-            l.for_each_param(f);
-        }
-    }
-}
-
-impl Layer for MlpStack {
-    /// Per layer, its tape and its activation's (none after an
-    /// unactivated last layer).
-    type Tape = Vec<(Tensor, Option<Vec<bool>>)>;
-
-    fn infer(&self, x: &Tensor) -> Tensor {
-        let n = self.layers.len();
-        let mut h = x.clone();
-        for i in 0..n {
-            h = self.layers[i].infer(&h);
-            if i + 1 < n || self.activate_last {
-                h = self.acts[i].infer(&h);
-            }
-        }
-        h
-    }
-
-    fn forward(&self, x: Tensor, ws: &mut Workspace) -> (Tensor, Self::Tape) {
-        let n = self.layers.len();
-        let mut h = x;
-        let mut tape = Vec::with_capacity(n);
-        for i in 0..n {
-            let fc_tape;
-            (h, fc_tape) = self.layers[i].forward(h, ws);
-            let mut act_tape = None;
-            if i + 1 < n || self.activate_last {
-                let (y, t) = self.acts[i].forward(h, ws);
-                (h, act_tape) = (y, Some(t));
-            }
-            tape.push((fc_tape, act_tape));
-        }
-        (h, tape)
-    }
-
-    fn backward(
-        &self,
-        tape: Self::Tape,
-        grad_out: Tensor,
-        segments: &[usize],
-        ws: &mut Workspace,
-    ) -> Tensor {
-        let mut g = grad_out;
-        for (i, (fc_tape, act_tape)) in tape.into_iter().enumerate().rev() {
-            if let Some(t) = act_tape {
-                g = self.acts[i].backward(t, g, segments, ws);
-            }
-            g = self.layers[i].backward(fc_tape, g, segments, ws);
-        }
-        g
     }
 }
 
@@ -941,14 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_stack_gradients() {
-        let mut init = Initializer::new(15);
-        let mut layer = MlpStack::new(&[4, 8, 3], true, &mut init);
-        let x = init.uniform(&[2 * 4], 1.0).reshape(&[2, 4]);
-        grad_check(&mut layer, &x, 1e-2, 2e-2);
-    }
-
-    #[test]
     fn conv_same_padding_shapes() {
         let mut init = Initializer::new(1);
         let conv = Conv2d::new(1, 4, 3, 1, &mut init);
@@ -1013,11 +906,6 @@ mod tests {
         assert_infer_is_forward("LeakyRelu", &mut LeakyRelu::new(), &rows);
         assert_infer_is_forward("ResBlock", &mut ResBlock::new(6, &mut init), &rows);
         assert_infer_is_forward("GlobalAvgPool", &mut GlobalAvgPool::new(), &image);
-        assert_infer_is_forward(
-            "MlpStack",
-            &mut MlpStack::new(&[6, 8, 3], false, &mut init),
-            &rows,
-        );
         for stride in [1, 3] {
             let mut conv = Conv2d::new(3, 5, 3, stride, &mut init);
             assert_infer_is_forward(&format!("Conv2d stride {stride}"), &mut conv, &image);
@@ -1086,11 +974,6 @@ mod tests {
             .collect();
         assert_stacked_is_per_query("Linear", &mut Linear::new(6, 4, &mut init), &rows);
         assert_stacked_is_per_query("ResBlock", &mut ResBlock::new(6, &mut init), &rows);
-        assert_stacked_is_per_query(
-            "MlpStack",
-            &mut MlpStack::new(&[6, 8, 3], true, &mut init),
-            &rows,
-        );
         for stride in [1, 3] {
             let mut conv = Conv2d::new(3, 4, 3, stride, &mut init);
             assert_stacked_is_per_query(&format!("Conv2d stride {stride}"), &mut conv, &images);
@@ -1110,11 +993,11 @@ mod tests {
     #[test]
     fn read_only_visit_matches_visit_params() {
         let mut init = Initializer::new(5);
-        let mut stack = MlpStack::new(&[4, 8, 3], true, &mut init);
+        let mut block = ResBlock::new(8, &mut init);
         let mut visited = Vec::new();
-        stack.visit_params(&mut |p| visited.push(p.value.clone()));
+        block.visit_params(&mut |p| visited.push(p.value.clone()));
         let mut seen = Vec::new();
-        stack.for_each_param(&mut |t| seen.push(t.clone()));
+        block.for_each_param(&mut |t| seen.push(t.clone()));
         assert_eq!(seen, visited);
     }
 }

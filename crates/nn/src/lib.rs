@@ -60,8 +60,7 @@ pub mod workspace;
 
 pub use init::Initializer;
 pub use layers::{
-    Conv2d, Fold, GlobalAvgPool, Grads, Layer, LeakyRelu, Linear, MlpStack, ParamRef, Params,
-    ResBlock,
+    Conv2d, Fold, GlobalAvgPool, Grads, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
 };
 pub use loss::{softmax_regression, two_class};
 pub use optim::{Adam, Optimizer, Sgd, StepDecay};

@@ -6,7 +6,6 @@
 
 use crate::layers::{Grads, Params};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A first-order optimizer over a [`Params`] implementor's parameters.
 pub trait Optimizer {
@@ -22,7 +21,7 @@ pub trait Optimizer {
 }
 
 /// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -77,7 +76,7 @@ impl Optimizer for Sgd {
 }
 
 /// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -150,7 +149,7 @@ impl Optimizer for Adam {
 
 /// Step learning-rate decay: `lr(epoch) = initial * factor^(epoch / every)`
 /// (paper: initial 0.001, factor 0.6, every 20 epochs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepDecay {
     /// Initial rate.
     pub initial: f32,

@@ -36,11 +36,10 @@
 //! served wherever its fingerprint matches. A kernel change that moves a bit
 //! is a change to every stored model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major `f32` tensor.
-#[derive(Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -83,11 +82,6 @@ impl Tensor {
             shape: shape.to_vec(),
             data,
         }
-    }
-
-    /// A 1-element tensor.
-    pub fn scalar(v: f32) -> Tensor {
-        Tensor::from_vec(&[1], vec![v])
     }
 
     /// Tensor shape.
@@ -134,27 +128,10 @@ impl Tensor {
     }
 
     /// Element-wise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    #[cfg(test)]
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in &mut self.data {
             *x = f(*x);
-        }
-    }
-
-    /// Element-wise combination of two equal-shaped tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
         }
     }
 
@@ -175,7 +152,8 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+    #[cfg(test)]
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
@@ -342,34 +320,6 @@ impl Tensor {
         }
     }
 
-    /// Extracts row `r` of a 2-D tensor as a `[1, cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn row(&self, r: usize) -> Tensor {
-        let (rows, cols) = self.dims2();
-        assert!(r < rows, "row out of range");
-        Tensor::from_vec(&[1, cols], self.data[r * cols..(r + 1) * cols].to_vec())
-    }
-
-    /// Stacks `[1, cols]` tensors into `[n, cols]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ or the list is empty.
-    pub fn stack_rows(parts: &[Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "stack of nothing");
-        let cols = parts[0].dims2().1;
-        let mut data = Vec::with_capacity(parts.len() * cols);
-        for p in parts {
-            assert_eq!(p.dims2().1, cols, "stack width mismatch");
-            assert_eq!(p.dims2().0, 1, "stack expects single rows");
-            data.extend_from_slice(&p.data);
-        }
-        Tensor::from_vec(&[parts.len(), cols], data)
-    }
-
     /// Interprets the tensor as 2-D.
     ///
     /// # Panics
@@ -390,7 +340,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics unless the rank is exactly 4.
-    pub fn dims4(&self) -> (usize, usize, usize, usize) {
+    pub(crate) fn dims4(&self) -> (usize, usize, usize, usize) {
         assert_eq!(
             self.shape.len(),
             4,
@@ -1102,15 +1052,6 @@ mod tests {
         let parts = c.split_cols(&[2, 3]);
         assert_eq!(parts[0], a);
         assert_eq!(parts[1], b);
-    }
-
-    #[test]
-    fn rows_and_stacking() {
-        let a = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        let r0 = a.row(0);
-        let r1 = a.row(1);
-        let back = Tensor::stack_rows(&[r0, r1]);
-        assert_eq!(back, a);
     }
 
     #[test]

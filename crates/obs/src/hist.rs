@@ -20,14 +20,14 @@ pub const LINEAR_BUCKETS: u64 = 16;
 pub const SUB_BUCKET_BITS: u32 = 4;
 
 /// Sub-buckets per power of two (`2^SUB_BUCKET_BITS`).
-pub const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
+pub(crate) const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 
 /// First exponent of the logarithmic range (`LINEAR_BUCKETS == 2^4`).
 const FIRST_EXP: u32 = 4;
 
 /// Total bucket count: 16 exact buckets plus 16 sub-buckets for each of the
 /// 60 exponents `4..=63`.
-pub const NUM_BUCKETS: usize =
+pub(crate) const NUM_BUCKETS: usize =
     LINEAR_BUCKETS as usize + (64 - FIRST_EXP as usize) * SUB_BUCKETS as usize;
 
 /// Worst-case relative error of [`HistogramSnapshot::percentile`]: half a
@@ -36,7 +36,7 @@ pub const NUM_BUCKETS: usize =
 pub const MAX_RELATIVE_ERROR: f64 = 1.0 / (2.0 * SUB_BUCKETS as f64);
 
 /// The bucket index of `value`.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value < LINEAR_BUCKETS {
         return value as usize;
     }
@@ -46,7 +46,7 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// The smallest value that lands in bucket `index`.
-pub fn bucket_lower(index: usize) -> u64 {
+pub(crate) fn bucket_lower(index: usize) -> u64 {
     if index < LINEAR_BUCKETS as usize {
         return index as u64;
     }
@@ -57,7 +57,7 @@ pub fn bucket_lower(index: usize) -> u64 {
 }
 
 /// The exclusive upper bound of bucket `index` (`u64::MAX` for the last).
-pub fn bucket_upper(index: usize) -> u64 {
+pub(crate) fn bucket_upper(index: usize) -> u64 {
     if index + 1 >= NUM_BUCKETS {
         u64::MAX
     } else {
@@ -67,7 +67,7 @@ pub fn bucket_upper(index: usize) -> u64 {
 
 /// The value a bucket reports for every sample it holds: exact in the linear
 /// range, the bucket midpoint in the logarithmic range.
-pub fn bucket_value(index: usize) -> u64 {
+pub(crate) fn bucket_value(index: usize) -> u64 {
     let lower = bucket_lower(index);
     if index < LINEAR_BUCKETS as usize {
         return lower;
@@ -146,7 +146,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// A snapshot with no samples.
-    pub fn empty() -> HistogramSnapshot {
+    pub(crate) fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; NUM_BUCKETS],
             count: 0,
@@ -160,7 +160,7 @@ impl HistogramSnapshot {
     }
 
     /// Sum of all recorded samples (exact, not bucketed).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -206,7 +206,7 @@ impl HistogramSnapshot {
 
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs, the
     /// shape Prometheus histogram exposition wants.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cumulative = 0u64;
         for (index, &n) in self.buckets.iter().enumerate() {

@@ -71,7 +71,7 @@ impl Recorder {
     }
 
     /// Records one event; drops it (counted) when the buffer is full.
-    pub fn push(&self, event: TraceEvent) {
+    pub(crate) fn push(&self, event: TraceEvent) {
         let index = self.head.fetch_add(1, Ordering::Relaxed);
         match self.slots.get(index) {
             Some(slot) => {
@@ -281,7 +281,7 @@ pub struct SpanRow {
 
 impl SpanRow {
     /// Mean duration of one span in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         self.total_ms / self.count as f64
     }
 }

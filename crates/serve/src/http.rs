@@ -16,9 +16,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Largest accepted request body. Model blobs are a few MB of JSON; this is
-/// generous headroom, not a promise — anything larger answers `413`.
-pub const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
+/// Largest accepted request body. A model blob (`PUT /models`) is the
+/// largest body the API takes: 1.5 MB for a vector-only model, 4.5 MB for
+/// an image model at the blob format's channel cap. A larger declared
+/// length is refused before any of its bytes are read, and the request
+/// answered `400`.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// Largest accepted request head (request line + headers). Anything a
 /// legitimate client of this API sends fits in a fraction of this; an
@@ -45,7 +48,7 @@ pub struct Request {
 
 impl Request {
     /// The body as UTF-8, or `None` when it is not valid UTF-8.
-    pub fn body_str(&self) -> Option<&str> {
+    pub(crate) fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
     }
 }
@@ -63,7 +66,7 @@ pub struct Response {
 
 impl Response {
     /// A binary response.
-    pub fn bytes(status: u16, body: Vec<u8>) -> Response {
+    pub(crate) fn bytes(status: u16, body: Vec<u8>) -> Response {
         Response {
             status,
             content_type: "application/octet-stream",
@@ -81,7 +84,7 @@ impl Response {
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> Response {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "text/plain",
@@ -90,7 +93,7 @@ impl Response {
     }
 
     /// A JSON error envelope: `{"error": "..."}`.
-    pub fn error(status: u16, message: impl Into<String>) -> Response {
+    pub(crate) fn error(status: u16, message: impl Into<String>) -> Response {
         let value = serde::Value::Object(vec![(
             "error".to_string(),
             serde::Value::Str(message.into()),
@@ -212,7 +215,7 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
 /// # Errors
 ///
 /// Returns the underlying I/O error (the peer may simply have hung up).
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+pub(crate) fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
@@ -226,7 +229,7 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::R
 }
 
 /// Best-effort human-readable payload of a caught panic.
-pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     panic
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -235,7 +238,7 @@ pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// The request handler a [`Server`] dispatches to.
-pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
+pub(crate) type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
 /// A running HTTP server: an accept thread feeding a worker threadpool.
 pub struct Server {
@@ -446,6 +449,26 @@ mod tests {
         let mut out = String::new();
         s.read_to_string(&mut out).expect("read");
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+    }
+
+    /// The largest model a blob holds, an image model with a two-class
+    /// head at the blob format's channel cap, fits the body bound.
+    #[test]
+    fn the_largest_model_blob_fits_the_body_bound() {
+        use deepsplit_core::model::{AttackModel, LossKind, ModelKind};
+        use deepsplit_core::store::conformance;
+        use deepsplit_core::train::{TrainedAttack, MAX_IMAGE_CHANNELS};
+        let largest = TrainedAttack {
+            model: AttackModel::new(ModelKind::VecImg, LossKind::TwoClass, MAX_IMAGE_CHANNELS, 0),
+            ..conformance::model(0)
+        };
+        let blob = largest.to_blob();
+        assert_eq!(TrainedAttack::check_blob(&blob), Ok(()));
+        assert!(
+            blob.len() <= MAX_BODY_BYTES,
+            "a {}-byte blob exceeds the {MAX_BODY_BYTES}-byte body bound",
+            blob.len()
+        );
     }
 
     #[test]

@@ -27,6 +27,12 @@
 //! training run), and a `/metrics` endpoint ([`metrics`]) surfacing store
 //! and cache counters, coalescing stats and latency percentiles.
 //!
+//! `POST /attack` can also pass a query-stream adversary detector
+//! ([`detect`]), off by default. The red-team traffic it is judged against
+//! (live request shapes, offline streams and the `BENCH_detect.json` ROC)
+//! is not part of the server: it lives beside the load generator that
+//! sends it, in `deepsplit_bench::redteam`.
+//!
 //! ```no_run
 //! use deepsplit_core::store::DiskModelStore;
 //! use deepsplit_serve::{start, ServeConfig};

@@ -97,7 +97,7 @@ impl<V> Lru<V> {
     /// an invalidation in between (a concurrent `PUT /models` overwrite)
     /// makes the insert a no-op, so a deserialization of the replaced blob
     /// can never outlive it in this cache.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         lock_or_recover(&self.state).generation
     }
 
@@ -109,7 +109,12 @@ impl<V> Lru<V> {
 
     /// [`Lru::put`] that is dropped when the generation moved past
     /// `observed` (see [`Lru::generation`]). `None` always inserts.
-    pub fn put_if_fresh(&self, key: CorpusFingerprint, model: Arc<V>, observed: Option<u64>) {
+    pub(crate) fn put_if_fresh(
+        &self,
+        key: CorpusFingerprint,
+        model: Arc<V>,
+        observed: Option<u64>,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -132,7 +137,7 @@ impl<V> Lru<V> {
     /// Drops the entry under `key` (if any) and advances the generation —
     /// used when a `PUT /models` overwrites a blob so a cached (or
     /// concurrently in-flight) deserialization cannot go stale.
-    pub fn invalidate(&self, key: &CorpusFingerprint) {
+    pub(crate) fn invalidate(&self, key: &CorpusFingerprint) {
         let mut state = lock_or_recover(&self.state);
         state.generation += 1;
         if let Some(i) = state.entries.iter().position(|(k, _)| k == key) {
@@ -141,7 +146,7 @@ impl<V> Lru<V> {
     }
 
     /// Current usage counters.
-    pub fn counters(&self) -> LruCounters {
+    pub(crate) fn counters(&self) -> LruCounters {
         LruCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -4,7 +4,7 @@
 //!
 //! Everything bumped on the request path is an atomic: counters are
 //! `AtomicUsize`, latencies go into one log-bucketed [`Histogram`] per
-//! [`Endpoint`] class (`fetch_add`-only recording, ~3 % percentile error).
+//! `Endpoint` class (`fetch_add`-only recording, ~3 % percentile error).
 //! There is no lock anywhere on the hot path. Percentiles are computed at
 //! snapshot time from bucket counts, so recording never sorts anything.
 //!
@@ -176,7 +176,7 @@ impl Metrics {
     /// A `404` on a model *load* is a cache miss — a completely normal
     /// store operation, already visible in [`StoreCounters::misses`] — so
     /// it does not count as an error; everything else at 4xx/5xx does.
-    pub fn record_request(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
+    pub(crate) fn record_request(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
         let per_endpoint = match endpoint {
             Endpoint::ModelGet => Some(&self.model_gets),
@@ -197,19 +197,19 @@ impl Metrics {
 
     /// Records an `/attack` request that waited for another request's model
     /// resolution instead of starting its own.
-    pub fn record_coalesced(&self) {
+    pub(crate) fn record_coalesced(&self) {
         self.attacks_coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a model this server had to train itself.
-    pub fn record_training(&self, epochs: usize) {
+    pub(crate) fn record_training(&self, epochs: usize) {
         self.models_trained.fetch_add(1, Ordering::Relaxed);
         self.epochs_trained.fetch_add(epochs, Ordering::Relaxed);
     }
 
     /// A coherent snapshot, folding in the store, cache and detection
     /// counters.
-    pub fn snapshot(
+    pub(crate) fn snapshot(
         &self,
         store: StoreCounters,
         caches: CacheCounters,
@@ -252,7 +252,7 @@ impl Metrics {
     /// the per-endpoint latency histograms (seconds, per convention) and the
     /// detection surface (verdict counters, countermeasure counters, and a
     /// per-flagged-client score gauge with escaped label values).
-    pub fn prometheus(
+    pub(crate) fn prometheus(
         &self,
         store: StoreCounters,
         caches: CacheCounters,
@@ -433,7 +433,7 @@ impl Metrics {
 
 /// Which endpoint class a request hit, for per-endpoint counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
+pub(crate) enum Endpoint {
     /// `GET /models/{fingerprint}`.
     ModelGet,
     /// `PUT /models/{fingerprint}`.
@@ -444,31 +444,9 @@ pub enum Endpoint {
     Other,
 }
 
-/// The `q`-quantile of pre-sorted microsecond samples, in milliseconds
-/// (nearest-rank; `0.0` on an empty set). Exact — the loadgen client uses
-/// this for its own sample sets, against which the server's bucketed
-/// percentiles can be sanity-checked.
-pub fn percentile_ms(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us.get(rank - 1).copied().unwrap_or(0) as f64 / 1000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let us: Vec<u64> = (1..=100).map(|i| i * 1000).collect();
-        assert_eq!(percentile_ms(&us, 0.50), 50.0);
-        assert_eq!(percentile_ms(&us, 0.99), 99.0);
-        assert_eq!(percentile_ms(&us, 1.0), 100.0);
-        assert_eq!(percentile_ms(&[], 0.5), 0.0);
-        assert_eq!(percentile_ms(&[7000], 0.99), 7.0);
-    }
 
     #[test]
     fn snapshot_reflects_recorded_requests() {

@@ -26,6 +26,12 @@
 //! attack it reports, and the detector's deceived rankings are salted per
 //! client.
 //!
+//! What one request can make the server do is bounded before it is paid
+//! for: an `/attack` body over [`MAX_ATTACK_BODY_BYTES`] answers `413`
+//! before it is parsed, `AttackRequest::validate` bounds every knob that
+//! sets training or inference cost, and each request trains, prepares and
+//! infers on one thread.
+//!
 //! When the query-stream adversary detector is enabled
 //! ([`ServeConfig::detect`]), every `/attack` arrival is admitted through it
 //! first: flagged clients are answered `429` or served deceptively re-noised
@@ -38,20 +44,16 @@ use crate::lru::{Lru, ModelLru};
 use crate::metrics::{CacheCounters, Endpoint, Metrics, MetricsSnapshot};
 use crate::window::hash_str;
 use deepsplit_core::attack::attack_ranked;
-use deepsplit_core::config::AttackConfig;
-use deepsplit_core::dataset::PreparedDesign;
 use deepsplit_core::fingerprint::{CorpusFingerprint, StableHasher};
 use deepsplit_core::store::ModelStore;
 use deepsplit_core::sync::lock_or_recover;
 use deepsplit_core::train::{train_or_load, TrainedAttack};
-use deepsplit_defense::eval::{defended_corpus, EvalBase, EvalConfig};
+use deepsplit_defense::eval::{defended_corpus, EvalBase, EvalConfig, Victim};
 use deepsplit_defense::service::{
     canonical_train_eval, expected_ccr, rankings_of, AttackRequest, AttackResponse,
 };
 use deepsplit_flow::attack::network_flow_attack;
 use deepsplit_flow::metrics::ccr;
-use deepsplit_flow::proximity::proximity_attack;
-use deepsplit_layout::design::Design;
 use deepsplit_netlist::benchmarks::Benchmark;
 use deepsplit_obs as obs;
 use std::cell::OnceCell;
@@ -68,12 +70,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Deserialized-model LRU capacity (`0` disables it).
     pub lru_capacity: usize,
-    /// Threads each `/attack` request may spend training a model it
-    /// resolves cold, preparing the victim and on inference, whatever the
-    /// request's `attack.threads` says. All three are thread-count
-    /// invariant, so this is purely a scheduling choice; `1` keeps
-    /// concurrent requests from oversubscribing the worker pool.
-    pub inference_threads: usize,
     /// Query-stream adversary detection (disabled by default).
     pub detect: crate::detect::DetectConfig,
 }
@@ -84,16 +80,28 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8077".to_string(),
             threads: 4,
             lru_capacity: 16,
-            inference_threads: 1,
             detect: crate::detect::DetectConfig::default(),
         }
     }
 }
 
+/// Threads each `/attack` request spends training a model it resolves cold,
+/// preparing its victim and on inference, whatever the request's
+/// `attack.threads` says. All three give the same bits at every thread
+/// count; one keeps concurrent requests from oversubscribing the workers.
+const INFERENCE_THREADS: usize = 1;
+
+/// Largest `POST /attack` body the server parses. The JSON parser builds a
+/// value tree many times the size of its text before a field is read, so
+/// the bound is checked first; a legitimate spec is a few kB (a compact
+/// `AttackRequest::fast` is under 1 kB, and one naming 16 corpus
+/// benchmarks and 3 image scales, pretty-printed, about 2 kB).
+pub const MAX_ATTACK_BODY_BYTES: usize = 64 * 1024;
+
 /// Evaluation protocols whose implemented layouts the server keeps: each
 /// distinct `(benchmark, scale, seeds, implement, train_benchmarks)` a
 /// client sends holds a victim and its corpus layouts until evicted.
-pub const BASE_CACHE_CAPACITY: usize = 4;
+pub(crate) const BASE_CACHE_CAPACITY: usize = 4;
 
 /// Victim specs whose defended, prepared design the server keeps: each
 /// distinct layout protocol, split layer, defense and attack feature config
@@ -155,43 +163,6 @@ struct ResolvedModel {
     epochs: usize,
 }
 
-/// What a `/attack` answer needs from its victim spec alone: the victim
-/// defended exactly as a matrix cell defends it, split and prepared, plus
-/// the two numbers that read nothing else. No model enters it, so a request
-/// that finds it still runs inference.
-struct Victim {
-    /// The defended layout; the network-flow baseline reads its netlist.
-    design: Design,
-    /// Fragments, candidate sets and features of the split victim.
-    prepared: PreparedDesign,
-    /// CCR of the naïve proximity attack.
-    proximity_ccr: f64,
-    /// Broken sink pins over every sink fragment (`expected_ccr`'s total).
-    total_sink_pins: usize,
-}
-
-impl Victim {
-    /// Defends and prepares `base`'s victim for `spec` on `threads`; the
-    /// prepared design is the same at every thread count.
-    fn build(base: &EvalBase, spec: &AttackRequest, threads: usize) -> Victim {
-        let layer = spec.layer();
-        let defended =
-            deepsplit_defense::apply(&base.victim, &spec.eval.implement, layer, &spec.defense);
-        let config = AttackConfig {
-            threads,
-            ..spec.eval.attack.clone()
-        };
-        let prepared = PreparedDesign::prepare(&defended.design, layer, &config);
-        let view = &prepared.view;
-        Victim {
-            proximity_ccr: ccr(view, &proximity_attack(view)),
-            total_sink_pins: view.total_broken_sinks(),
-            design: defended.design,
-            prepared,
-        }
-    }
-}
-
 /// The shared state behind every worker thread.
 pub struct AttackServer {
     store: Arc<dyn ModelStore + Send + Sync>,
@@ -202,14 +173,13 @@ pub struct AttackServer {
     /// route dominates the cost of a victim or a model built cold. Fetched
     /// only when one is; the last [`BASE_CACHE_CAPACITY`] protocols.
     bases: Lru<EvalBase>,
-    /// The defended, prepared victim per spec, keyed by [`victim_key`]:
+    /// The defended, prepared [`Victim`] per spec, keyed by [`victim_key`]:
     /// repeat queries against one victim are the expected traffic shape,
     /// and without it defend → split → prepare is half a warm request. The
     /// last [`VICTIM_CACHE_CAPACITY`] specs. Responses are not memoized:
     /// each request still resolves its model, runs inference and passes
     /// the detector.
     victims: Lru<Victim>,
-    inference_threads: usize,
     detect: Detector,
     /// Monotonic origin of the detector's tick axis.
     started: Instant,
@@ -225,7 +195,6 @@ impl AttackServer {
             inflight: Inflight::default(),
             bases: Lru::new(BASE_CACHE_CAPACITY),
             victims: Lru::new(VICTIM_CACHE_CAPACITY),
-            inference_threads: config.inference_threads.max(1),
             detect: Detector::new(config.detect.clone()),
             started: Instant::now(),
         }
@@ -246,11 +215,6 @@ impl AttackServer {
             victims: self.victims.counters(),
             layouts: self.bases.counters(),
         }
-    }
-
-    /// The query-stream adversary detector (for assertions and reporting).
-    pub fn detector(&self) -> &Detector {
-        &self.detect
     }
 
     /// Routes one request. Panics inside a route (a broken store disk, a
@@ -350,7 +314,7 @@ impl AttackServer {
     fn handle_attack(&self, req: &Request) -> Response {
         let (spec, victim_bench) = match parse_attack(req) {
             Ok(parsed) => parsed,
-            Err(problem) => return Response::error(400, problem),
+            Err(refusal) => return refusal,
         };
         // Admit through the detector before paying for evaluation. A
         // rate-limited arrival still feeds the client's window (churn and
@@ -420,19 +384,15 @@ impl AttackServer {
                 &resolved.model,
                 &victim.prepared,
                 spec.top_k,
-                self.inference_threads,
+                INFERENCE_THREADS,
             )
         };
         let dl_ccr = ccr(view, &ranked.assignment());
         let rankings = rankings_of(&ranked, view);
-        let flow = spec.include_flow.then(|| {
-            network_flow_attack(
-                view,
-                &victim.design.netlist,
-                &victim.design.library,
-                &spec.eval.flow,
-            )
-        });
+        let design = &victim.defended.design;
+        let flow = spec
+            .include_flow
+            .then(|| network_flow_attack(view, &design.netlist, &design.library, &spec.eval.flow));
 
         AttackResponse {
             benchmark: spec.benchmark.clone(),
@@ -441,7 +401,7 @@ impl AttackServer {
             model_cached: resolved.cached,
             trained_epochs: resolved.epochs,
             dl_ccr,
-            expected_ccr: expected_ccr(&rankings, victim.total_sink_pins),
+            expected_ccr: expected_ccr(&rankings, view.total_broken_sinks()),
             chance_ccr: 1.0 / view.num_source_fragments().max(1) as f64,
             proximity_ccr: victim.proximity_ccr,
             flow,
@@ -464,7 +424,13 @@ impl AttackServer {
         }
         // Built outside the lock, as the layouts are: a racing duplicate
         // build is wasted work, not a wrong answer.
-        let built = Arc::new(Victim::build(base(), spec, self.inference_threads));
+        let built = Arc::new(Victim::build(
+            base(),
+            spec.layer(),
+            &spec.defense,
+            &spec.eval,
+            INFERENCE_THREADS,
+        ));
         self.victims.put(key, Arc::clone(&built));
         built
     }
@@ -501,7 +467,7 @@ impl AttackServer {
                     &fp,
                     self.store.as_ref(),
                     &train_eval.attack,
-                    self.inference_threads,
+                    INFERENCE_THREADS,
                     || defended_corpus(base(), layer, &spec.defense, &train_eval),
                 );
                 let trained_here = report.is_some();
@@ -543,22 +509,36 @@ impl AttackServer {
     }
 }
 
-/// Reads one `/attack` body: UTF-8, JSON, then [`AttackRequest::validate`].
+/// Reads one `/attack` body: its length, UTF-8, JSON, then
+/// [`AttackRequest::validate`].
 ///
 /// # Errors
 ///
-/// Returns the 400 message of the first problem found.
-fn parse_attack(req: &Request) -> Result<(AttackRequest, Benchmark), String> {
+/// Returns the answer to the first problem found: `413` for a body over
+/// [`MAX_ATTACK_BODY_BYTES`], `400` for any other.
+fn parse_attack(req: &Request) -> Result<(AttackRequest, Benchmark), Response> {
     let _span = obs::span("serve.parse");
-    let json = req.body_str().ok_or("attack request is not UTF-8")?;
+    if req.body.len() > MAX_ATTACK_BODY_BYTES {
+        return Err(Response::error(
+            413,
+            format!(
+                "attack request of {} bytes exceeds the {MAX_ATTACK_BODY_BYTES}-byte limit",
+                req.body.len()
+            ),
+        ));
+    }
+    let bad = |problem: String| Response::error(400, problem);
+    let json = req
+        .body_str()
+        .ok_or_else(|| bad("attack request is not UTF-8".to_string()))?;
     let spec: AttackRequest =
-        serde_json::from_str(json).map_err(|e| format!("unparsable attack request: {e}"))?;
-    spec.validate()?;
+        serde_json::from_str(json).map_err(|e| bad(format!("unparsable attack request: {e}")))?;
+    spec.validate().map_err(bad)?;
     // `validate` guarantees the benchmark resolves, but the request path
     // never banks on that with a panic.
     let victim = spec
         .victim()
-        .ok_or_else(|| format!("unknown benchmark `{}`", spec.benchmark))?;
+        .ok_or_else(|| bad(format!("unknown benchmark `{}`", spec.benchmark)))?;
     Ok((spec, victim))
 }
 

@@ -32,7 +32,6 @@ fn warm_request_threads_do_not_size_server_work() {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        inference_threads: 1,
         ..ServeConfig::default()
     };
     let server = start(&config, Arc::new(MemoryModelStore::new())).expect("bind ephemeral port");

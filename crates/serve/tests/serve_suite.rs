@@ -13,6 +13,7 @@ use deepsplit_core::store::{
 use deepsplit_defense::eval::EvalConfig;
 use deepsplit_defense::service::{AttackRequest, AttackResponse};
 use deepsplit_netlist::benchmarks::Benchmark;
+use deepsplit_serve::server::MAX_ATTACK_BODY_BYTES;
 use deepsplit_serve::{start, MetricsSnapshot, RunningServer, ServeConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,7 +31,6 @@ fn server_over(store: Arc<dyn ModelStore + Send + Sync>) -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 3,
         lru_capacity: 4,
-        inference_threads: 1,
         ..ServeConfig::default()
     };
     start(&config, store).expect("bind ephemeral port")
@@ -143,7 +143,7 @@ fn write_through_cache_answers_without_the_server() {
     let back = store
         .load(&conformance::key(5))
         .expect("local write-through copy must satisfy the load");
-    assert_eq!(conformance::encoding(&back), conformance::encoding(&saved));
+    assert!(back.to_blob() == saved.to_blob());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -528,9 +528,10 @@ fn malformed_requests_answer_400_and_the_worker_survives() {
 #[test]
 fn deeply_nested_json_answers_400_not_a_dead_server() {
     let server = test_server();
-    // Each `[` is one level of the parser's recursion: unbounded, 300 000
-    // of them overflow a worker's stack and abort the whole process.
-    let body = "[".repeat(300_000);
+    // Each `[` is one level of the parser's recursion: unbounded, a body
+    // of them as large as the server parses overflows a worker's stack and
+    // aborts the whole process.
+    let body = "[".repeat(MAX_ATTACK_BODY_BYTES);
     let url = format!("{}/attack", server.url());
     let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST nested body");
     assert_eq!(r.status, 400, "{:?}", r.body_str());

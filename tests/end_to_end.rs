@@ -110,8 +110,8 @@ fn trained_model_serialises_and_attacks_identically() {
     let victim = PreparedDesign::prepare(&victim_design, Layer(3), &config);
     let a = attack::attack(&trained, &victim).assignment;
 
-    let json = trained.to_json().expect("serialise");
-    let restored = deepsplit::core::TrainedAttack::from_json(&json).expect("restore");
+    let blob = trained.to_blob();
+    let restored = deepsplit::core::TrainedAttack::from_blob(&blob).expect("restore");
     let b = attack::attack(&restored, &victim).assignment;
     assert_eq!(a, b, "restored model must reproduce the attack exactly");
 }
