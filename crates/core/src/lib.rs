@@ -90,6 +90,6 @@ pub use fingerprint::{CorpusFingerprint, StableHasher};
 pub use model::{AttackModel, LossKind, ModelKind};
 pub use recover::{functional_recovery, reconstruct};
 pub use store::{DiskModelStore, MemoryModelStore, ModelStore, RemoteModelStore, StoreCounters};
-pub use sync::{lock_or_recover, read_or_recover, write_or_recover};
+pub use sync::lock_or_recover;
 pub use train::{train, train_or_load, train_with_threads, BlobError, TrainReport, TrainedAttack};
 pub use vector_features::{Normalizer, VECTOR_DIM};

@@ -8,27 +8,17 @@
 //! section either completes or leaves the map/deque merely stale), so
 //! recovering the guard is strictly better than wedging the service.
 
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 pub fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Read-locks `rwlock`, recovering the guard if a writer panicked.
-pub fn read_or_recover<T>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    rwlock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks `rwlock`, recovering the guard if a previous holder panicked.
-pub fn write_or_recover<T>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    rwlock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, RwLock};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn mutex_recovers_after_a_panicked_holder() {
@@ -45,20 +35,5 @@ mod tests {
         *guard = 8;
         drop(guard);
         assert_eq!(*lock_or_recover(&m), 8);
-    }
-
-    #[test]
-    fn rwlock_recovers_after_a_panicked_writer() {
-        let l = Arc::new(RwLock::new(1u32));
-        let l2 = Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _guard = l2.write().expect("first write lock");
-            panic!("poison it");
-        })
-        .join();
-        assert!(l.read().is_err(), "rwlock is poisoned");
-        assert_eq!(*read_or_recover(&l), 1);
-        *write_or_recover(&l) = 2;
-        assert_eq!(*read_or_recover(&l), 2);
     }
 }

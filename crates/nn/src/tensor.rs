@@ -9,8 +9,9 @@
 //! # Accumulation contract
 //!
 //! All three matrix products run one register-blocked kernel, compiled
-//! twice: for the baseline instruction set and for AVX2, picked per call by
-//! runtime CPU detection. Both builds compute every output the same way:
+//! three times: for the baseline instruction set, for AVX2 and for
+//! AVX-512F, picked per call by runtime CPU detection, AVX-512F first. Every
+//! build computes every output the same way:
 //!
 //! * it starts at `+0.0`;
 //! * it adds `a * b` over the inner index in ascending order, rounding the
@@ -18,17 +19,28 @@
 //! * the blocking groups rows and columns of the output, never the inner
 //!   index, so no sum is split or reassociated.
 //!
-//! The two builds are one source; the AVX2 one only lets the compiler use
-//! wider vectors. Rust never fuses a multiply and an add into an FMA, whatever
-//! CPU features a build enables.
+//! The blocking is one source for the three builds; only the register tile
+//! differs. The baseline and AVX2 builds sum it in loops over arrays that
+//! the compiler vectorizes, and Rust never fuses a multiply and an add into
+//! an FMA, whatever CPU features a build enables. The AVX-512 build holds
+//! each 16-column row of a tile in one 512-bit register and updates it with
+//! `_mm512_mul_ps`, then `_mm512_add_ps`, inner index after inner index in
+//! ascending order: the same two roundings in the same order. Left to the
+//! compiler, AVX-512 code generation vectorizes those loops across the
+//! tile's rows with gathers and scatters: the same bits, over ten times
+//! slower. A build that enables AVX-512F at compile time (`-C
+//! target-cpu=native` on such a CPU) runs the AVX-512 build too.
 //!
 //! [`Tensor::fold_t_matmul`] adds a weight gradient `Σ_s x[s]ᵀ · g[s]` over
 //! row segments `s` (one per query) into a buffer, on the same kernel. Each
-//! segment's sum follows the rules above, over that segment's rows only,
-//! and is then added into the buffer; segments are added in order. That is
-//! `gw.add_assign(&x[s].t_matmul(&g[s]))` for each segment in turn, so a
-//! batch's gradient is the same bits whether its queries run one by one or
-//! stacked.
+//! segment's sum `S_s` follows the rules above, over that segment's rows
+//! only, and is then added into the buffer; segments are added in order.
+//! That is `gw.add_assign(&x[s].t_matmul(&g[s]))` for each segment in turn,
+//! so a batch's gradient is the same bits whether its queries run one by
+//! one or stacked. The kernel keeps each output tile's running sum in
+//! registers across the segments: it loads the tile of `gw` once, adds
+//! `S_0`, `S_1`, … to it in segment order and stores it once, which is
+//! `((gw + S_0) + S_1) + …`, the same additions in the same order.
 //!
 //! The outputs are therefore the same bits on every x86-64 CPU and at every
 //! optimisation level. Trained weights inherit that, and they must: the
@@ -230,8 +242,8 @@ impl Tensor {
     /// `self` is `[m, n]`. Each segment's product is summed from `+0.0` over
     /// its rows in ascending order and then added into `self`, segment
     /// after segment: the same bits as `self.add_assign(&x[s].t_matmul(&g[s]))`
-    /// for each segment in turn, with nothing copied. `scratch` only needs
-    /// room for the longest segment, whatever the rows add up to.
+    /// for each segment in turn, with nothing copied but one 16-column
+    /// block of `g` at a time into `scratch`.
     ///
     /// # Panics
     ///
@@ -507,19 +519,35 @@ type Panel = Vec<[f32; NR]>;
 /// this CPU runs.
 fn gemm(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
     #[cfg(target_arch = "x86_64")]
-    if gemm_avx2(g, out, panel) {
+    if gemm_avx512(g, out, panel) || gemm_avx2(g, out, panel) {
         return;
     }
     gemm_portable(g, out, panel);
 }
 
-/// The kernel built for AVX2. Returns `false`, leaving `out` untouched, when
-/// the CPU lacks AVX2.
+/// The kernel built for AVX-512F, with [`Avx512`] tiles. Returns `false`,
+/// leaving `out` untouched, when the CPU lacks AVX-512F.
+#[cfg(target_arch = "x86_64")]
+fn gemm_avx512(g: &Gemm, out: &mut [f32], panel: &mut Panel) -> bool {
+    #[target_feature(enable = "avx512f")]
+    fn build(t: Avx512, g: &Gemm, out: &mut [f32], panel: &mut Panel) {
+        gemm_core(t, g, out, panel);
+    }
+    let Some(t) = Avx512::detect() else {
+        return false;
+    };
+    // SAFETY: `build` needs nothing but AVX-512F, and `detect` found it.
+    unsafe { build(t, g, out, panel) };
+    true
+}
+
+/// The kernel built for AVX2, with [`Loops`] tiles. Returns `false`, leaving
+/// `out` untouched, when the CPU lacks AVX2.
 #[cfg(target_arch = "x86_64")]
 fn gemm_avx2(g: &Gemm, out: &mut [f32], panel: &mut Panel) -> bool {
     #[target_feature(enable = "avx2")]
     fn build(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
-        gemm_core(g, out, panel);
+        gemm_core(Loops, g, out, panel);
     }
     if !std::is_x86_feature_detected!("avx2") {
         return false;
@@ -529,90 +557,236 @@ fn gemm_avx2(g: &Gemm, out: &mut [f32], panel: &mut Panel) -> bool {
     true
 }
 
+/// The kernel built for the baseline instruction set, with [`Loops`] tiles.
+fn gemm_portable(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
+    gemm_core(Loops, g, out, panel);
+}
+
 /// Rows of the register tile when A is stored row-major: each row of the
 /// tile reads its own row of A.
 const MR: usize = 4;
 /// Rows of the register tile when A is stored transposed (`t_matmul` and
 /// the fold). A tile's values of one inner index are then adjacent in A,
 /// and a taller tile spreads each fold segment's fixed cost (the add into
-/// `out`, the loop exit) over more rows.
+/// the running sums, the loop exit) over more rows.
 const MR_T: usize = 6;
-/// Columns of the register tile: two AVX2 vectors.
+/// Columns of the register tile: two AVX2 vectors, or one AVX-512 vector.
 const NR: usize = 16;
 
-/// The kernel built for the baseline instruction set.
-fn gemm_portable(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
-    gemm_core(g, out, panel);
+/// How a kernel build sums one register tile: `R` rows of a block of `NR`
+/// output columns, over the inner indices a panel holds, each sum started
+/// at `+0.0` and taken by the module's accumulation contract.
+trait Tile: Copy {
+    /// The sums for A stored row-major, over every inner index: rows
+    /// `i..i + R` of A, each read along.
+    fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R];
+
+    /// The sums for A stored transposed, over the inner indices `first..`
+    /// that `panel` holds: the tile's `R` values of an inner index are
+    /// adjacent in A.
+    fn sum_t<const R: usize>(
+        self,
+        g: &Gemm,
+        i: usize,
+        first: usize,
+        panel: &[[f32; NR]],
+    ) -> [[f32; NR]; R];
+}
+
+/// Tiles as loops over arrays, which the compiler vectorizes for the build's
+/// instruction set: the portable and AVX2 builds.
+#[derive(Debug, Clone, Copy)]
+struct Loops;
+
+impl Tile for Loops {
+    #[inline(always)]
+    fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
+        let k = g.k;
+        assert_eq!(panel.len(), k, "one panel row per inner index");
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * k..][..k]);
+        let mut acc = [[0.0f32; NR]; R];
+        for p in 0..k {
+            let bp = &panel[p];
+            for r in 0..R {
+                let av = rows[r][p];
+                for c in 0..NR {
+                    acc[r][c] += av * bp[c];
+                }
+            }
+        }
+        acc
+    }
+
+    #[inline(always)]
+    fn sum_t<const R: usize>(
+        self,
+        g: &Gemm,
+        i: usize,
+        first: usize,
+        panel: &[[f32; NR]],
+    ) -> [[f32; NR]; R] {
+        let mut acc = [[0.0f32; NR]; R];
+        for (p, bp) in (first..).zip(panel) {
+            let a: &[f32; R] = g.a[p * g.m + i..].first_chunk().expect("R rows of A");
+            for r in 0..R {
+                for c in 0..NR {
+                    acc[r][c] += a[r] * bp[c];
+                }
+            }
+        }
+        acc
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use avx512::Avx512;
+
+/// The AVX-512 tiles, in a module of their own so that no code makes an
+/// [`Avx512`] but [`Avx512::detect`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Gemm, Tile, NR};
+    use std::arch::x86_64::*;
+
+    /// Tiles with each row in one AVX-512 register, updated as
+    /// `_mm512_add_ps(acc, _mm512_mul_ps(a, b))`: a separate multiply and
+    /// add, like the [`Loops`](super::Loops) tiles, so the same bits.
+    /// Written with intrinsics because the compiler vectorizes those loops
+    /// across the tile's rows for AVX-512, with a gather or scatter per step.
+    ///
+    /// A value exists only where [`Avx512::detect`] found AVX-512F.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Avx512(());
+
+    impl Avx512 {
+        /// The tiles, if this CPU has AVX-512F.
+        pub(super) fn detect() -> Option<Avx512> {
+            std::is_x86_feature_detected!("avx512f").then_some(Avx512(()))
+        }
+    }
+
+    impl Tile for Avx512 {
+        #[inline(always)]
+        fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
+            let k = g.k;
+            assert_eq!(panel.len(), k, "one panel row per inner index");
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * k..][..k]);
+            // SAFETY: `self` exists only where AVX-512F was detected (see
+            // `detect`), and each load or store moves one `[f32; NR]` row:
+            // 64 bytes.
+            unsafe {
+                let mut acc = [_mm512_setzero_ps(); R];
+                for (p, bp) in panel.iter().enumerate() {
+                    let b = _mm512_loadu_ps(bp.as_ptr());
+                    for r in 0..R {
+                        let a = _mm512_set1_ps(rows[r][p]);
+                        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(a, b));
+                    }
+                }
+                let mut sums = [[0.0f32; NR]; R];
+                for (row, v) in sums.iter_mut().zip(acc) {
+                    _mm512_storeu_ps(row.as_mut_ptr(), v);
+                }
+                sums
+            }
+        }
+
+        #[inline(always)]
+        fn sum_t<const R: usize>(
+            self,
+            g: &Gemm,
+            i: usize,
+            first: usize,
+            panel: &[[f32; NR]],
+        ) -> [[f32; NR]; R] {
+            // SAFETY: `self` exists only where AVX-512F was detected, and
+            // each load or store moves one `[f32; NR]` row: 64 bytes.
+            unsafe {
+                let mut acc = [_mm512_setzero_ps(); R];
+                for (p, bp) in (first..).zip(panel) {
+                    let a: &[f32; R] = g.a[p * g.m + i..].first_chunk().expect("R rows of A");
+                    let b = _mm512_loadu_ps(bp.as_ptr());
+                    for r in 0..R {
+                        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(a[r]), b));
+                    }
+                }
+                let mut sums = [[0.0f32; NR]; R];
+                for (row, v) in sums.iter_mut().zip(acc) {
+                    _mm512_storeu_ps(row.as_mut_ptr(), v);
+                }
+                sums
+            }
+        }
+    }
 }
 
 /// Register-blocked `out = A · B` (row-major `[m, n]`), or the fold `g`
-/// asks for, built for the baseline instruction set in [`gemm_portable`]
-/// and for AVX2 inside [`gemm_avx2`].
+/// asks for, with the tiles `t` of the build it is compiled into.
 ///
-/// `out` is computed in blocks of `NR` columns. A product copies each block
-/// of B into a row-major panel, transposed if B is stored transposed (a
-/// copy only moves values), then computes the block of `out` in tiles of
-/// `MR` rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the
-/// last rows; a tile is summed in registers over the whole inner dimension
-/// and stored. A fold copies the block's rows of one run of `segments` at a
-/// time, and adds each tile's sums over that run into `out`, run after
-/// run. Tiles never split a run, so every output is the module's ascending
-/// sum wherever its tile falls. The panel grows to the inner dimension, or
-/// to the longest run, and is kept.
+/// `out` is computed in blocks of `NR` columns. Each block of B is copied
+/// into a row-major panel, transposed if B is stored transposed (a copy
+/// only moves values), then the block of `out` is computed in tiles of `MR`
+/// rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the last
+/// rows. A product sums each tile in registers over the whole inner
+/// dimension and stores it. A fold loads each tile of `out` into registers
+/// once, adds the tile's sums over each run of `segments` to it, run after
+/// run, and stores it once. Tiles never split a run, so every output is the
+/// module's ascending sum wherever its tile falls. The panel grows to the
+/// inner dimension and is kept.
 #[inline(always)]
-fn gemm_core(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
+fn gemm_core<T: Tile>(t: T, g: &Gemm, out: &mut [f32], panel: &mut Panel) {
     let Gemm { m, k, n, .. } = *g;
     assert_eq!(g.a.len(), m * k, "gemm A size");
     assert_eq!(g.b.len(), k * n, "gemm B size");
     assert_eq!(out.len(), m * n, "gemm output size");
-    let longest = match g.fold {
-        None => k,
-        Some(segments) => segments.iter().copied().max().unwrap_or(0),
-    };
-    if panel.len() < longest {
-        panel.resize(longest, [0.0; NR]);
+    assert!(
+        g.fold.is_none() || (g.a_t && !g.b_t),
+        "a fold reads A transposed and B as stored"
+    );
+    if panel.len() < k {
+        panel.resize(k, [0.0; NR]);
     }
+    let panel = &mut panel[..k];
     for j in (0..n).step_by(NR) {
-        match g.fold {
-            None => {
-                copy_block(g, 0..k, j, panel);
-                if g.a_t {
-                    block_rows::<MR_T, false>(g, 0, j, &panel[..k], out);
-                } else {
-                    block_rows::<MR, false>(g, 0, j, &panel[..k], out);
-                }
-            }
-            Some(segments) => {
-                assert!(g.a_t && !g.b_t, "a fold reads A transposed and B as stored");
-                let mut first = 0;
-                for &len in segments {
-                    copy_block(g, first..first + len, j, panel);
-                    block_rows::<MR_T, true>(g, first, j, &panel[..len], out);
-                    first += len;
-                }
-            }
+        copy_block(g, j, panel);
+        if g.a_t {
+            block_rows::<T, MR_T>(t, g, j, panel, out);
+        } else {
+            block_rows::<T, MR>(t, g, j, panel, out);
         }
     }
 }
 
-/// Copies the inner indices `rows` of the block of B at column `j` into
-/// the first rows of `panel`. Columns a last, narrower block lacks keep
-/// stale values in the panel; their sums are dropped.
+/// Copies the block of B at column `j` into `panel`, one row per inner
+/// index. Columns a last, narrower block lacks keep stale values in the
+/// panel; their sums are dropped.
 #[inline(always)]
-fn copy_block(g: &Gemm, rows: std::ops::Range<usize>, j: usize, panel: &mut [[f32; NR]]) {
+fn copy_block(g: &Gemm, j: usize, panel: &mut [[f32; NR]]) {
     let (k, n) = (g.k, g.n);
     let cols = NR.min(n - j);
-    let panel = &mut panel[..rows.len()];
     if g.b_t {
-        // Rows `j..` of the stored `[n, k]` become the panel's columns.
+        // Rows `j..` of the stored `[n, k]` become the panel's columns, one
+        // value per step, four panel rows at a time. The opaque reference
+        // to each four rows keeps the compiler from vectorizing the loop
+        // into a scatter across panel rows, as AVX-512 code generation
+        // otherwise does. Four rows, not one, because a reference per row
+        // costs `matmul_t` a quarter of its speed at 12 rows.
         for c in 0..cols {
-            let column = &g.b[(j + c) * k..][rows.clone()];
-            for (dst, &v) in panel.iter_mut().zip(column) {
-                dst[c] = v;
+            let column = &g.b[(j + c) * k..][..k];
+            let mut rows = panel.chunks_exact_mut(4);
+            let mut values = column.chunks_exact(4);
+            for (dst, v) in (&mut rows).zip(&mut values) {
+                let dst = std::hint::black_box(dst);
+                for q in 0..4 {
+                    dst[q][c] = v[q];
+                }
+            }
+            for (dst, &v) in rows.into_remainder().iter_mut().zip(values.remainder()) {
+                std::hint::black_box(&mut *dst)[c] = v;
             }
         }
     } else {
-        let stored = g.b[rows.start * n..].chunks_exact(n);
+        let stored = g.b.chunks_exact(n);
         if cols == NR {
             // A fixed-size copy compiles to vector moves; one of a run-time
             // length calls `memcpy` per row.
@@ -627,113 +801,80 @@ fn copy_block(g: &Gemm, rows: std::ops::Range<usize>, j: usize, panel: &mut [[f3
     }
 }
 
-/// The block of `out` at column `j`, in tiles of `T` rows, then 4, 2 and 1
-/// for the last rows. `panel` holds the inner indices from `first` on.
+/// The block of `out` at column `j`, in tiles of `TR` rows, then 4, 2 and 1
+/// for the last rows.
 #[inline(always)]
-fn block_rows<const T: usize, const FOLD: bool>(
+fn block_rows<T: Tile, const TR: usize>(
+    t: T,
     g: &Gemm,
-    first: usize,
     j: usize,
     panel: &[[f32; NR]],
     out: &mut [f32],
 ) {
     let m = g.m;
     let mut i = 0;
-    while i + T <= m {
-        gemm_tile::<T, FOLD>(g, first, i, j, panel, out);
-        i += T;
+    while i + TR <= m {
+        gemm_tile::<T, TR>(t, g, i, j, panel, out);
+        i += TR;
     }
-    if T > 4 && i + 4 <= m {
-        gemm_tile::<4, FOLD>(g, first, i, j, panel, out);
+    if TR > 4 && i + 4 <= m {
+        gemm_tile::<T, 4>(t, g, i, j, panel, out);
         i += 4;
     }
     if i + 2 <= m {
-        gemm_tile::<2, FOLD>(g, first, i, j, panel, out);
+        gemm_tile::<T, 2>(t, g, i, j, panel, out);
         i += 2;
     }
     if i < m {
-        gemm_tile::<1, FOLD>(g, first, i, j, panel, out);
+        gemm_tile::<T, 1>(t, g, i, j, panel, out);
     }
 }
 
-/// Rows `i..i + R` of the block of `out` at column `j`: stored, or with
-/// `FOLD` the sums over the run `panel` holds (from inner index `first`)
-/// added into.
+/// Rows `i..i + R` of the block of `out` at column `j`: stored, or with a
+/// fold the sums over each run added to them in registers, run after run.
 #[inline(always)]
-fn gemm_tile<const R: usize, const FOLD: bool>(
+fn gemm_tile<T: Tile, const R: usize>(
+    t: T,
     g: &Gemm,
-    first: usize,
     i: usize,
     j: usize,
     panel: &[[f32; NR]],
     out: &mut [f32],
 ) {
-    let acc = if g.a_t {
-        tile_sum_t::<R>(g, i, first, panel)
-    } else {
-        tile_sum::<R>(g, i, panel)
-    };
     let cols = NR.min(g.n - j);
+    let acc = match g.fold {
+        None if g.a_t => t.sum_t::<R>(g, i, 0, panel),
+        None => t.sum::<R>(g, i, panel),
+        Some(segments) => {
+            let mut run = [[0.0f32; NR]; R];
+            for (r, sums) in run.iter_mut().enumerate() {
+                let row = &out[(i + r) * g.n + j..][..cols];
+                match row.first_chunk::<NR>() {
+                    Some(full) => *sums = *full,
+                    None => sums[..cols].copy_from_slice(row),
+                }
+            }
+            let mut first = 0;
+            for &len in segments {
+                let s = t.sum_t::<R>(g, i, first, &panel[first..first + len]);
+                for r in 0..R {
+                    for c in 0..NR {
+                        run[r][c] += s[r][c];
+                    }
+                }
+                first += len;
+            }
+            run
+        }
+    };
     for (r, sums) in acc.iter().enumerate() {
         let row = &mut out[(i + r) * g.n + j..][..cols];
         // A full row is stored with a fixed-size copy, as in `copy_block`.
-        match (FOLD, row.first_chunk_mut::<NR>()) {
-            (false, Some(full)) => *full = *sums,
-            (false, None) => row.copy_from_slice(&sums[..row.len()]),
-            (true, Some(full)) => {
-                for c in 0..NR {
-                    full[c] += sums[c];
-                }
-            }
-            (true, None) => {
-                for (o, s) in row.iter_mut().zip(sums) {
-                    *o += s;
-                }
-            }
+        match row.first_chunk_mut::<NR>() {
+            Some(full) => *full = *sums,
+            None => row.copy_from_slice(&sums[..cols]),
         }
     }
-}
-
-/// The sums of a tile over the inner indices of `panel`, for A stored
-/// row-major: `R` rows of A, each read along.
-#[inline(always)]
-fn tile_sum<const R: usize>(g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
-    let k = g.k;
-    assert_eq!(panel.len(), k, "one panel row per inner index");
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * k..][..k]);
-    let mut acc = [[0.0f32; NR]; R];
-    for p in 0..k {
-        let bp = &panel[p];
-        for r in 0..R {
-            let av = rows[r][p];
-            for c in 0..NR {
-                acc[r][c] += av * bp[c];
-            }
-        }
-    }
-    acc
-}
-
-/// The sums of a tile over the inner indices `first..` that `panel`
-/// holds, for A stored transposed: the tile's `R` values of an inner index
-/// are adjacent.
-#[inline(always)]
-fn tile_sum_t<const R: usize>(
-    g: &Gemm,
-    i: usize,
-    first: usize,
-    panel: &[[f32; NR]],
-) -> [[f32; NR]; R] {
-    let mut acc = [[0.0f32; NR]; R];
-    for (p, bp) in (first..).zip(panel) {
-        let a: &[f32; R] = g.a[p * g.m + i..].first_chunk().expect("R rows of A");
-        for r in 0..R {
-            for c in 0..NR {
-                acc[r][c] += a[r] * bp[c];
-            }
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -841,14 +982,24 @@ mod tests {
         Tensor::from_vec(&[m, n], out)
     }
 
-    /// Every kernel build this CPU runs: the portable one, and AVX2 if present.
+    /// Every kernel build this CPU runs: the portable one, and AVX2 and
+    /// AVX-512 if present.
     fn kernel_builds() -> Vec<(&'static str, Kernel)> {
         let mut builds: Vec<(&'static str, Kernel)> = vec![("portable", gemm_portable)];
         #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            builds.push(("avx2", |g, out, panel| assert!(gemm_avx2(g, out, panel))));
-        } else {
-            eprintln!("this CPU lacks AVX2: only the portable kernel is tested");
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                builds.push(("avx2", |g, out, panel| assert!(gemm_avx2(g, out, panel))));
+            } else {
+                eprintln!("this CPU lacks AVX2: the AVX2 kernel is not tested");
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                builds.push(("avx512", |g, out, panel| {
+                    assert!(gemm_avx512(g, out, panel))
+                }));
+            } else {
+                eprintln!("this CPU lacks AVX-512F: the AVX-512 kernel is not tested");
+            }
         }
         builds
     }

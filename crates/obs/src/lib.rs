@@ -41,8 +41,8 @@ pub mod prom;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
-pub use prom::{escape_label, PromWriter};
+pub use prom::PromWriter;
 pub use span::{
-    event, export_chrome_trace, global, install, render_chrome_trace, span, span_table, thread_id,
-    Recorder, SpanGuard, SpanRow, SpanTable, TraceEvent, DEFAULT_TRACE_CAPACITY,
+    event, export_chrome_trace, global, install, span, span_table, thread_id, Recorder, SpanGuard,
+    SpanRow, SpanTable, TraceEvent, DEFAULT_TRACE_CAPACITY,
 };

@@ -119,7 +119,7 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
 /// Escapes a label value: backslash, double-quote and newline are the three
 /// characters the text exposition format requires escaping inside quoted
 /// label values. Everything else passes through verbatim.
-pub fn escape_label(value: &str) -> String {
+pub(crate) fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -214,7 +214,7 @@ pub fn event(name: &'static str, value: Option<f64>) {
 /// line (JSONL-style inside the array). Complete events use phase `"X"`;
 /// instant events with a value become counter events (`"C"`), plain instants
 /// phase `"i"`.
-pub fn render_chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
+pub(crate) fn render_chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
     for e in events {
