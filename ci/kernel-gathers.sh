@@ -17,6 +17,9 @@ rlib=$(ls -t "$dir"/release/deps/libdeepsplit_nn-*.rlib | head -n 1)
 objdump -d --no-show-raw-insn -C "$rlib" > "$dir/deepsplit_nn-v4.asm"
 # Every function of `nn::tensor` counts: the AVX-512 build and the products
 # that inline its dispatch. Print each one holding a gather or a scatter.
+# `gemm_avx512`'s `build` is `#[inline(never)]`, so its symbol is in the
+# rlib whatever the toolchain inlines; without it the check would read
+# code that is not the AVX-512 kernel, so its absence fails too.
 awk '
     /^[0-9a-f]+ <.*>:$/ { name = $0; kernel = (name ~ /deepsplit_nn::tensor::/) }
     kernel && /gemm_avx512::build>:$/ { found = 1 }

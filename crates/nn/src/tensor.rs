@@ -37,10 +37,11 @@
 //! only, and is then added into the buffer; segments are added in order.
 //! That is `gw.add_assign(&x[s].t_matmul(&g[s]))` for each segment in turn,
 //! so a batch's gradient is the same bits whether its queries run one by
-//! one or stacked. The kernel keeps each output tile's running sum in
-//! registers across the segments: it loads the tile of `gw` once, adds
+//! one or stacked. Across several segments the kernel keeps each output
+//! tile's running sum in registers: it loads the tile of `gw` once, adds
 //! `S_0`, `S_1`, … to it in segment order and stores it once, which is
-//! `((gw + S_0) + S_1) + …`, the same additions in the same order.
+//! `((gw + S_0) + S_1) + …`, the same additions in the same order. A single
+//! segment's `S_0` is added into `gw` as it is stored.
 //!
 //! The outputs are therefore the same bits on every x86-64 CPU and at every
 //! optimisation level. Trained weights inherit that, and they must: the
@@ -529,7 +530,10 @@ fn gemm(g: &Gemm, out: &mut [f32], panel: &mut Panel) {
 /// leaving `out` untouched, when the CPU lacks AVX-512F.
 #[cfg(target_arch = "x86_64")]
 fn gemm_avx512(g: &Gemm, out: &mut [f32], panel: &mut Panel) -> bool {
+    // Never inlined, so that `ci/kernel-gathers.sh` finds this build by
+    // name in a build for `x86-64-v4`, where its caller could inline it.
     #[target_feature(enable = "avx512f")]
+    #[inline(never)]
     fn build(t: Avx512, g: &Gemm, out: &mut [f32], panel: &mut Panel) {
         gemm_core(t, g, out, panel);
     }
@@ -728,11 +732,12 @@ mod avx512 {
 /// only moves values), then the block of `out` is computed in tiles of `MR`
 /// rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the last
 /// rows. A product sums each tile in registers over the whole inner
-/// dimension and stores it. A fold loads each tile of `out` into registers
-/// once, adds the tile's sums over each run of `segments` to it, run after
-/// run, and stores it once. Tiles never split a run, so every output is the
-/// module's ascending sum wherever its tile falls. The panel grows to the
-/// inner dimension and is kept.
+/// dimension and stores it. A fold of one run sums each tile the same way
+/// and adds it into `out`. A fold of more runs loads each tile of `out`
+/// into registers once, adds the tile's sums over each run of `segments` to
+/// it, run after run, and stores it once. Tiles never split a run, so every
+/// output is the module's ascending sum wherever its tile falls. The panel
+/// grows to the inner dimension and is kept.
 #[inline(always)]
 fn gemm_core<T: Tile>(t: T, g: &Gemm, out: &mut [f32], panel: &mut Panel) {
     let Gemm { m, k, n, .. } = *g;
@@ -831,7 +836,7 @@ fn block_rows<T: Tile, const TR: usize>(
 }
 
 /// Rows `i..i + R` of the block of `out` at column `j`: stored, or with a
-/// fold the sums over each run added to them in registers, run after run.
+/// fold the sums over each run added to them, run after run.
 #[inline(always)]
 fn gemm_tile<T: Tile, const R: usize>(
     t: T,
@@ -842,9 +847,15 @@ fn gemm_tile<T: Tile, const R: usize>(
     out: &mut [f32],
 ) {
     let cols = NR.min(g.n - j);
-    let acc = match g.fold {
-        None if g.a_t => t.sum_t::<R>(g, i, 0, panel),
-        None => t.sum::<R>(g, i, panel),
+    // With `add`, the sums are added into `out` as they are stored.
+    let (acc, add) = match g.fold {
+        None if g.a_t => (t.sum_t::<R>(g, i, 0, panel), false),
+        None => (t.sum::<R>(g, i, panel), false),
+        // A fold of one run, as every fold of an image model's training
+        // chunk is, is that run's product added into `out`. Held in
+        // registers like a fold of many runs, it ran up to a third slower
+        // in the AVX2 build.
+        Some([_]) => (t.sum_t::<R>(g, i, 0, panel), true),
         Some(segments) => {
             let mut run = [[0.0f32; NR]; R];
             for (r, sums) in run.iter_mut().enumerate() {
@@ -864,15 +875,25 @@ fn gemm_tile<T: Tile, const R: usize>(
                 }
                 first += len;
             }
-            run
+            (run, false)
         }
     };
     for (r, sums) in acc.iter().enumerate() {
         let row = &mut out[(i + r) * g.n + j..][..cols];
         // A full row is stored with a fixed-size copy, as in `copy_block`.
-        match row.first_chunk_mut::<NR>() {
-            Some(full) => *full = *sums,
-            None => row.copy_from_slice(&sums[..cols]),
+        match (add, row.first_chunk_mut::<NR>()) {
+            (false, Some(full)) => *full = *sums,
+            (false, None) => row.copy_from_slice(&sums[..cols]),
+            (true, Some(full)) => {
+                for c in 0..NR {
+                    full[c] += sums[c];
+                }
+            }
+            (true, None) => {
+                for (o, s) in row.iter_mut().zip(sums) {
+                    *o += s;
+                }
+            }
         }
     }
 }
@@ -1176,6 +1197,10 @@ mod tests {
         assert_fold_bitwise(27, 128, &queries);
         assert_fold_bitwise(32, 1, &queries);
         assert_fold_bitwise(162, 16, &[9 * 289, 16 * 289]);
+        // An image model's training chunk holds one query, so each of its
+        // folds has one segment: the dense head's, and a conv's im2col rows.
+        assert_fold_bitwise(128, 128, &[11]);
+        assert_fold_bitwise(144, 16, &[16 * 289]);
     }
 
     #[test]
