@@ -56,13 +56,13 @@ use deepsplit_core::httpc;
 use deepsplit_core::store::{DiskModelStore, MemoryModelStore, ModelStore};
 use deepsplit_serve::detect::Countermeasure;
 use deepsplit_serve::{start, DetectionSnapshot, EndpointLatencies, MetricsSnapshot, ServeConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The `BENCH_serve.json` artifact: one load-loop measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct ServeBenchReport {
     /// Server under test.
     url: String,

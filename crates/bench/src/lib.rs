@@ -32,11 +32,11 @@ use deepsplit_layout::design::{Design, ImplementConfig};
 use deepsplit_layout::geom::Layer;
 use deepsplit_netlist::benchmarks::{self, Benchmark};
 use deepsplit_netlist::library::CellLibrary;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Experiment profile: how large and how accurate a run is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Human-readable name recorded in reports.
     pub name: String,
@@ -190,7 +190,7 @@ pub fn implement_benchmark(profile: &Profile, bench: Benchmark, seed: u64) -> De
 }
 
 /// One Table 3 row for one split layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table3Cell {
     /// Sink-fragment count (`#Sk`).
     pub sk: usize,
@@ -209,7 +209,7 @@ pub struct Table3Cell {
 }
 
 /// A full Table 3 row (both split layers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table3Row {
     /// Design name.
     pub design: String,
@@ -220,7 +220,7 @@ pub struct Table3Row {
 }
 
 /// The complete Table 3 artefact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table3Report {
     /// Profile used.
     pub profile: String,
@@ -331,7 +331,7 @@ pub fn table3_averages(cells: impl Iterator<Item = Table3Cell> + Clone) -> (f64,
 }
 
 /// One Figure 5 series entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig5Point {
     /// Setting name (`Two-class`, `Vec`, `Vec & Img`).
     pub setting: String,
@@ -342,7 +342,7 @@ pub struct Fig5Point {
 }
 
 /// The complete Figure 5 artefact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig5Report {
     /// Profile used.
     pub profile: String,

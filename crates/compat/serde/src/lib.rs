@@ -2,24 +2,57 @@
 //!
 //! The build container has no crates.io access, so this crate provides the
 //! slice of serde the workspace actually uses: `#[derive(Serialize,
-//! Deserialize)]` (including `#[serde(skip)]`), plus blanket impls for the
-//! std types appearing in derived structs. The data model is a single JSON
-//! [`Value`] tree rather than serde's visitor architecture — `serde_json` in
-//! `crates/compat` prints and parses that tree.
+//! Deserialize)]` on the shapes `serde_derive` lists, plus impls for the std
+//! types the derived wire types hold:
+//!
+//! * `u8`, `u32`, `u64`, `usize`, `i64`, `bool`, `f32`, `f64`, `String`,
+//!   `Option<T>`, `Vec<T>`, pairs `(A, B)`, `Duration` and [`Value`], both
+//!   ways;
+//! * `[T; N]` and `BTreeMap<K, V>`, serialize only.
+//!
+//! The data model is a single JSON [`Value`] tree rather than serde's
+//! visitor architecture — `serde_json` in `crates/compat` prints and parses
+//! that tree.
 //!
 //! Round-trip fidelity notes:
 //! * `f32` goes through `f64` (exact) and is printed with shortest-roundtrip
 //!   formatting, so `T → json → T` is bit-exact for finite floats;
 //! * non-finite floats are printed as bare `Infinity` / `-Infinity` / `NaN`
 //!   tokens (accepted back by the parser) instead of failing;
-//! * maps serialize as sorted `[key, value]` pair arrays when the key is not
-//!   a string, keeping output deterministic.
+//! * a `BTreeMap` serializes as an array of `[key, value]` pairs sorted by
+//!   key, keeping output deterministic.
+//!
+//! The derive takes named structs, newtype structs and enums of unit and
+//! newtype variants:
+//!
+//! ```
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Id(u32);
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! enum Verdict {
+//!     Matched(Id),
+//!     TimedOut,
+//! }
+//! ```
+//!
+//! Any other shape fails to compile, with a message naming the type:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Span(u32, u32);
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! enum Shape {
+//!     Box(u32, u32),
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
 use std::time::Duration;
 
 /// The self-describing data model shared by [`Serialize`] and [`Deserialize`].
@@ -75,39 +108,6 @@ impl Value {
             Value::UInt(u) => Some(*u as f64),
             Value::Float(f) => Some(*f),
             _ => None,
-        }
-    }
-
-    /// Numeric view as `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::UInt(u) => i64::try_from(*u).ok(),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            _ => None,
-        }
-    }
-
-    /// Numeric view as `u64`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(i) => u64::try_from(*i).ok(),
-            Value::UInt(u) => Some(*u),
-            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    /// A short type tag for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) | Value::UInt(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 }
@@ -196,7 +196,7 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+impl_int!(i64, u8, u32, u64, usize);
 
 impl Serialize for bool {
     fn serialize(&self) -> Value {
@@ -239,26 +239,6 @@ impl Deserialize for f32 {
     }
 }
 
-impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .and_then(|s| {
-                let mut it = s.chars();
-                match (it.next(), it.next()) {
-                    (Some(c), None) => Some(c),
-                    _ => None,
-                }
-            })
-            .ok_or_else(|| Error::expected("single-char string", "char"))
-    }
-}
-
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::Str(self.clone())
@@ -270,18 +250,6 @@ impl Deserialize for String {
         v.as_str()
             .map(str::to_string)
             .ok_or_else(|| Error::expected("string", "String"))
-    }
-}
-
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
     }
 }
 
@@ -319,112 +287,43 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::serialize).collect())
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::deserialize(v)?;
-        items
-            .try_into()
-            .map_err(|items: Vec<T>| Error(format!("expected array of {N}, got {}", items.len())))
-    }
-}
-
-macro_rules! impl_tuple {
-    ($($name:ident : $idx:tt),+ ; $len:expr) => {
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let s = v.as_seq().ok_or_else(|| Error::expected("array", "tuple"))?;
-                if s.len() != $len {
-                    return Err(Error(format!("expected {}-tuple, got {} elements", $len, s.len())));
-                }
-                Ok(($($name::deserialize(&s[$idx])?,)+))
-            }
-        }
-    };
-}
-
-impl_tuple!(A:0; 1);
-impl_tuple!(A:0, B:1; 2);
-impl_tuple!(A:0, B:1, C:2; 3);
-impl_tuple!(A:0, B:1, C:2, D:3; 4);
-impl_tuple!(A:0, B:1, C:2, D:3, E:4; 5);
-impl_tuple!(A:0, B:1, C:2, D:3, E:4, F:5; 6);
-
-/// Shared map serialization: sorted `[key, value]` pair array (keys need not
-/// be strings, and sorting keeps the output deterministic).
-fn serialize_pairs<'a, K: Serialize + 'a, V: Serialize + 'a>(
-    it: impl Iterator<Item = (&'a K, &'a V)>,
-) -> Value {
-    let mut pairs: Vec<(String, Value, Value)> = it
-        .map(|(k, v)| {
-            let kv = k.serialize();
-            (format!("{kv:?}"), kv, v.serialize())
-        })
-        .collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    Value::Seq(
-        pairs
-            .into_iter()
-            .map(|(_, k, v)| Value::Seq(vec![k, v]))
-            .collect(),
-    )
-}
-
-fn deserialize_pairs<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, Error> {
-    v.as_seq()
-        .ok_or_else(|| Error::expected("array of pairs", "map"))?
-        .iter()
-        .map(|pair| {
-            let s = pair
-                .as_seq()
-                .ok_or_else(|| Error::expected("[key, value] pair", "map"))?;
-            if s.len() != 2 {
-                return Err(Error::expected("[key, value] pair", "map"));
-            }
-            Ok((K::deserialize(&s[0])?, V::deserialize(&s[1])?))
-        })
-        .collect()
-}
-
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize(&self) -> Value {
-        serialize_pairs(self.iter())
+        Value::Seq(vec![self.0.serialize(), self.1.serialize()])
     }
 }
 
-impl<K: Deserialize + Eq + Hash, V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize
-    for HashMap<K, V, S>
-{
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(deserialize_pairs::<K, V>(v)?.into_iter().collect())
+        let s = v
+            .as_seq()
+            .ok_or_else(|| Error::expected("array", "tuple"))?;
+        match s {
+            [a, b] => Ok((A::deserialize(a)?, B::deserialize(b)?)),
+            _ => Err(Error(format!("expected 2-tuple, got {} elements", s.len()))),
+        }
     }
 }
 
+/// A map serializes as an array of `[key, value]` pairs sorted by the
+/// key's printed `Value` (keys need not be strings, and the order is fixed).
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn serialize(&self) -> Value {
-        serialize_pairs(self.iter())
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(deserialize_pairs::<K, V>(v)?.into_iter().collect())
+        let mut pairs: Vec<(String, Value)> = self
+            .iter()
+            .map(|(k, v)| {
+                let key = k.serialize();
+                (format!("{key:?}"), Value::Seq(vec![key, v.serialize()]))
+            })
+            .collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        Value::Seq(pairs.into_iter().map(|(_, pair)| pair).collect())
     }
 }
 
@@ -490,14 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = [(1u32, 2i64), (3, 4)];
-        let m: HashMap<u32, i64> = v.iter().copied().collect();
-        let back: HashMap<u32, i64> = Deserialize::deserialize(&m.serialize()).unwrap();
-        assert_eq!(back, m);
+    fn containers_serialize_as_arrays() {
+        let m: BTreeMap<u32, i64> = [(3, 4), (1, 2)].into_iter().collect();
+        let pair = |k, v| Value::Seq(vec![Value::Int(k), Value::Int(v)]);
+        assert_eq!(m.serialize(), Value::Seq(vec![pair(1, 2), pair(3, 4)]));
         let arr = [vec![1.0f32], vec![2.0]];
-        let back: [Vec<f32>; 2] = Deserialize::deserialize(&arr.serialize()).unwrap();
-        assert_eq!(back, arr);
+        let floats = |f| Value::Seq(vec![Value::Float(f)]);
+        assert_eq!(arr.serialize(), Value::Seq(vec![floats(1.0), floats(2.0)]));
+        let back: (u32, i64) = Deserialize::deserialize(&pair(1, 2)).unwrap();
+        assert_eq!(back, (1, 2));
     }
 
     #[test]

@@ -5,17 +5,19 @@
 //! directly from the `proc_macro::TokenStream`. Supported shapes — exactly
 //! what this workspace derives on:
 //!
-//! * structs with named fields (honouring `#[serde(skip)]`: skipped on
-//!   serialize, `Default::default()` on deserialize),
-//! * tuple structs (single field = newtype semantics, several = array),
-//! * enums with unit and tuple variants (externally tagged).
+//! * structs with named fields (a JSON object),
+//! * newtype structs, `struct Id(u32);` (the field's own encoding),
+//! * enums whose variants are units (`"Variant"`) or newtypes
+//!   (`{"Variant": payload}`).
 //!
-//! Generic parameters are not supported and produce a compile error.
+//! Any other shape — generics, unit structs, tuple structs or tuple variants
+//! of more than one field, struct variants — fails to compile with a message
+//! naming the type. `#[serde(...)]` attributes are not accepted.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derives `serde::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -24,7 +26,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
@@ -32,22 +34,17 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         .expect("generated Deserialize impl parses")
 }
 
-/// A named field: `(name, skipped)`.
-struct Field {
-    name: String,
-    skip: bool,
-}
-
 /// An enum variant.
 struct Variant {
     name: String,
-    /// Number of tuple fields (0 = unit variant).
-    tuple_arity: usize,
+    /// Whether it carries one field (otherwise it is a unit variant).
+    newtype: bool,
 }
 
 enum Shape {
-    Named(Vec<Field>),
-    Tuple(usize),
+    /// Field names.
+    Named(Vec<String>),
+    Newtype,
     Enum(Vec<Variant>),
 }
 
@@ -77,42 +74,29 @@ fn parse_item(input: TokenStream) -> Item {
         panic!("serde compat derive does not support generic type `{name}`");
     }
 
-    let shape = match kind.as_str() {
-        "struct" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Named(parse_named_fields(g.stream()))
+    let shape = match (kind.as_str(), tokens.get(i)) {
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Shape::Named(parse_named_fields(g.stream()))
+        }
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
+            if count_tuple_fields(g.stream()) != 1 {
+                panic!("serde compat derive supports tuple struct `{name}` only with one field");
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::Tuple(count_tuple_fields(g.stream()))
-            }
-            _ => panic!("unit structs are not supported by the serde compat derive"),
-        },
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("expected enum body, found {other:?}"),
-        },
-        other => panic!("cannot derive serde traits for `{other}`"),
+            Shape::Newtype
+        }
+        ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Shape::Enum(parse_variants(&name, g.stream()))
+        }
+        _ => panic!("serde compat derive does not support the shape of `{name}`"),
     };
     Item { name, shape }
 }
 
-/// Advances past any `#[...]` attributes, reporting whether one of them was
-/// `#[serde(skip)]`.
-fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> bool {
-    let mut skip = false;
+/// Advances past any `#[...]` attributes (doc comments included).
+fn skip_attrs(tokens: &[TokenTree], i: &mut usize) {
     while matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-        *i += 1;
-        if let Some(TokenTree::Group(g)) = tokens.get(*i) {
-            let body = g.stream().to_string();
-            if body.starts_with("serde") && body.contains("skip") {
-                skip = true;
-            }
-            *i += 1;
-        }
+        *i += 2;
     }
-    skip
 }
 
 fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
@@ -142,12 +126,12 @@ fn skip_until_comma(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
+fn parse_named_fields(stream: TokenStream) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut fields = Vec::new();
     while i < tokens.len() {
-        let skip = skip_attrs(&tokens, &mut i);
+        skip_attrs(&tokens, &mut i);
         skip_visibility(&tokens, &mut i);
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
@@ -161,25 +145,18 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         }
         skip_until_comma(&tokens, &mut i);
         i += 1; // consume the comma (or run off the end after the last field)
-        fields.push(Field { name, skip });
+        fields.push(name);
     }
     fields
 }
 
-/// Counts fields of a tuple struct / tuple variant body.
+/// Counts fields of a tuple struct / tuple variant body. Attributes and
+/// visibility are part of the field they precede.
 fn count_tuple_fields(stream: TokenStream) -> usize {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
     let mut i = 0;
     let mut count = 0;
     while i < tokens.len() {
-        skip_attrs(&tokens, &mut i);
-        skip_visibility(&tokens, &mut i);
-        if i >= tokens.len() {
-            break;
-        }
         skip_until_comma(&tokens, &mut i);
         i += 1;
         count += 1;
@@ -187,7 +164,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     count
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+fn parse_variants(enum_name: &str, stream: TokenStream) -> Vec<Variant> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut variants = Vec::new();
@@ -199,17 +176,19 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             other => panic!("expected variant name, found {other:?}"),
         };
         i += 1;
-        let mut tuple_arity = 0;
-        match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                tuple_arity = count_tuple_fields(g.stream());
+        let newtype = match tokens.get(i) {
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && count_tuple_fields(g.stream()) == 1 =>
+            {
                 i += 1;
+                true
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                panic!("struct enum variants are not supported by the serde compat derive")
-            }
-            _ => {}
-        }
+            Some(TokenTree::Group(_)) => panic!(
+                "serde compat derive supports variant `{enum_name}::{name}` only as a unit or a newtype"
+            ),
+            _ => false,
+        };
         // Optional discriminant, then the separating comma.
         if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
             i += 1;
@@ -218,7 +197,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
         if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
             i += 1;
         }
-        variants.push(Variant { name, tuple_arity });
+        variants.push(Variant { name, newtype });
     }
     variants
 }
@@ -228,46 +207,26 @@ fn gen_serialize(item: &Item) -> String {
     let body = match &item.shape {
         Shape::Named(fields) => {
             let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in fields {
                 pushes.push_str(&format!(
-                    "__m.push((\"{0}\".to_string(), ::serde::Serialize::serialize(&self.{0})));\n",
-                    f.name
+                    "__m.push((\"{f}\".to_string(), ::serde::Serialize::serialize(&self.{f})));\n"
                 ));
             }
             format!(
                 "let mut __m: Vec<(String, ::serde::Value)> = Vec::new();\n{pushes}::serde::Value::Object(__m)"
             )
         }
-        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::serialize(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
+        Shape::Newtype => "::serde::Serialize::serialize(&self.0)".to_string(),
         Shape::Enum(variants) => {
             let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                if v.tuple_arity == 0 {
+            for Variant { name: vn, newtype } in variants {
+                if *newtype {
                     arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
+                        "{name}::{vn}(__f0) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), ::serde::Serialize::serialize(__f0))]),\n"
                     ));
                 } else {
-                    let binds: Vec<String> =
-                        (0..v.tuple_arity).map(|k| format!("__f{k}")).collect();
-                    let payload = if v.tuple_arity == 1 {
-                        "::serde::Serialize::serialize(__f0)".to_string()
-                    } else {
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                            .collect();
-                        format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                    };
                     arms.push_str(&format!(
-                        "{name}::{vn}({binds}) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), {payload})]),\n",
-                        binds = binds.join(", ")
+                        "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
                     ));
                 }
             }
@@ -287,56 +246,24 @@ fn gen_deserialize(item: &Item) -> String {
         Shape::Named(fields) => {
             let mut inits = String::new();
             for f in fields {
-                if f.skip {
-                    inits.push_str(&format!(
-                        "{}: ::std::default::Default::default(),\n",
-                        f.name
-                    ));
-                } else {
-                    inits.push_str(&format!("{0}: ::serde::field(__obj, \"{0}\")?,\n", f.name));
-                }
+                inits.push_str(&format!("{f}: ::serde::field(__obj, \"{f}\")?,\n"));
             }
             format!(
                 "let __obj = __v.as_object().ok_or_else(|| ::serde::Error::expected(\"object\", \"{name}\"))?;\n\
                  Ok({name} {{\n{inits}}})"
             )
         }
-        Shape::Tuple(1) => format!("Ok({name}(::serde::Deserialize::deserialize(__v)?))"),
-        Shape::Tuple(n) => {
-            let gets: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::deserialize(&__s[{k}])?"))
-                .collect();
-            format!(
-                "let __s = __v.as_seq().ok_or_else(|| ::serde::Error::expected(\"array\", \"{name}\"))?;\n\
-                 if __s.len() != {n} {{ return Err(::serde::Error::expected(\"array of {n}\", \"{name}\")); }}\n\
-                 Ok({name}({}))",
-                gets.join(", ")
-            )
-        }
+        Shape::Newtype => format!("Ok({name}(::serde::Deserialize::deserialize(__v)?))"),
         Shape::Enum(variants) => {
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                if v.tuple_arity == 0 {
-                    unit_arms.push_str(&format!("\"{vn}\" => return Ok({name}::{vn}),\n"));
-                } else if v.tuple_arity == 1 {
+            for Variant { name: vn, newtype } in variants {
+                if *newtype {
                     data_arms.push_str(&format!(
                         "\"{vn}\" => return Ok({name}::{vn}(::serde::Deserialize::deserialize(__payload)?)),\n"
                     ));
                 } else {
-                    let gets: Vec<String> = (0..v.tuple_arity)
-                        .map(|k| format!("::serde::Deserialize::deserialize(&__s[{k}])?"))
-                        .collect();
-                    data_arms.push_str(&format!(
-                        "\"{vn}\" => {{\n\
-                             let __s = __payload.as_seq().ok_or_else(|| ::serde::Error::expected(\"array\", \"{name}::{vn}\"))?;\n\
-                             if __s.len() != {n} {{ return Err(::serde::Error::expected(\"array of {n}\", \"{name}::{vn}\")); }}\n\
-                             return Ok({name}::{vn}({gets}));\n\
-                         }}\n",
-                        n = v.tuple_arity,
-                        gets = gets.join(", ")
-                    ));
+                    unit_arms.push_str(&format!("\"{vn}\" => return Ok({name}::{vn}),\n"));
                 }
             }
             format!(

@@ -21,7 +21,6 @@ use deepsplit_flow::metrics::Assignment;
 use deepsplit_layout::split::FragId;
 use deepsplit_nn::parallel::parallel_map;
 use deepsplit_nn::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -35,7 +34,7 @@ pub(crate) const MAX_CHUNK_ROWS: usize = 1024;
 const EMBED_BATCH: usize = 8;
 
 /// Result of attacking one design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// Chosen source fragment per sink fragment.
     pub assignment: Assignment,
@@ -184,7 +183,7 @@ fn confidence_distribution(loss: crate::model::LossKind, scores: &[f32]) -> Vec<
 }
 
 /// One sink fragment's scored candidate list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedQuery {
     /// The sink fragment being resolved.
     pub sink: FragId,
@@ -199,7 +198,7 @@ pub struct RankedQuery {
 /// Result of ranked inference: everything [`attack`] computes, but keeping
 /// the full per-candidate confidence distribution instead of only the
 /// argmax — the payload an inference service returns to its callers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedOutcome {
     /// One entry per sink fragment with at least one candidate, in sink
     /// order.

@@ -19,11 +19,10 @@ use crate::config::AttackConfig;
 use deepsplit_flow::proximity::SpatialGrid;
 use deepsplit_layout::geom::Point;
 use deepsplit_layout::split::{FragId, SplitView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One candidate VPP for a sink fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The candidate source fragment.
     pub source: FragId,
@@ -34,7 +33,7 @@ pub struct Candidate {
 }
 
 /// The selected candidates of one sink fragment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSet {
     /// The sink fragment.
     pub sink: FragId,

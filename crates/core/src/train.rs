@@ -290,7 +290,7 @@ fn weights_fit(shapes: &[Vec<usize>], weights: &[u8]) -> Result<(), BlobError> {
 }
 
 /// Per-epoch training statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainReport {
     /// Mean loss per epoch.
     pub epoch_loss: Vec<f32>,

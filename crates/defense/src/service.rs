@@ -61,6 +61,18 @@ pub(crate) const IMAGE_SCALE_RANGE_UM: std::ops::RangeInclusive<f64> = 0.001..=1
 /// benchmarks, so every corpus of the repo and a leave-one-out corpus over
 /// `Benchmark::all()` fit. A cold resolve builds and trains on each.
 pub const MAX_TRAIN_BENCHMARKS: usize = 16;
+/// Most placer sweeps a request may ask for (the default placer runs 24).
+/// Each sweep moves every cell of every layout the request builds.
+pub(crate) const MAX_PLACER_ITERATIONS: usize = 100;
+/// Most annealing moves per cell a request may ask for (the default placer
+/// makes 12): a layout makes this many times its cell count.
+pub(crate) const MAX_ANNEAL_MOVES_PER_CELL: usize = 64;
+/// Most tracks a request's router may shift a trunk (the default shifts up
+/// to 6): every trunk of every layout probes up to twice this many tracks.
+pub(crate) const MAX_TRACK_SHIFT: i64 = 32;
+/// Most rip-up rounds a request's network-flow baseline may run (the default
+/// runs 4); each round solves a min-cost flow over the victim.
+pub(crate) const MAX_FLOW_ITERATIONS: usize = 16;
 
 /// A serialized FEOL cell spec: what `POST /attack` accepts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,12 +132,7 @@ impl AttackRequest {
         let victim = self
             .victim()
             .ok_or_else(|| format!("unknown benchmark `{}`", self.benchmark))?;
-        if !(0.0..=1.0).contains(&self.defense.strength) {
-            return Err(format!(
-                "defense strength {} outside [0, 1]",
-                self.defense.strength
-            ));
-        }
+        within("defense strength", self.defense.strength, 0.0..=1.0)?;
         let layers = self.eval.implement.router.num_layers;
         if self.split_layer < 1 || self.split_layer >= layers {
             return Err(format!(
@@ -147,34 +154,19 @@ impl AttackRequest {
         }
         // A NaN/zero/negative/huge scale parses fine but panics (or OOMs)
         // deep inside placement — reject it at the boundary instead.
-        if !self.eval.scale.is_finite() || !(0.01..=100.0).contains(&self.eval.scale) {
-            return Err(format!(
-                "eval scale {} outside [0.01, 100]",
-                self.eval.scale
-            ));
-        }
+        within("eval scale", self.eval.scale, 0.01..=100.0)?;
         // The knobs that set what a cold resolve trains: too few candidates
         // leave no trainable query, and the rest bound its cost.
         let attack = &self.eval.attack;
-        for (knob, value, range) in [
-            ("epochs", attack.epochs, 1..=MAX_EPOCHS),
-            ("candidates", attack.candidates, 2..=MAX_CANDIDATES),
-            ("batch_size", attack.batch_size, 1..=MAX_BATCH_SIZE),
-            ("image_px", attack.image_px, 1..=MAX_IMAGE_PX),
-            (
-                "image_scales_um length",
-                attack.image_scales_um.len(),
-                1..=MAX_IMAGE_SCALES,
-            ),
-        ] {
-            if !range.contains(&value) {
-                return Err(format!(
-                    "attack {knob} {value} outside [{}, {}]",
-                    range.start(),
-                    range.end()
-                ));
-            }
-        }
+        within("attack epochs", attack.epochs, 1..=MAX_EPOCHS)?;
+        within("attack candidates", attack.candidates, 2..=MAX_CANDIDATES)?;
+        within("attack batch_size", attack.batch_size, 1..=MAX_BATCH_SIZE)?;
+        within("attack image_px", attack.image_px, 1..=MAX_IMAGE_PX)?;
+        within(
+            "attack image_scales_um length",
+            attack.image_scales_um.len(),
+            1..=MAX_IMAGE_SCALES,
+        )?;
         // `contains` is false for NaN and the infinities too.
         let scales = &IMAGE_SCALE_RANGE_UM;
         if let Some(bad) = attack.image_scales_um.iter().find(|s| !scales.contains(s)) {
@@ -184,7 +176,23 @@ impl AttackRequest {
                 scales.end()
             ));
         }
-        Ok(())
+        // The loop counts of the layouts the request builds and of the flow
+        // baseline it may run.
+        let placer = &self.eval.implement.placer;
+        within(
+            "placer iterations",
+            placer.iterations,
+            0..=MAX_PLACER_ITERATIONS,
+        )?;
+        within(
+            "placer anneal_moves_per_cell",
+            placer.anneal_moves_per_cell,
+            0..=MAX_ANNEAL_MOVES_PER_CELL,
+        )?;
+        let shift = self.eval.implement.router.max_track_shift;
+        within("router max_track_shift", shift, 0..=MAX_TRACK_SHIFT)?;
+        let rounds = self.eval.flow.max_iterations;
+        within("flow max_iterations", rounds, 0..=MAX_FLOW_ITERATIONS)
     }
 
     /// The content address of the model this request resolves to — the same
@@ -203,6 +211,24 @@ impl AttackRequest {
             &self.defense,
             &canonical_train_eval(&self.eval),
         )
+    }
+}
+
+/// `Err` naming `knob` when `value` lies outside `range`; `contains` is false
+/// for a NaN too.
+fn within<T: PartialOrd + std::fmt::Display>(
+    knob: &str,
+    value: T,
+    range: std::ops::RangeInclusive<T>,
+) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{knob} {value} outside [{}, {}]",
+            range.start(),
+            range.end()
+        ))
     }
 }
 
@@ -323,6 +349,8 @@ mod tests {
     use super::*;
     use crate::DefenseKind;
     use deepsplit_core::config::AttackConfig;
+    use deepsplit_layout::design::ImplementConfig;
+    use deepsplit_layout::split::FragId;
 
     #[test]
     fn requests_round_trip_through_json() {
@@ -349,6 +377,28 @@ mod tests {
     }
 
     #[test]
+    fn enum_and_newtype_encodings_are_pinned() {
+        // Unit variants are bare strings, a newtype variant is a one-entry
+        // object and a newtype struct is its field: the wire bytes a
+        // response's `flow` and a request's `defense.kind` carry.
+        for (outcome, json) in [
+            (FlowOutcome::TimedOut, "\"TimedOut\""),
+            (
+                FlowOutcome::Completed(vec![(FragId(3), FragId(7))]),
+                "{\"Completed\":[[3,7]]}",
+            ),
+        ] {
+            assert_eq!(serde_json::to_string(&outcome).expect("serialise"), json);
+            let back: FlowOutcome = serde_json::from_str(json).expect("parse");
+            assert_eq!(back, outcome);
+        }
+        let lift = serde_json::to_string(&DefenseKind::Lift).expect("serialise");
+        assert_eq!(lift, "\"Lift\"");
+        let back: DefenseKind = serde_json::from_str(&lift).expect("parse");
+        assert_eq!(back, DefenseKind::Lift);
+    }
+
+    #[test]
     fn validation_catches_bad_specs() {
         let good = AttackRequest::fast(Benchmark::C432);
         assert_eq!(good.validate(), Ok(()));
@@ -363,7 +413,20 @@ mod tests {
         edges.eval.attack.image_scales_um =
             vec![*IMAGE_SCALE_RANGE_UM.start(), *IMAGE_SCALE_RANGE_UM.end()];
         assert_eq!(edges.validate(), Ok(()));
+        // So are the loop-count bounds, and the fast placer's counts.
+        edges.eval.implement.placer.iterations = MAX_PLACER_ITERATIONS;
+        edges.eval.implement.placer.anneal_moves_per_cell = MAX_ANNEAL_MOVES_PER_CELL;
+        edges.eval.implement.router.max_track_shift = MAX_TRACK_SHIFT;
+        edges.eval.flow.max_iterations = MAX_FLOW_ITERATIONS;
+        assert_eq!(edges.validate(), Ok(()));
+        edges.eval.implement = ImplementConfig::fast();
+        assert_eq!(edges.validate(), Ok(()));
 
+        let refused_eval = |set: fn(&mut EvalConfig)| {
+            let mut bad = good.clone();
+            set(&mut bad.eval);
+            bad.validate().unwrap_err()
+        };
         let refused = |set: fn(&mut AttackConfig)| {
             let mut bad = good.clone();
             set(&mut bad.eval.attack);
@@ -397,6 +460,32 @@ mod tests {
             (
                 refused(|a| a.image_scales_um[2] = f64::INFINITY),
                 "image_scales_um",
+            ),
+            (
+                refused_eval(|e| e.implement.placer.iterations = MAX_PLACER_ITERATIONS + 1),
+                "placer iterations",
+            ),
+            (
+                refused_eval(|e| e.implement.placer.iterations = 1_000_000_000_000),
+                "placer iterations",
+            ),
+            (
+                refused_eval(|e| {
+                    e.implement.placer.anneal_moves_per_cell = MAX_ANNEAL_MOVES_PER_CELL + 1
+                }),
+                "anneal_moves_per_cell",
+            ),
+            (
+                refused_eval(|e| e.implement.router.max_track_shift = MAX_TRACK_SHIFT + 1),
+                "max_track_shift",
+            ),
+            (
+                refused_eval(|e| e.implement.router.max_track_shift = -1),
+                "max_track_shift",
+            ),
+            (
+                refused_eval(|e| e.flow.max_iterations = MAX_FLOW_ITERATIONS + 1),
+                "flow max_iterations",
             ),
         ] {
             assert!(problem.contains(knob), "{knob}: {problem}");

@@ -12,13 +12,12 @@ use crate::eval::{EvalConfig, EvalOutcome};
 use crate::{DefenseConfig, DefenseKind};
 use deepsplit_layout::geom::Layer;
 use deepsplit_netlist::benchmarks::Benchmark;
-use serde::{Deserialize, Serialize};
 
 /// One matrix cell: victim benchmark, split layer, defense instantiation.
 pub type Cell = (Benchmark, Layer, DefenseConfig);
 
 /// The sweep matrix specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Per-cell evaluation protocol.
     pub eval: EvalConfig,

@@ -62,7 +62,7 @@ impl EngineConfig {
 }
 
 /// One evaluated cell, tagged with its global matrix index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Index into [`SweepConfig::cells`].
     pub index: usize,

@@ -49,7 +49,7 @@ impl ImplementConfig {
 }
 
 /// A fully implemented design: netlist + library + placed and routed layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     /// The gate-level netlist.
     pub netlist: Netlist,

@@ -16,14 +16,13 @@ use crate::geom::to_um;
 use crate::split::{FragId, SplitView};
 use deepsplit_netlist::library::CellLibrary;
 use deepsplit_netlist::netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 /// Wire capacitance per micrometre of routed wire, in fF/µm. A typical 45 nm
 /// mid-stack value (0.2 fF/µm) — used uniformly across layers.
 pub(crate) const WIRE_CAP_FF_PER_UM: f64 = 0.2;
 
 /// Load-capacitance bounds for one VPP, in fF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadBounds {
     /// Maximum load capacitance of the source fragment's driver.
     pub upper_ff: f64,

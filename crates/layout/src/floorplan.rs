@@ -4,10 +4,9 @@
 use crate::geom::{um, Point, Rect};
 use deepsplit_netlist::library::CellLibrary;
 use deepsplit_netlist::netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 /// A row-based floorplan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     /// Die bounding box (dbu).
     pub die: Rect,

@@ -7,7 +7,6 @@
 //! vector features are expressed in exactly these terms: distances along the
 //! *preferred* and *non-preferred* routing direction of the split layer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Database units per micrometre.
@@ -24,7 +23,7 @@ pub fn to_um(v: i64) -> f64 {
 }
 
 /// An axis direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Horizontal (along x).
     H,
@@ -43,7 +42,7 @@ impl Dir {
 }
 
 /// A metal layer, 1-based (`Layer(1)` = M1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Layer(pub u8);
 
 impl Layer {
@@ -69,9 +68,7 @@ impl fmt::Display for Layer {
 }
 
 /// A point in dbu.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Point {
     /// x coordinate in dbu.
     pub x: i64,
@@ -106,7 +103,7 @@ impl fmt::Display for Point {
 }
 
 /// An axis-aligned rectangle (inclusive bounds, in dbu).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Lower-left corner.
     pub lo: Point,
@@ -153,7 +150,7 @@ impl Rect {
 }
 
 /// An axis-parallel wire segment on a metal layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Metal layer.
     pub layer: Layer,
@@ -206,7 +203,7 @@ impl Segment {
 }
 
 /// A via connecting `lower` to `lower + 1` at a point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Via {
     /// Lower layer of the cut (`Via { lower: Layer(3) }` connects M3–M4).
     pub lower: Layer,

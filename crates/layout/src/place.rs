@@ -44,7 +44,7 @@ impl Default for PlacerConfig {
 }
 
 /// A legal placement: cell origins (lower-left) plus the row of each cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Lower-left origin of every instance (pads included), indexed by
     /// instance id.

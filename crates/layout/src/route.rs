@@ -81,7 +81,7 @@ impl Default for RouterConfig {
 }
 
 /// The routed geometry of one net.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetRoute {
     /// Wire segments (axis-parallel, possibly zero-length free).
     pub segments: Vec<Segment>,
@@ -105,7 +105,7 @@ impl NetRoute {
 }
 
 /// Routing statistics for reporting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouteStats {
     /// Wirelength per layer in dbu (index 0 = M1).
     pub wirelength_per_layer: Vec<i64>,

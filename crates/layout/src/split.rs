@@ -27,7 +27,7 @@ use std::collections::HashMap;
 pub struct FragId(pub u32);
 
 /// Role of a fragment in the matching problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FragKind {
     /// Contains the driver pin and at least one virtual pin.
     Source,
@@ -40,7 +40,7 @@ pub enum FragKind {
 }
 
 /// A cell pin contained in a fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragPin {
     /// The netlist pin.
     pub pin: PinRef,
@@ -51,7 +51,7 @@ pub struct FragPin {
 }
 
 /// One FEOL wiring fragment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fragment {
     /// Ground-truth net (label only — not attacker-visible input).
     pub net: NetId,
@@ -115,7 +115,7 @@ impl Fragment {
 
 /// The attacker's view of a split layout, with ground-truth labels available
 /// for training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitView {
     /// The split layer (topmost FEOL layer).
     pub split_layer: Layer,

@@ -12,10 +12,9 @@ use crate::library::{CellFunction, CellKindId, CellLibrary, DriveStrength};
 use crate::netlist::{InstId, NetId, Netlist, PinRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-logic generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of primary inputs.
     pub num_inputs: usize,

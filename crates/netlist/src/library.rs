@@ -9,12 +9,11 @@
 //! row height 1.4 µm, input capacitances around 1 fF, X1 drivers limited to a
 //! few tens of fF) without copying any proprietary tables.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Direction of a cell pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PinDir {
     /// Input pin (has capacitance, no drive).
     Input,
@@ -23,7 +22,7 @@ pub enum PinDir {
 }
 
 /// Drive strength of a cell; multiplies maximum load and divides resistance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DriveStrength {
     /// 1× drive.
     X1,
@@ -63,7 +62,7 @@ impl fmt::Display for DriveStrength {
 ///
 /// `PadIn`/`PadOut` are pseudo-cells representing chip I/O; modelling them as
 /// instances keeps placement and routing uniform over all pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellFunction {
     /// Inverter.
     Inv,
@@ -133,7 +132,7 @@ impl CellFunction {
 }
 
 /// A pin of a cell template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PinSpec {
     /// Pin name as used in structural Verilog (`A`, `B`, `ZN`, …).
     pub name: String,
@@ -144,7 +143,7 @@ pub struct PinSpec {
 }
 
 /// A standard-cell template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Library cell name (for example `NAND2_X1`).
     pub name: String,
@@ -185,7 +184,7 @@ impl CellSpec {
 }
 
 /// Identifier of a cell template inside a [`CellLibrary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKindId(pub u32);
 
 /// A complete standard-cell library.
@@ -200,7 +199,7 @@ pub struct CellKindId(pub u32);
 /// assert_eq!(nand.function.num_inputs(), 2);
 /// assert!(nand.max_load_ff > 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     /// Library name.
     pub name: String,

@@ -7,20 +7,19 @@
 //! naive hierarchical attack of Rajendran et al. breaks down.
 
 use crate::library::{CellKindId, CellLibrary, PinDir};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of an instance within a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub u32);
 
 /// Identifier of a net within a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub u32);
 
 /// A reference to a specific pin of a specific instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PinRef {
     /// The instance.
     pub inst: InstId,
@@ -35,7 +34,7 @@ impl fmt::Display for PinRef {
 }
 
 /// A placed-or-unplaced cell instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Instance name (unique within the netlist).
     pub name: String,
@@ -47,7 +46,7 @@ pub struct Instance {
 }
 
 /// A signal net: one driver, many sinks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name (unique within the netlist).
     pub name: String,
@@ -119,7 +118,7 @@ impl std::error::Error for NetlistError {}
 /// nl.connect_sink(n2, z, 0);
 /// assert!(nl.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     /// Design name.
     pub name: String,

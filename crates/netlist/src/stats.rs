@@ -3,12 +3,11 @@
 
 use crate::library::CellLibrary;
 use crate::netlist::Netlist;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Summary statistics of a netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistStats {
     /// Design name.
     pub name: String,

@@ -151,7 +151,7 @@ pub struct Observation {
 }
 
 /// One closed window's feature breakdown and combined suspicion score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WindowScore {
     /// Window epoch (`tick / window_us`).
     pub window: u64,
