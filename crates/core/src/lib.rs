@@ -22,7 +22,9 @@
 //!   re-training. They keep versioned binary blobs
 //!   ([`TrainedAttack::to_blob`]).
 //! * [`httpc`] — the minimal HTTP/1.1 client behind [`RemoteModelStore`],
-//!   shared with the `deepsplit-serve` integration tests and load generator.
+//!   shared with the `deepsplit-serve` integration tests and load generator,
+//!   and the bounded message reader it shares with the `deepsplit-serve`
+//!   server.
 //!
 //! # Example: train on one design, attack another
 //!

@@ -637,7 +637,7 @@ mod tests {
     use super::*;
     use deepsplit_nn::layers::{Grads, Params};
     use deepsplit_nn::loss::softmax_regression;
-    use deepsplit_nn::optim::{Adam, Optimizer};
+    use deepsplit_nn::optim::Adam;
     use deepsplit_nn::workspace::Workspace;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

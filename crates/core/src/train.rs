@@ -30,7 +30,7 @@ use crate::vector_features::{Normalizer, VECTOR_DIM};
 use crate::PIPELINE_VERSION;
 use deepsplit_nn::layers::{Grads, Params};
 use deepsplit_nn::loss::{softmax_regression_into, two_class_into};
-use deepsplit_nn::optim::{Adam, Optimizer, StepDecay};
+use deepsplit_nn::optim::{Adam, StepDecay};
 use deepsplit_nn::parallel::for_each_run;
 use deepsplit_nn::workspace::Workspace;
 use rand::rngs::StdRng;

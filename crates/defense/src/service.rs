@@ -192,7 +192,34 @@ impl AttackRequest {
         let shift = self.eval.implement.router.max_track_shift;
         within("router max_track_shift", shift, 0..=MAX_TRACK_SHIFT)?;
         let rounds = self.eval.flow.max_iterations;
-        within("flow max_iterations", rounds, 0..=MAX_FLOW_ITERATIONS)
+        within("flow max_iterations", rounds, 0..=MAX_FLOW_ITERATIONS)?;
+        // The layout knobs a layout build asserts on or divides by: out of
+        // range, they would answer 500 from deep inside the build.
+        let implement = &self.eval.implement;
+        let utilization = implement.utilization;
+        if !(utilization > 0.0 && utilization <= 1.0) {
+            return Err(format!("utilization {utilization} outside (0, 1]"));
+        }
+        if !(implement.aspect > 0.0 && implement.aspect.is_finite()) {
+            return Err(format!(
+                "aspect {} must be positive and finite",
+                implement.aspect
+            ));
+        }
+        let router = &implement.router;
+        if router.track_pitch < 1 {
+            return Err(format!(
+                "router track_pitch {} must be at least 1",
+                router.track_pitch
+            ));
+        }
+        if let Some(pattern) = router.forced_pattern {
+            within("router forced_pattern", pattern, 0..=3)?;
+        }
+        if router.layer_thresholds.is_empty() {
+            return Err("router layer_thresholds must not be empty".to_string());
+        }
+        Ok(())
     }
 
     /// The content address of the model this request resolves to — the same
@@ -418,6 +445,9 @@ mod tests {
         edges.eval.implement.placer.anneal_moves_per_cell = MAX_ANNEAL_MOVES_PER_CELL;
         edges.eval.implement.router.max_track_shift = MAX_TRACK_SHIFT;
         edges.eval.flow.max_iterations = MAX_FLOW_ITERATIONS;
+        edges.eval.implement.utilization = 1.0;
+        edges.eval.implement.router.track_pitch = 1;
+        edges.eval.implement.router.forced_pattern = Some(3);
         assert_eq!(edges.validate(), Ok(()));
         edges.eval.implement = ImplementConfig::fast();
         assert_eq!(edges.validate(), Ok(()));
@@ -486,6 +516,45 @@ mod tests {
             (
                 refused_eval(|e| e.flow.max_iterations = MAX_FLOW_ITERATIONS + 1),
                 "flow max_iterations",
+            ),
+            (
+                refused_eval(|e| e.implement.router.track_pitch = 0),
+                "track_pitch",
+            ),
+            (
+                refused_eval(|e| e.implement.router.track_pitch = -200),
+                "track_pitch",
+            ),
+            (
+                refused_eval(|e| e.implement.utilization = 0.0),
+                "utilization",
+            ),
+            (
+                refused_eval(|e| e.implement.utilization = 1.5),
+                "utilization",
+            ),
+            (
+                refused_eval(|e| e.implement.utilization = f64::NAN),
+                "utilization",
+            ),
+            (refused_eval(|e| e.implement.aspect = 0.0), "aspect"),
+            (refused_eval(|e| e.implement.aspect = -1.0), "aspect"),
+            (
+                refused_eval(|e| e.implement.aspect = f64::INFINITY),
+                "aspect",
+            ),
+            (refused_eval(|e| e.implement.aspect = f64::NAN), "aspect"),
+            (
+                refused_eval(|e| e.implement.router.forced_pattern = Some(4)),
+                "forced_pattern",
+            ),
+            (
+                refused_eval(|e| e.implement.router.forced_pattern = Some(9)),
+                "forced_pattern",
+            ),
+            (
+                refused_eval(|e| e.implement.router.layer_thresholds.clear()),
+                "layer_thresholds",
             ),
         ] {
             assert!(problem.contains(knob), "{knob}: {problem}");

@@ -12,7 +12,7 @@
 //!   suite) whose weight gradients fold into a `Grads` buffer.
 //! * [`loss`] — the paper's softmax regression loss (Eq. 6) and the two-class
 //!   baseline (Eq. 3) it ablates against.
-//! * [`optim`] — SGD/Adam plus the paper's step-decay schedule
+//! * [`optim`] — Adam plus the paper's step-decay schedule
 //!   (0.001 decayed to 60 % every 20 epochs).
 //! * [`init`] — deterministic He initialisation.
 //! * [`parallel`] — `std::thread`-based data parallelism for CPU training.
@@ -27,7 +27,7 @@
 //! use deepsplit_nn::init::Initializer;
 //! use deepsplit_nn::layers::{Grads, Layer, Linear};
 //! use deepsplit_nn::loss::softmax_regression_into;
-//! use deepsplit_nn::optim::{Adam, Optimizer};
+//! use deepsplit_nn::optim::Adam;
 //! use deepsplit_nn::workspace::Workspace;
 //!
 //! let mut init = Initializer::new(1);
@@ -63,6 +63,6 @@ pub use layers::{
     Conv2d, Fold, GlobalAvgPool, Grads, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
 };
 pub use loss::{softmax_regression, two_class};
-pub use optim::{Adam, Optimizer, Sgd, StepDecay};
+pub use optim::{Adam, StepDecay};
 pub use tensor::Tensor;
 pub use workspace::Workspace;

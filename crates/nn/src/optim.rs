@@ -1,79 +1,11 @@
-//! Optimizers and the paper's learning-rate schedule.
+//! The optimizer and the paper's learning-rate schedule.
 //!
 //! The paper trains with learning rate 0.001 decayed to 60 % every 20 epochs
-//! ([`StepDecay`]). The optimizer is not named in the paper; we provide both
-//! [`Adam`] (used by default) and [`Sgd`] with momentum.
+//! ([`StepDecay`]). The optimizer is not named in the paper; training uses
+//! [`Adam`].
 
 use crate::layers::{Grads, Params};
 use crate::tensor::Tensor;
-
-/// A first-order optimizer over a [`Params`] implementor's parameters.
-pub trait Optimizer {
-    /// Applies one update step from `grads`, one gradient per parameter in
-    /// visit order.
-    fn step(&mut self, model: &mut dyn Params, grads: &Grads);
-
-    /// Sets the learning rate.
-    fn set_lr(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Sgd {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Params, grads: &Grads) {
-        let mut idx = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        let grads = grads.tensors();
-        model.visit_params(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.shape()));
-            }
-            let v = &mut velocity[idx];
-            let grad = &grads[idx];
-            assert_eq!(grad.shape(), p.value.shape(), "gradient shape");
-            for ((vi, gi), wi) in v
-                .data_mut()
-                .iter_mut()
-                .zip(grad.data())
-                .zip(p.value.data_mut())
-            {
-                *vi = momentum * *vi + gi;
-                *wi -= lr * *vi;
-            }
-            idx += 1;
-        });
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -100,10 +32,10 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Params, grads: &Grads) {
+    /// Applies one update step from `grads`, one gradient per parameter in
+    /// visit order.
+    pub fn step(&mut self, model: &mut dyn Params, grads: &Grads) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -138,11 +70,13 @@ impl Optimizer for Adam {
         });
     }
 
-    fn set_lr(&mut self, lr: f32) {
+    /// Sets the learning rate.
+    pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
 
-    fn lr(&self) -> f32 {
+    /// Current learning rate.
+    pub fn lr(&self) -> f32 {
         self.lr
     }
 }
@@ -183,8 +117,8 @@ mod tests {
     use crate::loss::softmax_regression;
 
     /// A toy matching problem: pick the candidate whose feature matches a
-    /// pattern; both optimizers must drive the loss down.
-    fn train_toy(optimizer: &mut dyn Optimizer) -> (f32, f32) {
+    /// pattern; the optimizer must drive the loss down.
+    fn train_toy(optimizer: &mut Adam) -> (f32, f32) {
         let mut init = Initializer::new(42);
         let mut model = Linear::new(4, 1, &mut init);
         let mut grads = Grads::zeros(&mut model);
@@ -214,13 +148,6 @@ mod tests {
             last = loss;
         }
         (first, last)
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let (first, last) = train_toy(&mut opt);
-        assert!(last < first * 0.5, "first {first} last {last}");
     }
 
     #[test]

@@ -1,32 +1,25 @@
-//! Dependency-light HTTP/1.1 plumbing: request parsing, response writing,
-//! and a [`TcpListener`]-plus-worker-threadpool server loop.
+//! Dependency-light HTTP/1.1 serving: request parsing, response writing,
+//! and a server whose workers accept on one [`TcpListener`].
 //!
 //! One connection carries one request (`Connection: close`), matching the
-//! [`deepsplit_core::httpc`] client. The accept loop hands connections to a
-//! fixed pool of workers over a channel; a handler panic is caught and
-//! answered with `500` instead of bleeding a worker, so a poisoned request
-//! cannot drain the pool.
+//! [`deepsplit_core::httpc`] client, and both ends read a message with
+//! [`httpc::read_message`] under the same bounds ([`MAX_HEAD_BYTES`],
+//! [`MAX_BODY_BYTES`]). Each worker accepts a connection, answers it and
+//! accepts the next, so the kernel's listen backlog is the only queue and
+//! the process holds at most one accepted socket per worker. A handler
+//! panic is caught and answered with `500` instead of bleeding a worker, so
+//! a poisoned request cannot drain the pool.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use deepsplit_core::httpc::{self, HttpError};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Largest accepted request body. A model blob (`PUT /models`) is the
-/// largest body the API takes: 1.5 MB for a vector-only model, 4.5 MB for
-/// an image model at the blob format's channel cap. A larger declared
-/// length is refused before any of its bytes are read, and the request
-/// answered `400`.
-pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
-
-/// Largest accepted request head (request line + headers). Anything a
-/// legitimate client of this API sends fits in a fraction of this; an
-/// endless unterminated line must not grow a worker's buffers unboundedly.
-pub const MAX_HEAD_BYTES: u64 = 64 * 1024;
+pub use deepsplit_core::httpc::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 
 /// How long a worker waits on a silent connection before giving up on it.
 const CONNECTION_TIMEOUT: Duration = Duration::from_secs(30);
@@ -118,35 +111,20 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Reads one `\n`-terminated line from a head-limited reader. A line that
-/// ends without a terminator ran into [`MAX_HEAD_BYTES`] (or EOF), so the
-/// head is unparsable either way — reject it instead of buffering more.
-fn read_head_line<R: Read>(reader: &mut BufReader<std::io::Take<R>>) -> Result<String, String> {
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request head: {e}"))?;
-    if !line.ends_with('\n') {
-        return Err(format!(
-            "request head truncated or longer than the {MAX_HEAD_BYTES}-byte limit"
-        ));
-    }
-    Ok(line)
-}
-
 /// Reads and parses one request from `stream` (the server passes its
-/// [`TcpStream`]).
+/// [`TcpStream`]) with [`httpc::read_message`].
 ///
 /// # Errors
 ///
 /// Returns a human-readable description when the bytes are not a parsable
-/// HTTP/1.x request, the head exceeds [`MAX_HEAD_BYTES`], or the body
-/// exceeds [`MAX_BODY_BYTES`]. Body memory grows with the bytes that
-/// actually arrive, never with the declared `Content-Length` alone — a
-/// handful of cheap connections must not be able to pin gigabytes.
+/// HTTP/1.x request or break a bound of [`httpc::read_message`]: a head
+/// over [`MAX_HEAD_BYTES`] or a declared body over [`MAX_BODY_BYTES`],
+/// refused before it is read. The server answers either with `400`.
 pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
-    let mut reader = BufReader::new(Read::take(stream, MAX_HEAD_BYTES));
-    let line = read_head_line(&mut reader)?;
+    let (line, body) = httpc::read_message(stream).map_err(|e| match e {
+        HttpError::Malformed(message) => message,
+        e => e.to_string(),
+    })?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -154,54 +132,11 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
         .to_ascii_uppercase();
     let path = parts
         .next()
-        .ok_or_else(|| format!("no path in request line `{}`", line.trim()))?
+        .ok_or_else(|| format!("no path in request line `{line}`"))?
         .to_string();
-    let version = parts.next().unwrap_or_default();
-    if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported version in `{}`", line.trim()));
+    if !parts.next().unwrap_or_default().starts_with("HTTP/1.") {
+        return Err(format!("unsupported version in `{line}`"));
     }
-
-    let mut content_length = 0usize;
-    loop {
-        let header = read_head_line(&mut reader)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad Content-Length `{}`", value.trim()))?;
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        ));
-    }
-
-    // Re-limit the reader to the body, then read incrementally: capacity
-    // grows as bytes arrive, so a declared-but-never-sent Content-Length
-    // costs nothing. Body bytes that already crossed under the head limit
-    // sit in the BufReader's buffer and count against the body budget.
-    let buffered = reader.buffer().len();
-    reader
-        .get_mut()
-        .set_limit(content_length.saturating_sub(buffered) as u64);
-    let mut body = Vec::new();
-    reader
-        .read_to_end(&mut body)
-        .map_err(|e| format!("read body of {content_length} bytes: {e}"))?;
-    if body.len() < content_length {
-        return Err(format!(
-            "truncated body: {} of {content_length} bytes",
-            body.len()
-        ));
-    }
-    body.truncate(content_length);
     Ok(Request {
         method,
         path,
@@ -240,12 +175,11 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 /// The request handler a [`Server`] dispatches to.
 pub(crate) type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
-/// A running HTTP server: an accept thread feeding a worker threadpool.
+/// A running HTTP server: worker threads accepting on one listener.
 pub struct Server {
     /// The address actually bound (resolves an ephemeral `:0` port).
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -254,67 +188,48 @@ pub struct Server {
 ///
 /// # Errors
 ///
-/// Returns the bind error.
+/// Returns the bind error, or the error of cloning the listener.
 pub fn serve(addr: &str, threads: usize, handler: Arc<Handler>) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<JoinHandle<()>> = (0..threads.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
+    // Every clone first, so a failed one leaves no worker blocked in accept.
+    let listeners = (0..threads.max(1))
+        .map(|_| listener.try_clone())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let workers = listeners
+        .into_iter()
+        .map(|listener| {
+            let shutdown = Arc::clone(&shutdown);
             let handler = Arc::clone(&handler);
-            std::thread::spawn(move || worker_loop(&rx, handler.as_ref()))
+            std::thread::spawn(move || worker_loop(&listener, &shutdown, handler.as_ref()))
         })
         .collect();
-
-    let accept = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    // A send fails only when every worker is gone; stop
-                    // accepting rather than spinning.
-                    Ok(s) => {
-                        if tx.send(s).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => eprintln!("serve: accept failed: {e}"),
-                }
-            }
-            // Dropping `tx` here lets the workers drain and exit.
-        })
-    };
-
     Ok(Server {
         addr,
         shutdown,
-        accept: Some(accept),
         workers,
     })
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Handler) {
+/// Accepts and answers one connection at a time. The first connection
+/// accepted after the shutdown flag is set ends the loop unanswered.
+fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, handler: &Handler) {
     loop {
-        // splint::allow(L1, "guard is a match-scrutinee temporary: the lock spans only the channel recv and is released at the end of this statement, before any socket I/O")
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(mut stream) = stream else {
-            return; // Accept loop ended; no more connections will arrive.
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((mut stream, peer)) =
+            accepted.inspect_err(|e| eprintln!("serve: accept failed: {e}"))
+        else {
+            continue;
         };
         let _ = stream.set_read_timeout(Some(CONNECTION_TIMEOUT));
         let _ = stream.set_write_timeout(Some(CONNECTION_TIMEOUT));
         let response = match read_request(&mut stream) {
             Ok(mut request) => {
-                request.peer = stream.peer_addr().ok().map(|a| a.ip().to_string());
+                request.peer = Some(peer.ip().to_string());
                 // Backstop only: a well-behaved handler (the attack server)
                 // catches its own panics so they enter its metrics; anything
                 // that still unwinds to here answers 500 and the worker
@@ -337,18 +252,16 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Handler) {
 }
 
 impl Server {
-    /// Stops accepting, drains the workers and joins every thread.
+    /// Stops accepting, lets each worker finish the request it is
+    /// answering, and joins every worker. Connections still waiting in the
+    /// listen backlog are closed unanswered.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     /// Blocks until the server stops (effectively forever for a foreground
-    /// server process — the accept thread only exits on [`Server::shutdown`]
-    /// or a dead listener).
+    /// server process — the workers only exit on [`Server::shutdown`]).
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -358,11 +271,10 @@ impl Server {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the accept loop: `incoming()` blocks until one more
-        // connection arrives, so make one arrive.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // A worker blocks in `accept` until a connection arrives, so make
+        // one arrive per worker.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -1,10 +1,13 @@
 //! # deepsplit-serve
 //!
-//! The attack as a **service**: a dependency-light HTTP/1.1 server (std
-//! [`std::net::TcpListener`] plus a worker threadpool — no async runtime,
-//! matching the workspace's compat-shim philosophy) that turns the trained
-//! DAC'19 attack into an online adversary and the model store into shared
-//! fleet infrastructure.
+//! The attack as a **service**: a dependency-light HTTP/1.1 server (worker
+//! threads accepting on one std [`std::net::TcpListener`] — no async
+//! runtime, matching the workspace's compat-shim philosophy) that turns the
+//! trained DAC'19 attack into an online adversary and the model store into
+//! shared fleet infrastructure. The listen backlog is its only connection
+//! queue, so it holds at most one accepted connection per worker, and it
+//! reads requests with the same bounded reader as the client
+//! ([`deepsplit_core::httpc::read_message`]).
 //!
 //! Two APIs on one port:
 //!

@@ -469,6 +469,13 @@ fn out_of_range_training_knobs_are_rejected_at_the_boundary() {
     let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST a long corpus");
     assert_eq!(r.status, 400, "{:?}", r.body_str());
     assert!(r.body_str().expect("body").contains("train_benchmarks"));
+    // A zero track pitch: the layout build would divide by it.
+    let mut bad = tiny_request();
+    bad.eval.implement.router.track_pitch = 0;
+    let body = serde_json::to_string(&bad).expect("serialise request");
+    let r = httpc::post(&url, body.as_bytes(), TIMEOUT).expect("POST a zero track pitch");
+    assert_eq!(r.status, 400, "{:?}", r.body_str());
+    assert!(r.body_str().expect("body").contains("track_pitch"));
     let health = httpc::get(&format!("{}/healthz", server.url()), TIMEOUT).expect("healthz");
     assert_eq!(health.status, 200);
     let m = metrics_of(&server);
