@@ -277,8 +277,110 @@ fn detect_roc(args: &[String]) {
     }
 }
 
+/// The flags of each mode that take a value; the switches `--detect` and
+/// `--detect-roc` take none.
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--threads",
+    "--lru",
+    "--cache-dir",
+    "--trace",
+    "--detect-window-ms",
+    "--detect-trigger",
+    "--countermeasure",
+];
+const LOADGEN_FLAGS: &[&str] = &[
+    "--loadgen",
+    "--requests",
+    "--concurrency",
+    "--path",
+    "--profile",
+    "--client",
+    "--json",
+];
+const ROC_FLAGS: &[&str] = &["--requests", "--window-ms", "--seed", "--json"];
+
+/// The usage text: every flag of the three modes, with its default.
+fn usage() -> String {
+    let serve = ServeConfig::default();
+    let profiles = TrafficProfile::all().map(TrafficProfile::name).join("|");
+    format!(
+        "\
+usage: attack_server [serve flags]
+       attack_server --loadgen URL [loadgen flags]
+       attack_server --detect-roc [roc flags]
+
+Serve a model store and POST /attack (the default mode):
+  --addr HOST:PORT          listen address (default {addr})
+  --threads N               HTTP workers (default {threads})
+  --lru N                   deserialized models kept (default {lru})
+  --cache-dir DIR           disk-backed model store (default: in memory)
+  --trace PATH              rewrite a chrome://tracing file every 5 s
+  --detect                  turn query-stream adversary detection on
+  --detect-window-ms N      detection window (default {window})
+  --detect-trigger N        hot windows before a client is flagged (default {trigger})
+  --countermeasure observe|rate-limit|deceive
+                            what flagged clients get (default {countermeasure})
+
+Load generator against a running server:
+  --loadgen URL             the server, e.g. http://127.0.0.1:8077
+  --requests N              requests to send (default 200)
+  --concurrency N           client threads (default 1)
+  --path PATH               GET path (default /healthz)
+  --profile {profiles}
+                            POST shaped /attack traffic instead
+  --client ID               client key (default: the profile's name, or loadgen)
+  --json PATH               write the report (BENCH_serve.json)
+
+Offline detection ROC of the red-team profiles, no server:
+  --detect-roc              this mode
+  --requests N              requests per profile (default 240)
+  --window-ms N             detection window (default 1000)
+  --seed N                  traffic seed (default 42)
+  --json PATH               write the report instead of printing it
+
+  -h, --help                print this text and exit
+",
+        addr = serve.addr,
+        threads = serve.threads,
+        lru = serve.lru_capacity,
+        window = serve.detect.window_us / 1_000,
+        trigger = serve.detect.trigger_windows,
+        countermeasure = serve.detect.countermeasure.name(),
+    )
+}
+
+/// Prints the usage text and exits on `--help`, or on a flag that the
+/// mode does not take (status 2, before anything binds or runs).
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let problem = match arg.as_str() {
+            "-h" | "--help" => {
+                print!("{}", usage());
+                std::process::exit(0);
+            }
+            a if switches.contains(&a) => continue,
+            a if valued.contains(&a) => match it.next() {
+                Some(_) => continue,
+                None => format!("{a} needs a value"),
+            },
+            a => format!("unknown flag `{a}`"),
+        };
+        eprint!("attack_server: {problem}\n\n{}", usage());
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--detect-roc") {
+        check_flags(&args, ROC_FLAGS, &["--detect-roc"]);
+    } else if args.iter().any(|a| a == "--loadgen") {
+        check_flags(&args, LOADGEN_FLAGS, &[]);
+    } else {
+        check_flags(&args, SERVE_FLAGS, &["--detect"]);
+    }
 
     if args.iter().any(|a| a == "--detect-roc") {
         detect_roc(&args);

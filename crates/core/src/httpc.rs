@@ -40,6 +40,8 @@ pub enum HttpError {
     },
     /// The peer's bytes broke the HTTP/1.x format or a bound.
     Malformed(String),
+    /// The peer closed the connection before sending a byte of the message.
+    Closed,
 }
 
 impl std::fmt::Display for HttpError {
@@ -48,6 +50,7 @@ impl std::fmt::Display for HttpError {
             HttpError::Url(msg) => write!(f, "bad URL: {msg}"),
             HttpError::Io { context, source } => write!(f, "{context}: {source}"),
             HttpError::Malformed(msg) => write!(f, "malformed HTTP response: {msg}"),
+            HttpError::Closed => write!(f, "connection closed before the first byte"),
         }
     }
 }
@@ -177,12 +180,19 @@ fn read_response<R: Read>(stream: &mut R) -> Result<HttpResponse, HttpError> {
 ///
 /// # Errors
 ///
+/// [`HttpError::Closed`] when the stream ends before its first byte;
 /// [`HttpError::Io`] when reading fails; [`HttpError::Malformed`] when the
 /// head is not UTF-8 or does not end within [`MAX_HEAD_BYTES`], or the
 /// `Content-Length` is not a number, exceeds [`MAX_BODY_BYTES`] (refused
 /// before any body byte is read) or is more than the peer sent.
 pub fn read_message<R: Read>(stream: &mut R) -> Result<(String, Vec<u8>), HttpError> {
     let mut reader = BufReader::new(Read::take(stream, MAX_HEAD_BYTES));
+    let first = reader
+        .fill_buf()
+        .map_err(io_error("read head".to_string()))?;
+    if first.is_empty() {
+        return Err(HttpError::Closed);
+    }
     // A line that ends without a terminator ran into MAX_HEAD_BYTES (or
     // EOF), so the head is unparsable either way — refuse it instead of
     // buffering more.

@@ -31,6 +31,18 @@
 //! slower. A build that enables AVX-512F at compile time (`-C
 //! target-cpu=native` on such a CPU) runs the AVX-512 build too.
 //!
+//! `A · B` with both stored row-major ([`Tensor::matmul`]: every dense
+//! layer's forward pass and every conv's im2col product) reads B where it
+//! is stored, in tiles as wide as the build's registers allow: 4 rows × 64
+//! columns in the AVX-512 build and 4 × 16 in the others, each then one
+//! tile of the last 1–3 rows, and tiles of 32 and 16 for the last columns.
+//! A product of few rows, such as the candidates of one `/attack` query,
+//! so keeps 12–16 running sums per tile in the AVX-512 build, where the
+//! panel path's 2- and 1-row tiles waited on each add's latency. The
+//! columns past the last whole 16, and the other two products, copy each
+//! 16-column block of B into a panel first. Tiles group rows and columns,
+//! never the inner index, so the contract above holds on both paths.
+//!
 //! [`Tensor::fold_t_matmul`] adds a weight gradient `Σ_s x[s]ᵀ · g[s]` over
 //! row segments `s` (one per query) into a buffer, on the same kernel. Each
 //! segment's sum `S_s` follows the rules above, over that segment's rows
@@ -388,7 +400,8 @@ impl Tensor {
 }
 
 /// The working buffer of the matrix products: the panel each block of B is
-/// copied into. A product allocates one unless it is given a `Scratch`,
+/// copied into (`A · B` needs one only for columns past the last whole
+/// block of 16). A product allocates one unless it is given a `Scratch`,
 /// which keeps the largest panel it has held.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -581,6 +594,16 @@ const NR: usize = 16;
 /// output columns, over the inner indices a panel holds, each sum started
 /// at `+0.0` and taken by the module's accumulation contract.
 trait Tile: Copy {
+    /// Whether the build has 32 registers of `NR` lanes (AVX-512), so that
+    /// a tile holds four times the sums it can in 16 registers of half as
+    /// many (AVX2).
+    const WIDE: bool;
+
+    /// Stores rows `i..i + R` and columns `j..j + V·NR` of `A · B`, with A
+    /// and B both stored row-major and B read where it is stored: each of
+    /// the `R·V·NR` sums from `+0.0` over every inner index.
+    fn ab<const R: usize, const V: usize>(self, g: &Gemm, i: usize, j: usize, out: &mut [f32]);
+
     /// The sums for A stored row-major, over every inner index: rows
     /// `i..i + R` of A, each read along.
     fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R];
@@ -603,6 +626,33 @@ trait Tile: Copy {
 struct Loops;
 
 impl Tile for Loops {
+    const WIDE: bool = false;
+
+    #[inline(always)]
+    fn ab<const R: usize, const V: usize>(self, g: &Gemm, i: usize, j: usize, out: &mut [f32]) {
+        let (k, n) = (g.k, g.n);
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &g.a[(i + r) * k..][..k]);
+        let mut acc = [[[0.0f32; NR]; V]; R];
+        for (p, b) in (0..k).zip(g.b.chunks_exact(n)) {
+            let b: [&[f32; NR]; V] =
+                std::array::from_fn(|v| b[j + v * NR..].first_chunk().expect("NR columns"));
+            for r in 0..R {
+                let av = rows[r][p];
+                for v in 0..V {
+                    for c in 0..NR {
+                        acc[r][v][c] += av * b[v][c];
+                    }
+                }
+            }
+        }
+        for (r, sums) in acc.iter().enumerate() {
+            let row = &mut out[(i + r) * n + j..][..V * NR];
+            for (o, s) in row.chunks_exact_mut(NR).zip(sums) {
+                o.copy_from_slice(s);
+            }
+        }
+    }
+
     #[inline(always)]
     fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
         let k = g.k;
@@ -670,6 +720,46 @@ mod avx512 {
     }
 
     impl Tile for Avx512 {
+        const WIDE: bool = true;
+
+        #[inline(always)]
+        fn ab<const R: usize, const V: usize>(self, g: &Gemm, i: usize, j: usize, out: &mut [f32]) {
+            let (k, n) = (g.k, g.n);
+            assert!(
+                j + V * NR <= n && g.b.len() == k * n,
+                "the tile lies within B"
+            );
+            let a = g.a[i * k..][..R * k].as_ptr();
+            let b = g.b.as_ptr();
+            // SAFETY: `self` exists only where AVX-512F was detected. Each
+            // read of A is of its rows `i..i + R`, checked above; each load
+            // of B moves `NR` values of row `p < k` at columns below
+            // `j + V·NR <= n`; each store moves `NR` values of a slice of
+            // `V·NR`.
+            unsafe {
+                let mut acc = [[_mm512_setzero_ps(); V]; R];
+                for p in 0..k {
+                    let bp = b.add(p * n + j);
+                    let mut bv = [_mm512_setzero_ps(); V];
+                    for (v, x) in bv.iter_mut().enumerate() {
+                        *x = _mm512_loadu_ps(bp.add(v * NR));
+                    }
+                    for (r, sums) in acc.iter_mut().enumerate() {
+                        let x = _mm512_set1_ps(*a.add(r * k + p));
+                        for (s, &y) in sums.iter_mut().zip(&bv) {
+                            *s = _mm512_add_ps(*s, _mm512_mul_ps(x, y));
+                        }
+                    }
+                }
+                for (r, sums) in acc.iter().enumerate() {
+                    let row = &mut out[(i + r) * n + j..][..V * NR];
+                    for (o, &s) in row.chunks_exact_mut(NR).zip(sums) {
+                        _mm512_storeu_ps(o.as_mut_ptr(), s);
+                    }
+                }
+            }
+        }
+
         #[inline(always)]
         fn sum<const R: usize>(self, g: &Gemm, i: usize, panel: &[[f32; NR]]) -> [[f32; NR]; R] {
             let k = g.k;
@@ -727,12 +817,15 @@ mod avx512 {
 /// Register-blocked `out = A · B` (row-major `[m, n]`), or the fold `g`
 /// asks for, with the tiles `t` of the build it is compiled into.
 ///
-/// `out` is computed in blocks of `NR` columns. Each block of B is copied
-/// into a row-major panel, transposed if B is stored transposed (a copy
-/// only moves values), then the block of `out` is computed in tiles of `MR`
-/// rows (`MR_T` when A is stored transposed), then 4, 2 and 1 for the last
-/// rows. A product sums each tile in registers over the whole inner
-/// dimension and stores it. A fold of one run sums each tile the same way
+/// With A and B both stored row-major, [`ab_in_place`] computes the
+/// columns of `out` up to the last whole block of `NR`, reading B where it
+/// is stored. The rest of `out`, and all of it for the other products, is
+/// computed in blocks of `NR` columns. Each block of B is copied into a
+/// row-major panel, transposed if B is stored transposed (a copy only moves
+/// values), then the block of `out` is computed in tiles of `MR` rows
+/// (`MR_T` when A is stored transposed), then 4, 2 and 1 for the last rows.
+/// A product sums each tile in registers over the whole inner dimension and
+/// stores it. A fold of one run sums each tile the same way
 /// and adds it into `out`. A fold of more runs loads each tile of `out`
 /// into registers once, adds the tile's sums over each run of `segments` to
 /// it, run after run, and stores it once. Tiles never split a run, so every
@@ -748,17 +841,101 @@ fn gemm_core<T: Tile>(t: T, g: &Gemm, out: &mut [f32], panel: &mut Panel) {
         g.fold.is_none() || (g.a_t && !g.b_t),
         "a fold reads A transposed and B as stored"
     );
+    // A · B reads B in place in its whole blocks of `NR` columns; the
+    // panel path takes the rest, and the other products.
+    let first = if g.a_t || g.b_t {
+        0
+    } else {
+        ab_in_place(t, g, out)
+    };
+    if first == n {
+        return;
+    }
     if panel.len() < k {
         panel.resize(k, [0.0; NR]);
     }
     let panel = &mut panel[..k];
-    for j in (0..n).step_by(NR) {
+    for j in (first..n).step_by(NR) {
         copy_block(g, j, panel);
         if g.a_t {
             block_rows::<T, MR_T>(t, g, j, panel, out);
         } else {
             block_rows::<T, MR>(t, g, j, panel, out);
         }
+    }
+}
+
+/// `out = A · B`, A and B stored row-major, in the columns `..n - n % NR`,
+/// B read where it is stored; returns that column count.
+///
+/// A sum's adds depend on each other, so a tile holds as many sums as the
+/// build's registers allow, for the adds of one inner index to wait on
+/// none of the last's. The rows run in tiles of 4, then one tile of the
+/// last 1–3 rows. With [`Tile::WIDE`] tiles (AVX-512, one register per row
+/// of `NR` sums) every tile is 64 columns wide, so a 4-row tile holds 16
+/// registers of sums. Otherwise (AVX2, two registers per row of `NR` sums)
+/// tiles are 16 columns wide, 4 × 16 holding 8 registers, and a last row
+/// alone is 64 wide. The last columns take tiles of 32 and 16.
+#[inline(always)]
+fn ab_in_place<T: Tile>(t: T, g: &Gemm, out: &mut [f32]) -> usize {
+    let (m, cols) = (g.m, g.n - g.n % NR);
+    let rows = m - m % 4;
+    let last = rows..m;
+    if T::WIDE {
+        ab_rows::<T, 4, 4>(t, g, 0..rows, cols, out);
+    } else {
+        ab_rows::<T, 4, 1>(t, g, 0..rows, cols, out);
+    }
+    match (last.len(), T::WIDE) {
+        (1, _) => ab_rows::<T, 1, 4>(t, g, last, cols, out),
+        (2, true) => ab_rows::<T, 2, 4>(t, g, last, cols, out),
+        (2, false) => ab_rows::<T, 2, 1>(t, g, last, cols, out),
+        (3, true) => ab_rows::<T, 3, 4>(t, g, last, cols, out),
+        (3, false) => ab_rows::<T, 3, 1>(t, g, last, cols, out),
+        _ => {}
+    }
+    cols
+}
+
+/// `rows` (a multiple of `R` of them) of `out = A · B` in the columns
+/// `..cols` (a multiple of `NR`): blocks of `V·NR` columns, then of 32 and
+/// 16 for the last columns, each in tiles of `R` rows.
+#[inline(always)]
+fn ab_rows<T: Tile, const R: usize, const V: usize>(
+    t: T,
+    g: &Gemm,
+    rows: std::ops::Range<usize>,
+    cols: usize,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + V * NR <= cols {
+        ab_column::<T, R, V>(t, g, rows.clone(), j, out);
+        j += V * NR;
+    }
+    if V > 2 && j + 2 * NR <= cols {
+        ab_column::<T, R, 2>(t, g, rows.clone(), j, out);
+        j += 2 * NR;
+    }
+    if V > 1 && j < cols {
+        ab_column::<T, R, 1>(t, g, rows, j, out);
+    }
+}
+
+/// `rows` (a multiple of `R` of them) of `out = A · B` in the columns
+/// `j..j + V·NR`, in tiles of `R` rows.
+#[inline(always)]
+fn ab_column<T: Tile, const R: usize, const V: usize>(
+    t: T,
+    g: &Gemm,
+    rows: std::ops::Range<usize>,
+    j: usize,
+    out: &mut [f32],
+) {
+    let mut i = rows.start;
+    while i < rows.end {
+        t.ab::<R, V>(g, i, j, out);
+        i += R;
     }
 }
 
@@ -1075,22 +1252,16 @@ mod tests {
 
     #[test]
     fn kernels_match_reference_bitwise_at_tile_edges() {
-        for m in [
-            1,
-            MR - 1,
-            MR,
-            MR + 1,
-            MR_T - 1,
-            MR_T,
-            MR_T + 1,
-            2 * MR_T + 5,
-        ] {
-            for n in [1, NR - 1, NR, NR + 1] {
+        // Every row count up to one past twice the tallest tile, and column
+        // counts on each side of the 16-, 32- and 64-column tiles.
+        for m in 1..=2 * MR_T + 1 {
+            for n in [1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129] {
                 for k in [1, NR - 1, NR, NR + 1] {
                     assert_bitwise(m, k, n);
                 }
             }
         }
+        assert_bitwise(2 * MR_T + 5, NR + 1, NR + 1);
     }
 
     #[test]
@@ -1098,6 +1269,12 @@ mod tests {
         assert_bitwise(12, 27, 128);
         assert_bitwise(8, 128, 128);
         assert_bitwise(2601, 162, 16);
+        // One and eleven candidates through a 128×128 dense layer, and the
+        // im2col rows of a 3×3 conv over 128 channels and over 16.
+        assert_bitwise(1, 128, 128);
+        assert_bitwise(11, 128, 128);
+        assert_bitwise(13, 1152, 128);
+        assert_bitwise(3754, 144, 16);
     }
 
     /// The `_into` products overwrite a dirty output of another shape and
@@ -1107,7 +1284,7 @@ mod tests {
     fn into_products_match_allocating_products_bitwise() {
         let mut scratch = Scratch::default();
         let mut out = Tensor::from_vec(&[3, 3], vec![f32::NAN; 9]);
-        for (m, k, n) in [(5, 7, 17), (2, 40, 3), (9, 1, 33)] {
+        for (m, k, n) in [(5, 7, 17), (2, 40, 3), (9, 1, 33), (11, 128, 128)] {
             let seed = (m * 31 + k) as u64 * 31 + n as u64;
             let x = Tensor::from_vec(&[m, k], awkward(m * k, seed));
             let y = Tensor::from_vec(&[k, n], awkward(k * n, seed + 1));

@@ -112,7 +112,8 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Reads and parses one request from `stream` (the server passes its
-/// [`TcpStream`]) with [`httpc::read_message`].
+/// [`TcpStream`]) with [`httpc::read_message`]; `None` when the stream
+/// ended before its first byte, a connection with nothing to answer.
 ///
 /// # Errors
 ///
@@ -120,11 +121,13 @@ fn reason(status: u16) -> &'static str {
 /// HTTP/1.x request or break a bound of [`httpc::read_message`]: a head
 /// over [`MAX_HEAD_BYTES`] or a declared body over [`MAX_BODY_BYTES`],
 /// refused before it is read. The server answers either with `400`.
-pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
-    let (line, body) = httpc::read_message(stream).map_err(|e| match e {
-        HttpError::Malformed(message) => message,
-        e => e.to_string(),
-    })?;
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Option<Request>, String> {
+    let (line, body) = match httpc::read_message(stream) {
+        Ok(message) => message,
+        Err(HttpError::Closed) => return Ok(None),
+        Err(HttpError::Malformed(message)) => return Err(message),
+        Err(e) => return Err(e.to_string()),
+    };
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -137,12 +140,12 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, String> {
     if !parts.next().unwrap_or_default().starts_with("HTTP/1.") {
         return Err(format!("unsupported version in `{line}`"));
     }
-    Ok(Request {
+    Ok(Some(Request {
         method,
         path,
         body,
         peer: None,
-    })
+    }))
 }
 
 /// Writes `response` to `stream` with `Connection: close` semantics.
@@ -228,7 +231,9 @@ fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, handler: &Handler)
         let _ = stream.set_read_timeout(Some(CONNECTION_TIMEOUT));
         let _ = stream.set_write_timeout(Some(CONNECTION_TIMEOUT));
         let response = match read_request(&mut stream) {
-            Ok(mut request) => {
+            // The peer hung up without a byte: no answer, nothing to log.
+            Ok(None) => continue,
+            Ok(Some(mut request)) => {
                 request.peer = Some(peer.ip().to_string());
                 // Backstop only: a well-behaved handler (the attack server)
                 // catches its own panics so they enter its metrics; anything
@@ -381,6 +386,13 @@ mod tests {
             "a {}-byte blob exceeds the {MAX_BODY_BYTES}-byte body bound",
             blob.len()
         );
+    }
+
+    #[test]
+    fn a_stream_that_ends_before_its_first_byte_is_no_request() {
+        assert_eq!(read_request(&mut &b""[..]).map(|r| r.is_none()), Ok(true));
+        // One byte is a request, and a malformed one.
+        assert!(read_request(&mut &b"\n"[..]).is_err());
     }
 
     #[test]
